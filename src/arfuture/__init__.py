@@ -23,7 +23,6 @@ from .engine import (
     Engine,
     RejectionTrace,
     RejectReason,
-    analyze_document,
     classify_sentence,
     match_rule,
 )
@@ -49,9 +48,7 @@ from .resources import data_dir, load_engine, load_ruleset
 from .rules import (
     LinguisticForm,
     LinguisticRule,
-    Matcher,
     VariableTable,
-    compile_pattern,
     expansions,
     parse_pattern,
     parse_rules,
@@ -73,7 +70,6 @@ __all__ = [
     "Lexicons",
     "LinguisticForm",
     "LinguisticRule",
-    "Matcher",
     "MorphVerdict",
     "QuerySeed",
     "RawPage",
@@ -84,12 +80,10 @@ __all__ = [
     "TokenKind",
     "VariableTable",
     "Verdict",
-    "analyze_document",
     "analyze_token",
     "build_query_list",
     "classify_sentence",
     "compile_corpus_file",
-    "compile_pattern",
     "data_dir",
     "dedupe_documents",
     "distribution",

@@ -132,10 +132,12 @@ def _engine_from_config(cfg: Config):
 def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     if not corpus_dir.is_dir():
         raise corpus_mod.CorpusError(f"corpus directory not found: {corpus_dir}")
-    files = sorted(corpus_dir.glob("*.corpus.txt"))
     docs = []
-    for path in files:
-        docs.append(corpus_mod.parse_corpus_file(path.read_text(encoding="utf-8")))
+    for path in sorted(corpus_dir.glob("*.corpus.txt")):
+        try:
+            docs.append(corpus_mod.parse_corpus_file(path.read_text(encoding="utf-8")))
+        except corpus_mod.CorpusError as exc:
+            raise corpus_mod.CorpusError(f"{path}: {exc}") from None
     return docs
 
 

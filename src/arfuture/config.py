@@ -3,13 +3,14 @@
 The config file is a flat ``key = value`` text file; command-line flags
 override file values.  Recognized keys mirror the flag names:
 ``min_run_chars``, ``boundaries`` (comma-separated trigger names),
-``strict_adjacency``, ``lexicon_dir``, ``rules_path``, ``variables_path``,
-``semantic_map_path``, ``parallelism``.
+``strict_adjacency``, ``show_all_negative_fields``, ``lexicon_dir``,
+``rules_path``, ``variables_path``, ``semantic_map_path``, ``parallelism``.
+Any other key is an error that names the file and line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_MIN_RUN_CHARS
@@ -41,7 +42,6 @@ class Config:
     semantic_map_path: Path | None = None
     parallelism: int = 1
     show_all_negative_fields: bool = False
-    extra: dict[str, str] = dc_field(default_factory=dict)
 
     def validate(self) -> "Config":
         if self.parallelism < 1:
@@ -83,7 +83,7 @@ def load_config(path: str | Path) -> Config:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
+            raise ConfigError(f"{path}, line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "min_run_chars":
             cfg.min_run_chars = int(value)
@@ -104,5 +104,5 @@ def load_config(path: str | Path) -> Config:
         elif key == "parallelism":
             cfg.parallelism = int(value)
         else:
-            cfg.extra[key] = value
+            raise ConfigError(f"{path}, line {lineno}: unknown config key {key!r}")
     return cfg.validate()

@@ -7,6 +7,12 @@ positive form or a present negative form rejects the rule.  Two rule-level
 gates bring in morphology: ``morph=qad`` requires a present-tense verb
 right after the matched particle, ``morph=siin`` lets the final form match
 a word prefix and then verifies the whole word as a siin-future verb.
+
+Forms are searched indicator-first: each form carries a ``FormIndex``
+keyed by the first written word of its surface forms, built when the
+rule is parsed.  A token whose shadow (or, in siin prefix mode, a prefix
+of it) is not a key costs one dict lookup; only candidate tokens have the
+rest of the form checked against the words that follow them.
 """
 
 from __future__ import annotations
@@ -15,20 +21,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator
 
 from .corpus import Document
 from .morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
 from .offsets import byte_length
-from .rules import (
-    LinguisticRule,
-    Matcher,
-    PatternMatch,
-    Polarity,
-    VariableTable,
-    format_pattern,
-)
+from .rules import FormIndex, LinguisticRule, PatternMatch, Polarity, format_pattern
 from .segment import DEFAULT_BOUNDARIES, Sentence, Token, TokenKind, segment, tokenize
 
 
@@ -70,15 +68,6 @@ class DocumentAnalysis:
     traces: tuple[RejectionTrace, ...]
 
 
-@lru_cache(maxsize=None)
-def _form_matchers(rule: LinguisticRule) -> tuple[Matcher, ...]:
-    return tuple(Matcher(f.pattern) for f in rule.forms)
-
-
-def _positive_indices(rule: LinguisticRule) -> list[int]:
-    return [i for i, f in enumerate(rule.forms) if f.polarity is Polarity.POSITIVE]
-
-
 def _field_end(tokens: list[Token], start: int, n_words: int) -> int:
     """Token index just past the N-th word of the field (len() if fewer)."""
     if n_words <= 0:
@@ -105,7 +94,7 @@ def _next_word_index(
 
 
 def _scan_positive(
-    matcher: Matcher,
+    index: FormIndex,
     tokens: list[Token],
     start_at: int,
     field_end: int,
@@ -121,8 +110,17 @@ def _scan_positive(
     check are skipped (reported via the second return value).
     """
     saw_gate_failure = False
+    tails = index.tails
+    prefix_lengths = index.prefix_lengths if prefix_mode else ()
     for t in range(start_at, field_end):
-        m = matcher.match_at(
+        shadow = tokens[t].shadow
+        if shadow not in tails:
+            for n in prefix_lengths:
+                if shadow[:n] in tails:
+                    break
+            else:
+                continue
+        m = index.match_at(
             tokens, t, prefix=prefix_mode, punct_transparent=punct_transparent
         )
         if m is None or m.end_token >= field_end:
@@ -148,10 +146,8 @@ def _attempt(
 
     Returns (annotation_or_trace, first_positive_match_or_None).
     """
-    matchers = _form_matchers(rule)
-    positives = _positive_indices(rule)
-    first_positive_idx = positives[0]
-    last_positive_idx = positives[-1]
+    first_positive_idx = rule.positives[0]
+    last_positive_idx = rule.positives[-1]
     field_start = 0
     first_match: PatternMatch | None = None
     matches: list[PatternMatch] = []
@@ -171,7 +167,7 @@ def _attempt(
         field_end = _field_end(tokens, field_start, form.search_field_words)
         if form.polarity is Polarity.NEGATIVE:
             m, _ = _scan_positive(
-                matchers[fi],
+                form.index,
                 tokens,
                 field_start,
                 field_end,
@@ -194,7 +190,7 @@ def _attempt(
         start_at = max(field_start, scan_from) if fi == first_positive_idx else field_start
         siin_mode = rule.morph == "siin" and fi == last_positive_idx
         m, gate_failed = _scan_positive(
-            matchers[fi],
+            form.index,
             tokens,
             start_at,
             field_end,
@@ -214,11 +210,7 @@ def _attempt(
             first_match = m
         field_start = m.end_token + 1
 
-    marker_tokens: list[int] = []
-    for m in matches:
-        for ti, _, _ in m.pieces:
-            if not marker_tokens or marker_tokens[-1] != ti:
-                marker_tokens.append(ti)
+    marker_tokens = [ti for m in matches for ti in m.covered]
 
     if rule.morph == "qad":
         verb_idx = _next_word_index(tokens, matches[-1].end_token, punct_transparent)
@@ -304,13 +296,11 @@ def match_rule(
     rule: LinguisticRule,
     sentence: Sentence,
     tokens: list[Token],
-    variables: VariableTable | None = None,
     lex: Lexicons | None = None,
     *,
     punct_transparent: bool = True,
 ) -> Annotation | RejectionTrace:
     """First outcome of testing one rule: a match, or why it failed."""
-    del variables  # rules are expanded at parse time
     lex = lex or Lexicons()
     first_trace: RejectionTrace | None = None
     for result in iter_rule_results(
@@ -349,13 +339,11 @@ def classify_sentence(
     sentence: Sentence,
     tokens: list[Token],
     ruleset: list[LinguisticRule],
-    variables: VariableTable | None = None,
     lex: Lexicons | None = None,
     *,
     punct_transparent: bool = True,
 ) -> list[Annotation]:
     """Annotations from every rule, in rule order then position order."""
-    del variables
     annotations, _ = classify_sentence_results(
         sentence,
         tokens,
@@ -412,11 +400,6 @@ class Engine:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(self.analyze, docs))
         return sorted(results, key=lambda r: r.doc.id)
-
-
-def analyze_document(doc: Document, engine: Engine) -> list[Annotation]:
-    """Segment, tokenize and classify one document."""
-    return list(engine.analyze(doc).annotations)
 
 
 # ---------------------------------------------------------------------------

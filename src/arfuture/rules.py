@@ -11,6 +11,14 @@ support literals, ``(a|b)`` alternation, ``( ... )؟`` optional groups and
 ``::name`` variable references.  Whitespace between pattern elements means
 "next word" (spaced); direct juxtaposition means "same written word"
 (glued), which is how single-letter clitics attach.
+
+The grammar has no repetition, so every pattern has a finite set of
+surface forms (tuples of written words).  Each form is compiled once, when
+its ``LinguisticForm`` is built, into a ``FormIndex``: a dict from the
+first written word to the words that may follow it.  Matching looks a
+token's shadow up in that dict and compares the remaining words in place.
+A pattern with more than ``MAX_EXPANSIONS`` surface forms is refused at
+parse time.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .segment import Token, TokenKind
 
@@ -76,9 +84,15 @@ class SemanticCategory:
 
 @dataclass(frozen=True)
 class LinguisticForm:
+    """One form of a rule; ``pattern`` must be variable-free."""
+
     polarity: Polarity
     pattern: PatternSeq
     search_field_words: int = 0  # 0 = rest of the sentence
+    index: FormIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", FormIndex(self.pattern))
 
 
 @dataclass(frozen=True)
@@ -89,6 +103,14 @@ class LinguisticRule:
     class_label: str
     morph: str | None = None  # None | "qad" | "siin"
     extract: str | None = None  # None | "from-marker-to-end"
+    #: indices of the positive forms, in order
+    positives: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positives = tuple(
+            i for i, f in enumerate(self.forms) if f.polarity is Polarity.POSITIVE
+        )
+        object.__setattr__(self, "positives", positives)
 
 
 @dataclass
@@ -139,6 +161,8 @@ def _parse_seq(sc: _Scanner, in_group: bool) -> PatternSeq:
             break
         if ch in _OPTIONAL_MARKS:
             raise RuleParseError("optional marker must follow a group")
+        if ch == "|":
+            raise RuleParseError("alternation outside a group")
         item: PatternElement
         if ch == "(":
             sc.pos += 1
@@ -228,17 +252,6 @@ def expand_variables(
     return PatternSeq(tuple(items), seq.joins)
 
 
-def pattern_has_variables(seq: PatternSeq) -> bool:
-    for item in seq.items:
-        if isinstance(item, VariableRef):
-            return True
-        if isinstance(item, Group) and any(
-            pattern_has_variables(a) for a in item.alternatives
-        ):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # variable definition / semantic map / rule file parsing
 
@@ -246,7 +259,7 @@ def pattern_has_variables(seq: PatternSeq) -> bool:
 def parse_variable_defs(text: str) -> VariableTable:
     """Parse ``::name = expression`` lines into a fully expanded table."""
     raw: dict[str, PatternSeq] = {}
-    order: list[str] = []
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -261,9 +274,15 @@ def parse_variable_defs(text: str) -> VariableTable:
             raw[name] = parse_pattern(expr)
         except RuleParseError as exc:
             raise RuleParseError(f"line {lineno}: {exc}") from None
-        order.append(name)
+        lines[name] = lineno
     staging = VariableTable(raw)
-    expanded = {name: expand_variables(raw[name], staging) for name in order}
+    expanded: dict[str, PatternSeq] = {}
+    for name, lineno in lines.items():
+        try:
+            expanded[name] = expand_variables(raw[name], staging)
+            _check_expansion_limit(expanded[name])
+        except RuleParseError as exc:
+            raise RuleParseError(f"line {lineno}: {exc}") from None
     return VariableTable(expanded)
 
 
@@ -363,13 +382,12 @@ def parse_rules(
                 chunk = chunk[: fm.start()].strip()
             try:
                 pattern = expand_variables(parse_pattern(chunk), variables)
-            except RuleParseError as exc:
-                raise RuleParseError(f"{exc} at line {lineno}") from None
-            forms.append(
-                LinguisticForm(
+                form = LinguisticForm(
                     polarity=polarity, pattern=pattern, search_field_words=field_words
                 )
-            )
+            except RuleParseError as exc:
+                raise RuleParseError(f"{exc} at line {lineno}") from None
+            forms.append(form)
         if not any(f.polarity is Polarity.POSITIVE for f in forms):
             raise RuleParseError(f"rule has no positive marker at line {lineno}")
         rules.append(
@@ -427,205 +445,40 @@ def format_rule(rule: LinguisticRule) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matching
+# expansion and matching
 
-
-@dataclass(frozen=True)
-class PatternMatch:
-    """A successful match over a token window.
-
-    ``pieces`` are (token_index, shadow_start, shadow_end) ranges, merged
-    per token, covering exactly the consumed characters.
-    """
-
-    start_token: int
-    end_token: int
-    end_char: int
-    pieces: tuple[tuple[int, int, int], ...]
-
-
-class Matcher:
-    """Executable form of a variable-free pattern.
-
-    Matching is anchored at a start token: glued runs must cover whole
-    written words (except in prefix mode, where the final word may extend
-    past the pattern), spaced gaps advance to the next Word token.  Among
-    all viable parses the longest one wins; ties resolve to the first
-    alternative in file order, so results are deterministic.
-    """
-
-    def __init__(self, pattern: PatternSeq):
-        if pattern_has_variables(pattern):
-            raise ValueError("pattern must be variable-free; expand it first")
-        self.pattern = pattern
-        chars, _ = _first_chars(pattern)
-        self.first_chars: frozenset[str] = frozenset(chars)
-
-    def match_at(
-        self,
-        tokens: list[Token],
-        start: int,
-        *,
-        prefix: bool = False,
-        punct_transparent: bool = True,
-    ) -> PatternMatch | None:
-        if start >= len(tokens):
-            return None
-        shadow = tokens[start].shadow
-        if not shadow or shadow[0] not in self.first_chars:
-            return None
-        best: tuple[int, int, tuple] | None = None
-        for ti, cp, consumed in _iter_items(
-            self.pattern.items,
-            self.pattern.joins,
-            0,
-            start,
-            0,
-            None,
-            tokens,
-            punct_transparent,
-            (),
-        ):
-            if not consumed:
-                continue
-            if not prefix and cp != len(tokens[ti].shadow):
-                continue
-            if best is None or (ti, cp) > (best[0], best[1]):
-                best = (ti, cp, consumed)
-        if best is None:
-            return None
-        ti, cp, consumed = best
-        return PatternMatch(
-            start_token=start,
-            end_token=ti,
-            end_char=cp,
-            pieces=_merge_pieces(consumed),
-        )
-
-
-def _advance(
-    incoming: Adjacency | None,
-    ti: int,
-    cp: int,
-    tokens: list[Token],
-    punct_transparent: bool,
-) -> tuple[int, int] | None:
-    if incoming is not Adjacency.SPACED:
-        return ti, cp
-    if cp != len(tokens[ti].shadow):
-        return None
-    j = ti + 1
-    if punct_transparent:
-        while j < len(tokens) and tokens[j].kind is TokenKind.PUNCT:
-            j += 1
-    if j >= len(tokens) or tokens[j].kind is not TokenKind.WORD:
-        return None
-    return j, 0
-
-
-def _iter_items(
-    items: tuple[PatternElement, ...],
-    joins: tuple[Adjacency, ...],
-    idx: int,
-    ti: int,
-    cp: int,
-    incoming: Adjacency | None,
-    tokens: list[Token],
-    punct_transparent: bool,
-    consumed: tuple,
-) -> Iterator[tuple[int, int, tuple]]:
-    if idx == len(items):
-        yield ti, cp, consumed
-        return
-    item = items[idx]
-    next_incoming = joins[idx] if idx < len(joins) else None
-    if isinstance(item, Literal):
-        pos = _advance(incoming, ti, cp, tokens, punct_transparent)
-        if pos is not None:
-            t2, c2 = pos
-            if tokens[t2].shadow.startswith(item.text, c2):
-                yield from _iter_items(
-                    items,
-                    joins,
-                    idx + 1,
-                    t2,
-                    c2 + len(item.text),
-                    next_incoming,
-                    tokens,
-                    punct_transparent,
-                    consumed + ((t2, c2, c2 + len(item.text)),),
-                )
-    elif isinstance(item, Group):
-        for alt in item.alternatives:
-            for t2, c2, cons2 in _iter_items(
-                alt.items,
-                alt.joins,
-                0,
-                ti,
-                cp,
-                incoming,
-                tokens,
-                punct_transparent,
-                consumed,
-            ):
-                yield from _iter_items(
-                    items, joins, idx + 1, t2, c2, next_incoming, tokens,
-                    punct_transparent, cons2,
-                )
-        if item.optional:
-            yield from _iter_items(
-                items, joins, idx + 1, ti, cp, next_incoming, tokens,
-                punct_transparent, consumed,
-            )
-    else:  # pragma: no cover - excluded by the constructor check
-        raise ValueError("cannot match an unexpanded variable reference")
-
-
-def _merge_pieces(consumed: tuple) -> tuple[tuple[int, int, int], ...]:
-    merged: list[list[int]] = []
-    for ti, a, b in consumed:
-        if merged and merged[-1][0] == ti and merged[-1][2] == a:
-            merged[-1][2] = b
-        else:
-            merged.append([ti, a, b])
-    return tuple((t, a, b) for t, a, b in merged)
-
-
-def _first_chars(seq: PatternSeq) -> tuple[set[str], bool]:
-    chars: set[str] = set()
-    may_skip = True
-    for item in seq.items:
-        if not may_skip:
-            break
-        if isinstance(item, Literal):
-            chars.add(item.text[0])
-            may_skip = False
-        elif isinstance(item, Group):
-            alt_skip = item.optional
-            for alt in item.alternatives:
-                c, e = _first_chars(alt)
-                chars |= c
-                alt_skip = alt_skip or e
-            may_skip = alt_skip
-        else:
-            raise ValueError("first-char analysis requires a variable-free pattern")
-    return chars, may_skip
-
-
-def compile_pattern(pattern: PatternSeq) -> Matcher:
-    """Build a Matcher for an already-expanded pattern."""
-    return Matcher(pattern)
+#: the most surface forms one pattern may take, counted as parse paths (a
+#: duplicate spelling counts again); a larger pattern is refused when its
+#: file is parsed, so every compiled index stays small
+MAX_EXPANSIONS = 10_000
 
 
 def expansions(seq: PatternSeq) -> set[tuple[str, ...]]:
     """Enumerate every surface form a variable-free pattern can take.
 
     Each expansion is a tuple of written words (glued runs merged, spaced
-    gaps separating tuple entries).  The sets are small for all bundled
-    patterns, which makes this usable as a second, matcher-independent
-    membership test.
+    gaps separating tuple entries).  A pattern with more than
+    ``MAX_EXPANSIONS`` parse paths raises ``RuleParseError`` before any
+    form is enumerated.
     """
+    _check_expansion_limit(seq)
     return {t for t in _seq_expansions(seq) if t}
+
+
+def _check_expansion_limit(seq: PatternSeq) -> None:
+    if _path_count(seq) > MAX_EXPANSIONS:
+        raise RuleParseError(
+            f"pattern expands to more than {MAX_EXPANSIONS:,} surface forms"
+        )
+
+
+def _path_count(seq: PatternSeq) -> int:
+    """Parse paths through a pattern; an upper bound on its surface forms."""
+    total = 1
+    for item in seq.items:
+        if isinstance(item, Group):
+            total *= sum(_path_count(a) for a in item.alternatives) + item.optional
+    return total
 
 
 def _seq_expansions(seq: PatternSeq) -> set[tuple[str, ...]]:
@@ -660,3 +513,81 @@ def _combine(
     if join is Adjacency.SPACED:
         return a + b
     return a[:-1] + (a[-1] + b[0],) + b[1:]
+
+
+class PatternMatch(NamedTuple):
+    """A match from ``start_token`` to ``end_token``; ``covered`` lists the
+    token of each matched written word, in order."""
+
+    start_token: int
+    end_token: int
+    covered: tuple[int, ...]
+
+
+class FormIndex:
+    """A variable-free pattern compiled to its surface forms.
+
+    ``tails`` maps the first written word of every form to the words that
+    follow it, longest tail first.  A match is anchored at a start token
+    whose shadow is a key; each further word must equal the shadow of the
+    next Word token (with ``punct_transparent``, Punct tokens in between
+    are skipped; anything else breaks the gap).  In prefix mode the last
+    word need only begin its token, and ``prefix_lengths`` lists the
+    lengths of the one-word forms that may begin a longer start token.
+    The longest match wins: the one ending at the furthest token.
+    """
+
+    __slots__ = ("tails", "prefix_lengths")
+
+    def __init__(self, pattern: PatternSeq):
+        tails: dict[str, list[tuple[str, ...]]] = {}
+        for words in sorted(expansions(pattern), key=lambda w: (-len(w), w)):
+            tails.setdefault(words[0], []).append(words[1:])
+        self.tails = {first: tuple(rest) for first, rest in tails.items()}
+        self.prefix_lengths = tuple(
+            sorted({len(first) for first, rest in tails.items() if () in rest})
+        )
+
+    def match_at(
+        self,
+        tokens: list[Token],
+        start: int,
+        *,
+        prefix: bool = False,
+        punct_transparent: bool = True,
+    ) -> PatternMatch | None:
+        shadow = tokens[start].shadow
+        for tail in self.tails.get(shadow, ()):
+            covered = _follow(tokens, start, tail, prefix, punct_transparent)
+            if covered is not None:
+                return PatternMatch(start, covered[-1], covered)
+        if prefix:
+            for n in self.prefix_lengths:
+                if () in self.tails.get(shadow[:n], ()):
+                    return PatternMatch(start, start, (start,))
+        return None
+
+
+def _follow(
+    tokens: list[Token],
+    start: int,
+    tail: tuple[str, ...],
+    prefix: bool,
+    punct_transparent: bool,
+) -> tuple[int, ...] | None:
+    """Tokens covered by ``tail`` after the first word at ``start``, or None."""
+    covered = [start]
+    ti = start
+    last = len(tail) - 1
+    for k, word in enumerate(tail):
+        ti += 1
+        if punct_transparent:
+            while ti < len(tokens) and tokens[ti].kind is TokenKind.PUNCT:
+                ti += 1
+        if ti >= len(tokens) or tokens[ti].kind is not TokenKind.WORD:
+            return None
+        shadow = tokens[ti].shadow
+        if not (shadow.startswith(word) if prefix and k == last else shadow == word):
+            return None
+        covered.append(ti)
+    return tuple(covered)

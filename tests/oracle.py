@@ -2,9 +2,9 @@
 
 Used as the second route in oracle-equivalence tests: patterns are
 enumerated into their full finite surface-form sets and matched by direct
-string comparison against token shadows, with no shared code with the
-backtracking matcher.  Only single-positive-form rules (the bundled set)
-are supported.
+string comparison against token shadows, with no code shared with the
+engine's matcher (``arfuture.rules.FormIndex``).  Only single-positive-form
+rules (the bundled set) are supported.
 """
 
 from __future__ import annotations

@@ -120,6 +120,28 @@ class TestAnalyze:
         assert code == 2
         assert "corpus directory not found" in capsys.readouterr().err
 
+    def test_malformed_corpus_file_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "good.corpus.txt").write_text(
+            "URL: http://x\nTITLE: t\n\nسوف يرتفع.\n", encoding="utf-8"
+        )
+        (corpus / "bad.corpus.txt").write_text("no header here\n", encoding="utf-8")
+        code = main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.corpus.txt" in err and "malformed corpus file" in err
+
+    def test_config_typo_exits_2(self, mini_gold_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("paralellism = 4\n", encoding="utf-8")
+        code = main(
+            ["analyze", "--corpus", str(mini_gold_dir), "--out", str(tmp_path / "o"),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "run.cfg, line 1: unknown config key 'paralellism'" in capsys.readouterr().err
+
     def test_boundaries_flag_changes_segmentation(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -48,6 +48,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="parallelism"):
             load_config(path)
 
+    def test_unknown_key_rejected_with_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("min_run_chars = 80\nparalellism = 4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg, line 2: unknown config key 'paralellism'"):
+            load_config(path)
+
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ConfigError, match="unknown boundary"):
             parse_boundaries("dot-space, bogus")

@@ -7,7 +7,6 @@ from arfuture.engine import (
     Annotation,
     RejectionTrace,
     RejectReason,
-    analyze_document,
     classify_sentence,
     classify_sentence_results,
     dump_annotations,
@@ -38,36 +37,36 @@ def marker_words(sentence: Sentence, ann: Annotation) -> list[str]:
 class TestMatchRule:
     def test_qad_with_verified_verb(self, rules_by_id, lexicons):
         s = one_sentence("وتحدث عن الخطر الذي قد يترتب جراء ذلك")
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
         assert isinstance(result, Annotation)
         assert marker_words(s, result) == ["قد", "يترتب"]
 
     def test_qad_with_past_verb_rejected(self, rules_by_id, lexicons):
         s = one_sentence("قد درس الطالب")
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.MORPH_REJECTED
 
     def test_no_marker_anywhere(self, rules_by_id, lexicons):
         s = one_sentence("كتاب على الطاولة")
-        result = match_rule(rules_by_id["sawfa"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["sawfa"], s, tokenize(s.text), lexicons)
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.POSITIVE_NOT_FOUND
 
     def test_qad_verb_after_punctuation(self, rules_by_id, lexicons):
         s = one_sentence('قد "يترتب" ذلك')
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
         assert isinstance(result, Annotation)
 
     def test_siin_skips_stoplisted_then_matches_later(self, rules_by_id, lexicons):
         s = one_sentence("التقى سيمون وقال ان الوضع سيتحسن قريبا")
-        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), lexicons)
         assert isinstance(result, Annotation)
         assert marker_words(s, result) == ["سيتحسن"]
 
     def test_siin_only_stoplist_gives_morph_trace(self, rules_by_id, lexicons):
         s = one_sentence("وصل سيمون الى بيروت")
-        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), None, lexicons)
+        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), lexicons)
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.MORPH_REJECTED
 
@@ -75,21 +74,21 @@ class TestMatchRule:
 class TestClassifySentence:
     def test_sawfa_example_gets_both_classes(self, ruleset, lexicons):
         s = one_sentence("الضغوط سوف تتزايد وبما سيؤثر سلبا على الوضع")
-        labels = {a.class_label for a in classify_sentence(s, tokenize(s.text), ruleset, None, lexicons)}
+        labels = {a.class_label for a in classify_sentence(s, tokenize(s.text), ruleset, lexicons)}
         assert labels == {"sawfa", "sin"}
 
     def test_lan_example(self, ruleset, lexicons):
         s = one_sentence("الاستقالة لن تؤدي بين ليلة وضحاها الى تغيير الوضع")
-        anns = classify_sentence(s, tokenize(s.text), ruleset, None, lexicons)
+        anns = classify_sentence(s, tokenize(s.text), ruleset, lexicons)
         assert [a.class_label for a in anns] == ["lan"]
 
     def test_empty_sentence(self, ruleset, lexicons):
         s = Sentence(doc_id="d", index=0, span=(0, 0), text="")
-        assert classify_sentence(s, [], ruleset, None, lexicons) == []
+        assert classify_sentence(s, [], ruleset, lexicons) == []
 
     def test_rule_order_then_position_order(self, ruleset, lexicons):
         s = one_sentence("سوف يصل ثم سوف يغادر وفي الختام قد يتكلم")
-        anns = classify_sentence(s, tokenize(s.text), ruleset, None, lexicons)
+        anns = classify_sentence(s, tokenize(s.text), ruleset, lexicons)
         rule_sequence = [a.rule_id for a in anns]
         assert rule_sequence == sorted(
             rule_sequence, key=lambda rid: [r.id for r in ruleset].index(rid)
@@ -109,15 +108,15 @@ class TestClassifySentence:
     def test_order_invariance_of_rules(self, ruleset, lexicons):
         s = one_sentence("من المتوقع ان يتحسن الوضع وقد يرتفع النمو")
         tokens = tokenize(s.text)
-        full = classify_sentence(s, tokens, ruleset, None, lexicons)
+        full = classify_sentence(s, tokens, ruleset, lexicons)
         for rule in ruleset:
-            alone = classify_sentence(s, tokens, [rule], None, lexicons)
+            alone = classify_sentence(s, tokens, [rule], lexicons)
             assert alone == [a for a in full if a.rule_id == rule.id]
 
     def test_field_monotonicity(self, lexicons):
         rules = parse_rules("r: قد > سوف -> مستقبل\n", NO_VARS, MAP)
         s = one_sentence("قد يصل ثم سوف يغادر")
-        anns = classify_sentence(s, tokenize(s.text), rules, None, lexicons)
+        anns = classify_sentence(s, tokenize(s.text), rules, lexicons)
         assert len(anns) == 1
         spans = anns[0].positive_marker_spans
         assert spans[0][1] <= spans[1][0]
@@ -128,7 +127,7 @@ class TestClassifySentence:
         text = "قال قبل يومين ان الوضع سوف يتحسن"
         s = one_sentence(text)
         tokens = tokenize(s.text)
-        assert classify_sentence(s, tokens, plain, None, lexicons)
+        assert classify_sentence(s, tokens, plain, lexicons)
         anns, traces = classify_sentence_results(s, tokens, negated, lexicons)
         assert anns == []
         negative_traces = [t for t in traces if t.reason is RejectReason.NEGATIVE_FOUND]
@@ -153,7 +152,7 @@ class TestClassifySentence:
         for rule in ruleset:
             s = one_sentence(matching_text[rule.id])
             tokens = tokenize(s.text)
-            assert classify_sentence(s, tokens, [rule], None, lexicons), rule.id
+            assert classify_sentence(s, tokens, [rule], lexicons), rule.id
             poisoned = dataclasses.replace(rule, forms=(negative,) + rule.forms)
             anns, traces = classify_sentence_results(s, tokens, [poisoned], lexicons)
             assert anns == [], rule.id
@@ -166,13 +165,13 @@ class TestClassifySentence:
         assert anns == []
         assert any(t.reason is RejectReason.POSITIVE_NOT_FOUND for t in traces)
         wide = parse_rules("r: قد > سوف@6 -> مستقبل\n", NO_VARS, MAP)
-        assert classify_sentence(s, tokenize(s.text), wide, None, lexicons)
+        assert classify_sentence(s, tokenize(s.text), wide, lexicons)
 
     def test_field_length_counts_words_not_punctuation(self, lexicons):
         rules = parse_rules("r: قد > سوف@2 -> مستقبل\n", NO_VARS, MAP)
         # سوف is the second word after قد; the quotes in between do not count
         s = one_sentence('قد جاء " " سوف يتحسن')
-        assert classify_sentence(s, tokenize(s.text), rules, None, lexicons)
+        assert classify_sentence(s, tokenize(s.text), rules, lexicons)
 
     def test_negative_field_span_covers_searched_words(self, lexicons):
         rules = parse_rules("r: سوف > -قبل@2 -> مستقبل\n", NO_VARS, MAP)
@@ -225,13 +224,13 @@ class TestAnalyzeDocument:
         doc = make_document(url="http://x", title="", body="")
         # the Document type forbids empty bodies at ingestion; the engine
         # still degrades gracefully
-        assert analyze_document(doc, engine) == []
+        assert engine.analyze(doc).annotations == ()
 
     def test_mini_corpus_covers_all_classes(self, engine, mini_docs):
         labels = set()
         total = 0
         for doc in mini_docs:
-            anns = analyze_document(doc, engine)
+            anns = engine.analyze(doc).annotations
             total += len(anns)
             labels |= {a.class_label for a in anns}
         assert labels == {"qad", "sin", "lan", "sawfa", "participle", "past_verb", "present_verb"}
@@ -239,13 +238,13 @@ class TestAnalyzeDocument:
 
     def test_stable_ordering(self, engine, mini_docs):
         for doc in mini_docs:
-            anns = analyze_document(doc, engine)
+            anns = engine.analyze(doc).annotations
             keys = [(a.sentence_index,) for a in anns]
             assert keys == sorted(keys)
 
     def test_marker_spans_ordered_and_disjoint(self, engine, mini_docs):
         for doc in mini_docs:
-            for ann in analyze_document(doc, engine):
+            for ann in engine.analyze(doc).annotations:
                 spans = ann.positive_marker_spans
                 assert spans
                 for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
@@ -282,7 +281,7 @@ class TestOracleEquivalence:
 
 class TestAnnotationDump:
     def test_jsonl_round_trip(self, engine, mini_docs):
-        anns = [a for d in mini_docs for a in analyze_document(d, engine)]
+        anns = [a for d in mini_docs for a in engine.analyze(d).annotations]
         text = dump_annotations(anns)
         assert load_annotations(text) == anns
         assert text.count("\n") == len(anns)

@@ -3,16 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfuture.rules import (
+    MAX_EXPANSIONS,
     Adjacency,
+    FormIndex,
     Group,
     Literal,
-    Matcher,
+    PatternSeq,
     Polarity,
     RuleParseError,
     VariableTable,
-    compile_pattern,
     expansions,
     format_pattern,
     format_rule,
@@ -23,6 +25,7 @@ from arfuture.rules import (
 )
 from arfuture.segment import tokenize
 
+from backtrack import Matcher
 from oracle import expand_words
 
 MAP = parse_semantic_map("مستقبل\n")
@@ -33,10 +36,18 @@ VARS = parse_variable_defs(
 )
 
 
+def ends(m) -> tuple[int, tuple[int, ...]] | None:
+    """What the engine reads of a match: its end token and covered tokens."""
+    return None if m is None else (m.end_token, m.covered)
+
+
 def match_words(pattern_text: str, sentence: str, start: int = 0, **kw):
-    matcher = compile_pattern(parse_pattern(pattern_text))
+    """Shadow pieces the backtracker consumes; the first-word index must
+    end at the same token and cover the same tokens."""
+    pattern = parse_pattern(pattern_text)
     tokens = tokenize(sentence)
-    m = matcher.match_at(tokens, start, **kw)
+    m = Matcher(pattern).match_at(tokens, start, **kw)
+    assert ends(FormIndex(pattern).match_at(tokens, start, **kw)) == ends(m)
     if m is None:
         return None
     return [tokens[ti].shadow[a:b] for ti, a, b in m.pieces]
@@ -77,6 +88,35 @@ class TestPatternParsing:
     def test_all_optional_pattern_rejected(self):
         with pytest.raises(RuleParseError, match="empty string"):
             parse_pattern("(و|ف)؟(ت)؟")
+
+    def test_bar_outside_group_rejected(self):
+        with pytest.raises(RuleParseError, match="outside a group"):
+            parse_pattern("قد|سوف")
+
+
+class TestExpansionLimit:
+    BLOWUP = "(ا|ب)" * 20  # 2**20 surface forms
+
+    def test_rule_over_limit_names_line(self):
+        text = "سوف -> مستقبل\n" + self.BLOWUP + " -> مستقبل\n"
+        with pytest.raises(RuleParseError, match="more than 10,000 .* at line 2"):
+            parse_rules(text, VARS, MAP)
+
+    def test_variable_over_limit_names_line(self):
+        with pytest.raises(RuleParseError, match="line 2: .*more than 10,000"):
+            parse_variable_defs("::a = ا\n::b = " + self.BLOWUP + "\n")
+
+    def test_limit_counts_the_expanded_rule(self):
+        # each variable is under the limit; the rule joining them is not
+        table = parse_variable_defs("::x = " + "(ا|ب)" * 7 + "\n")
+        with pytest.raises(RuleParseError, match="at line 1"):
+            parse_rules("::x ::x -> مستقبل\n", table, MAP)
+
+    def test_limit_is_inclusive(self):
+        limit_sized = "(ا|ب|ت|ث|ج|ح|خ|د|ذ|ر)" * 4
+        assert len(expansions(parse_pattern(limit_sized))) == MAX_EXPANSIONS == 10_000
+        with pytest.raises(RuleParseError, match="more than 10,000"):
+            expansions(parse_pattern(f"({limit_sized}|ز)"))
 
 
 class TestVariableDefs:
@@ -212,6 +252,9 @@ class TestMatcher:
     def test_prefix_mode_allows_remainder(self):
         assert match_words("(و|ف)؟س", "سيوفر", prefix=True) == ["س"]
         assert match_words("(و|ف)؟س", "وسيجري", prefix=True) == ["وس"]
+        # only the last word may run on; earlier words stay whole
+        assert match_words("قد لا يكون", "قد لا يكونوا", prefix=True) == ["قد", "لا", "يكون"]
+        assert match_words("قد لا يكون", "قد لاا يكونوا", prefix=True) is None
 
     def test_glued_never_crosses_whitespace(self):
         # س glued to a following letter cannot match across two tokens
@@ -236,6 +279,11 @@ class TestMatcher:
 
     def test_diacritics_ignored_for_matching(self):
         assert match_words("(و|ف)؟سوف", "سَوْفَ") == ["سوف"]
+
+    def test_leading_skipped_group_opens_no_gap(self):
+        # with the optional word left out, the match starts at سوف itself
+        assert match_words("(و)؟ سوف", "سوف يرتفع") == ["سوف"]
+        assert match_words("(و)؟ سوف", "و سوف") == ["و", "سوف"]
 
     def test_determinism(self):
         first = match_words("(س|سو)(وف|ف)", "سوف")
@@ -267,10 +315,11 @@ class TestExpansionSoundness:
         patterns = [form.pattern for rule in ruleset for form in rule.forms]
         for pattern in patterns:
             variants = expansions(pattern)
-            assert 0 < len(variants) < 10_000
+            assert 0 < len(variants) <= MAX_EXPANSIONS
             # the independent enumeration agrees with the library one
             assert {tuple(w) for w in expand_words(pattern)} == variants
             matcher = Matcher(pattern)
+            index = FormIndex(pattern)
             candidates = set(variants)
             for variant in list(variants):
                 for _ in range(6):
@@ -284,3 +333,57 @@ class TestExpansionSoundness:
                     and m.end_char == len(tokens[-1].shadow)
                 )
                 assert accepted == (candidate in variants), candidate
+                got = index.match_at(tokens, 0)
+                assert (got is not None and got.end_token == len(tokens) - 1) == accepted
+
+
+# Small alphabets make literals collide with each other and with tokens.
+_LITERALS = st.sampled_from(["a", "b", "ab", "ba", "1", "،"])
+_TOKEN_TEXTS = st.sampled_from(["a", "b", "ab", "ba", "aab", "bab", "1", "،", "ـ"])
+
+
+def _seqs(elements):
+    def with_joins(items):
+        joins = st.lists(
+            st.sampled_from(list(Adjacency)),
+            min_size=len(items) - 1,
+            max_size=len(items) - 1,
+        )
+        return joins.map(lambda js: PatternSeq(tuple(items), tuple(js)))
+
+    return st.lists(elements, min_size=1, max_size=3).flatmap(with_joins)
+
+
+_PATTERNS = _seqs(
+    st.recursive(
+        st.builds(Literal, _LITERALS),
+        lambda inner: st.builds(
+            Group, st.lists(_seqs(inner), min_size=1, max_size=3).map(tuple), st.booleans()
+        ),
+        max_leaves=6,
+    )
+)
+
+
+class TestIndexAgainstBacktracker:
+    @pytest.mark.parametrize("prefix", [False, True])
+    @pytest.mark.parametrize("punct_transparent", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=_PATTERNS, data=st.data())
+    def test_same_match_at_every_start(self, pattern, data, prefix, punct_transparent):
+        # plant one surface form, its words perhaps lengthened or split by
+        # punctuation, among random tokens, so that most examples match
+        forms = sorted(expansions(pattern))
+        planted = list(data.draw(st.sampled_from(forms))) if forms else []
+        words = data.draw(st.lists(_TOKEN_TEXTS, max_size=3))
+        for word in planted:
+            if data.draw(st.booleans()):
+                words.append("،")
+            words.append(word + data.draw(st.sampled_from(["", "", "a", "b"])))
+        words += data.draw(st.lists(_TOKEN_TEXTS, max_size=3))
+        tokens = tokenize(" ".join(words))
+        matcher, index = Matcher(pattern), FormIndex(pattern)
+        kw = dict(prefix=prefix, punct_transparent=punct_transparent)
+        for start in range(len(tokens)):
+            want = ends(matcher.match_at(tokens, start, **kw))
+            assert ends(index.match_at(tokens, start, **kw)) == want, start
