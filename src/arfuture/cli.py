@@ -15,7 +15,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from .config import Config, ConfigError, load_config, parse_boundaries
-from .engine import dump_annotations, load_annotations
+from .engine import AnnotationFormatError, dump_annotations, load_annotations
 from .report import write_reports
 from .resources import load_engine
 from .rules import RuleParseError
@@ -28,7 +28,6 @@ EXIT_ERROR = 2
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="flat key=value config file")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--jobs", type=int, help="parallel workers (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +112,6 @@ def _merge_config(args: argparse.Namespace) -> Config:
         value = getattr(args, attr, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "jobs", None):
-        cfg.parallelism = args.jobs
     return cfg.validate()
 
 
@@ -204,7 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             clock = clock.replace(tzinfo=timezone.utc)
     engine = _engine_from_config(cfg)
     docs = _read_corpus_dir(args.corpus)
-    analyses = engine.analyze_corpus(docs, jobs=cfg.parallelism)
+    analyses = engine.analyze_corpus(docs)
 
     annotations = [a for analysis in analyses for a in analysis.annotations]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,14 +226,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.annotations and not args.corpus:
         print("error: eval needs --annotations or --corpus", file=sys.stderr)
         return EXIT_ERROR
-    gold = eval_mod.load_gold(args.gold.read_text(encoding="utf-8"))
+    try:
+        gold = eval_mod.load_gold(args.gold.read_text(encoding="utf-8"))
+    except eval_mod.GoldFormatError as exc:
+        raise eval_mod.GoldFormatError(f"{args.gold}: {exc}") from None
     total_sentences = 0
     if args.annotations:
-        annotations = load_annotations(args.annotations.read_text(encoding="utf-8"))
+        try:
+            annotations = load_annotations(args.annotations.read_text(encoding="utf-8"))
+        except AnnotationFormatError as exc:
+            raise AnnotationFormatError(f"{args.annotations}: {exc}") from None
     else:
         engine = _engine_from_config(cfg)
         docs = _read_corpus_dir(args.corpus)
-        analyses = engine.analyze_corpus(docs, jobs=cfg.parallelism)
+        analyses = engine.analyze_corpus(docs)
         annotations = [a for analysis in analyses for a in analysis.annotations]
         total_sentences = sum(len(a.sentences) for a in analyses)
 

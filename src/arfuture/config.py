@@ -4,8 +4,8 @@ The config file is a flat ``key = value`` text file; command-line flags
 override file values.  Recognized keys mirror the flag names:
 ``min_run_chars``, ``boundaries`` (comma-separated trigger names),
 ``strict_adjacency``, ``show_all_negative_fields``, ``lexicon_dir``,
-``rules_path``, ``variables_path``, ``semantic_map_path``, ``parallelism``.
-Any other key is an error that names the file and line.
+``rules_path``, ``variables_path``, ``semantic_map_path``.  Any other key,
+or a value of the wrong type, is an error that names the file and line.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ class Config:
     rules_path: Path | None = None
     variables_path: Path | None = None
     semantic_map_path: Path | None = None
-    parallelism: int = 1
     show_all_negative_fields: bool = False
 
     def validate(self) -> "Config":
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         if self.min_run_chars < 1:
             raise ConfigError("min_run_chars must be >= 1")
         bad = self.boundaries - _VALID_BOUNDARIES
@@ -75,6 +72,26 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"bad boolean for {key}: {value!r}")
 
 
+def _parse_int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"bad integer for {key}: {value!r}") from None
+
+
+#: config key -> parser of its value (given the value and the key)
+_PARSERS = {
+    "min_run_chars": _parse_int,
+    "boundaries": lambda value, key: parse_boundaries(value),
+    "strict_adjacency": _parse_bool,
+    "show_all_negative_fields": _parse_bool,
+    **dict.fromkeys(
+        ("lexicon_dir", "rules_path", "variables_path", "semantic_map_path"),
+        lambda value, key: Path(value),
+    ),
+}
+
+
 def load_config(path: str | Path) -> Config:
     """Read a flat key=value config file."""
     cfg = Config()
@@ -82,27 +99,13 @@ def load_config(path: str | Path) -> Config:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}, line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "min_run_chars":
-            cfg.min_run_chars = int(value)
-        elif key == "boundaries":
-            cfg.boundaries = parse_boundaries(value)
-        elif key == "strict_adjacency":
-            cfg.strict_adjacency = _parse_bool(value, key)
-        elif key == "show_all_negative_fields":
-            cfg.show_all_negative_fields = _parse_bool(value, key)
-        elif key == "lexicon_dir":
-            cfg.lexicon_dir = Path(value)
-        elif key == "rules_path":
-            cfg.rules_path = Path(value)
-        elif key == "variables_path":
-            cfg.variables_path = Path(value)
-        elif key == "semantic_map_path":
-            cfg.semantic_map_path = Path(value)
-        elif key == "parallelism":
-            cfg.parallelism = int(value)
-        else:
-            raise ConfigError(f"{path}, line {lineno}: unknown config key {key!r}")
+        key, eq, value = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ConfigError("expected key = value")
+            if key not in _PARSERS:
+                raise ConfigError(f"unknown config key {key!r}")
+            setattr(cfg, key, _PARSERS[key](value, key))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}, line {lineno}: {exc}") from None
     return cfg.validate()

@@ -18,7 +18,6 @@ rest of the form checked against the words that follow them.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -392,18 +391,17 @@ class Engine:
             traces=tuple(traces),
         )
 
-    def analyze_corpus(self, docs: list[Document], jobs: int = 1) -> list[DocumentAnalysis]:
+    def analyze_corpus(self, docs: list[Document]) -> list[DocumentAnalysis]:
         """Analyze many documents, results ordered by document id."""
-        if jobs <= 1 or len(docs) <= 1:
-            results = [self.analyze(d) for d in docs]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(self.analyze, docs))
-        return sorted(results, key=lambda r: r.doc.id)
+        return sorted((self.analyze(d) for d in docs), key=lambda r: r.doc.id)
 
 
 # ---------------------------------------------------------------------------
 # annotation dump (JSON Lines)
+
+
+class AnnotationFormatError(ValueError):
+    """Malformed annotation dump."""
 
 
 def annotation_to_json(ann: Annotation) -> str:
@@ -420,7 +418,7 @@ def annotation_to_json(ann: Annotation) -> str:
 
 def annotation_from_json(line: str) -> Annotation:
     record = json.loads(line)
-    return Annotation(
+    ann = Annotation(
         doc_id=record["doc_id"],
         sentence_index=record["sentence_index"],
         rule_id=record["rule_id"],
@@ -429,6 +427,11 @@ def annotation_from_json(line: str) -> Annotation:
         positive_marker_spans=tuple(tuple(s) for s in record["positive_marker_spans"]),
         excerpt_span=tuple(record["excerpt_span"]) if record["excerpt_span"] else None,
     )
+    # scoring sorts (doc_id, sentence_index, class_label) triples with the gold ones
+    if not (isinstance(ann.doc_id, str) and isinstance(ann.sentence_index, int)
+            and isinstance(ann.class_label, str)):
+        raise ValueError("doc_id and class_label must be strings, sentence_index an integer")
+    return ann
 
 
 def dump_annotations(annotations: list[Annotation]) -> str:
@@ -436,4 +439,15 @@ def dump_annotations(annotations: list[Annotation]) -> str:
 
 
 def load_annotations(text: str) -> list[Annotation]:
-    return [annotation_from_json(line) for line in text.splitlines() if line.strip()]
+    """Parse a JSON Lines dump; a bad record fails naming its line."""
+    annotations: list[Annotation] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            annotations.append(annotation_from_json(line))
+        except KeyError as exc:
+            raise AnnotationFormatError(f"line {lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise AnnotationFormatError(f"line {lineno}: {exc}") from None
+    return annotations

@@ -2,31 +2,12 @@
 
 All public span fields in this package are byte offsets into the UTF-8
 encoding of the enclosing text, so that annotation dumps are stable and
-language-neutral.  Internally most scanning happens on code points; a
-ByteMap converts between the two.
+language-neutral.  Segmentation and tokenization produce them directly
+by keeping a running byte offset as they walk their text; these helpers
+read text back out of such spans.
 """
 
 from __future__ import annotations
-
-
-class ByteMap:
-    """Char-index to UTF-8-byte-offset conversion table for one string."""
-
-    def __init__(self, text: str):
-        self.text = text
-        offsets = [0]
-        pos = 0
-        for ch in text:
-            pos += len(ch.encode("utf-8"))
-            offsets.append(pos)
-        # offsets[i] = byte offset of char i; offsets[len(text)] = total bytes
-        self._offsets = offsets
-
-    def byte_of(self, char_index: int) -> int:
-        return self._offsets[char_index]
-
-    def to_byte_span(self, char_start: int, char_end: int) -> tuple[int, int]:
-        return self._offsets[char_start], self._offsets[char_end]
 
 
 def byte_slice(text: str, span: tuple[int, int]) -> str:

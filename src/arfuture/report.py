@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Document
 from .engine import Annotation, DocumentAnalysis, RejectReason, RejectionTrace
-from .segment import DEFAULT_BOUNDARIES, Sentence, segment
+from .segment import Sentence
 
 
 class RenderError(ValueError):
@@ -133,13 +133,11 @@ def build_report_page(
     doc: Document,
     annotations: list[Annotation],
     traces: list[RejectionTrace],
-    sentences: list[Sentence] | None = None,
+    sentences: list[Sentence],
     *,
     generated_at: datetime | None = None,
     show_all_negative_fields: bool = False,
 ) -> ReportPage:
-    if sentences is None:
-        sentences = segment(doc.body, doc_id=doc.id, boundaries=DEFAULT_BOUNDARIES)
     by_index = {s.index: s for s in sentences}
     when = generated_at or datetime.now(timezone.utc)
     page = ReportPage(doc=doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
@@ -220,7 +218,7 @@ def render_html(
     doc: Document,
     annotations: list[Annotation],
     traces: list[RejectionTrace],
-    sentences: list[Sentence] | None = None,
+    sentences: list[Sentence],
     *,
     generated_at: datetime | None = None,
     show_all_negative_fields: bool = False,

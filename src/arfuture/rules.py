@@ -516,10 +516,9 @@ def _combine(
 
 
 class PatternMatch(NamedTuple):
-    """A match from ``start_token`` to ``end_token``; ``covered`` lists the
-    token of each matched written word, in order."""
+    """A match ending at ``end_token``; ``covered`` lists the token of each
+    matched written word, in order (the first is the start token)."""
 
-    start_token: int
     end_token: int
     covered: tuple[int, ...]
 
@@ -560,11 +559,11 @@ class FormIndex:
         for tail in self.tails.get(shadow, ()):
             covered = _follow(tokens, start, tail, prefix, punct_transparent)
             if covered is not None:
-                return PatternMatch(start, covered[-1], covered)
+                return PatternMatch(covered[-1], covered)
         if prefix:
             for n in self.prefix_lengths:
                 if () in self.tails.get(shadow[:n], ()):
-                    return PatternMatch(start, start, (start,))
+                    return PatternMatch(start, (start,))
         return None
 
 

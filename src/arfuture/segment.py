@@ -5,18 +5,24 @@ question mark or exclamation mark when followed by whitespace (or end of
 text), and at newlines.  Each trigger can be switched off individually;
 with only ``dot-space`` enabled the splitter degrades to the bare
 period-plus-space heuristic.
+
+Both passes walk their text once and keep a running UTF-8 byte offset,
+adding the encoded length of each run they step over, so every span is a
+byte span without a per-string offset table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import re
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
-from .offsets import ByteMap
-
-# Arabic harakat stripped from matching shadows (kept in surfaces).
+# Arabic harakat stripped from matching shadows (kept in the written text).
 HARAKAT = frozenset("ًٌٍَُِّْ")
 TATWEEL = "ـ"
+_SHADOW_DROP = dict.fromkeys(map(ord, HARAKAT | {TATWEEL}))
 
 #: names of the individual boundary triggers
 BOUNDARY_DOT = "dot-space"
@@ -28,7 +34,8 @@ DEFAULT_BOUNDARIES = frozenset(
     {BOUNDARY_DOT, BOUNDARY_QMARK, BOUNDARY_EXCLAM, BOUNDARY_NEWLINE}
 )
 
-_TRIGGER_CHARS = {".": BOUNDARY_DOT, "؟": BOUNDARY_QMARK, "!": BOUNDARY_EXCLAM}
+_TRIGGER_CHARS = {BOUNDARY_DOT: ".", BOUNDARY_QMARK: "؟", BOUNDARY_EXCLAM: "!"}
+_CHUNK = re.compile(r"(\s*)(\S+)")
 
 
 class TokenKind(Enum):
@@ -47,39 +54,35 @@ class Sentence:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token; ``span`` is a byte span into the sentence text.
 
-    ``surface`` has tatweel removed; ``shadow`` additionally drops harakat
-    and is the string patterns are matched against.  ``shadow_map`` gives,
-    for every shadow char, its char index in the sentence text, so matched
-    shadow ranges can be mapped back to exact source spans.
+    ``shadow`` is the written run without tatweel and harakat, the string
+    patterns are matched against; digit and punctuation runs are their own
+    shadow.  The span covers the whole written run, tatweel and harakat
+    included, so a highlighted token shows the word as written.
     """
 
-    surface: str
     span: tuple[int, int]
     kind: TokenKind
-    shadow: str = ""
-    char_span: tuple[int, int] = (0, 0)
-    shadow_map: tuple[int, ...] = field(default=(), repr=False)
-
-    def shadow_to_char_span(self, start: int, end: int) -> tuple[int, int]:
-        """Map a shadow char range back to a sentence-text char span.
-
-        Ranges touching the token edges are widened to cover skipped
-        tatweel and trailing harakat, so full-token matches highlight the
-        full written word.
-        """
-        if not self.shadow_map:
-            return self.char_span
-        c_start = self.char_span[0] if start == 0 else self.shadow_map[start]
-        c_end = self.char_span[1] if end == len(self.shadow) else self.shadow_map[end - 1] + 1
-        return c_start, c_end
+    shadow: str
 
 
 def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch in HARAKAT
+
+
+@functools.lru_cache(maxsize=16)  # one entry per subset of the four triggers
+def _cut_pattern(boundaries: frozenset[str]) -> re.Pattern[str]:
+    """Cuts between sentences: an empty match after each enabled trigger
+    that whitespace or the end of text follows, and each newline (dropped
+    from both sides) when ``newline`` is enabled."""
+    triggers = "".join(ch for name, ch in _TRIGGER_CHARS.items() if name in boundaries)
+    cuts = [rf"(?<=[{triggers}])(?=\s|\Z)"] if triggers else []
+    if BOUNDARY_NEWLINE in boundaries:
+        cuts.append("\n")
+    return re.compile("|".join(cuts) or "(?!)")
 
 
 def segment(
@@ -93,111 +96,67 @@ def segment(
     candidates are dropped.  Spans are tight (no surrounding whitespace), so
     ``text`` equals the body slice at ``span``.
     """
-    if not body:
-        return []
-    bmap = ByteMap(body)
-    pieces: list[tuple[int, int]] = []  # char spans, untrimmed
-    start = 0
-    n = len(body)
-    for i, ch in enumerate(body):
-        if ch == "\n":
-            if BOUNDARY_NEWLINE in boundaries:
-                pieces.append((start, i))
-                start = i + 1
-            continue
-        trigger = _TRIGGER_CHARS.get(ch)
-        if trigger and trigger in boundaries:
-            if i + 1 == n or body[i + 1].isspace():
-                pieces.append((start, i + 1))
-                start = i + 1
-    pieces.append((start, n))
+    bounds = [0]
+    for cut in _cut_pattern(frozenset(boundaries)).finditer(body):
+        bounds += cut.span()
+    bounds.append(len(body))
 
     sentences: list[Sentence] = []
-    for raw_start, raw_end in pieces:
-        s, e = raw_start, raw_end
-        while s < e and body[s].isspace():
-            s += 1
-        while e > s and body[e - 1].isspace():
-            e -= 1
-        if s == e:
+    done = pos = 0  # pos is the UTF-8 length of body[:done]
+    for start, end in zip(bounds[::2], bounds[1::2]):
+        piece = body[start:end]
+        text = piece.strip()
+        if not text:
             continue
-        sentences.append(
-            Sentence(
-                doc_id=doc_id,
-                index=len(sentences),
-                span=bmap.to_byte_span(s, e),
-                text=body[s:e],
-            )
-        )
+        first = start + len(piece) - len(piece.lstrip())
+        pos += len(body[done:first].encode())
+        span = (pos, pos + len(text.encode()))
+        sentences.append(Sentence(doc_id, len(sentences), span, text))
+        done, pos = first + len(text), span[1]
     return sentences
+
+
+def _runs(chunk: str) -> Iterator[tuple[str, TokenKind, str]]:
+    """(run, kind, shadow) for each token of a whitespace-free chunk."""
+    n = len(chunk)
+    i = 0
+    while i < n:
+        ch = chunk[i]
+        j = i + 1
+        if _is_word_char(ch):
+            while j < n and _is_word_char(chunk[j]):
+                j += 1
+            run = chunk[i:j]
+            yield run, TokenKind.WORD, run.translate(_SHADOW_DROP)
+        else:
+            kind = TokenKind.PUNCT
+            if ch.isdigit():
+                while j < n and chunk[j].isdigit():
+                    j += 1
+                kind = TokenKind.DIGIT
+            run = chunk[i:j]
+            yield run, kind, run
+        i = j
 
 
 def tokenize(sentence_text: str) -> list[Token]:
     """Split sentence text into Word / Digit / Punct tokens.
 
-    Word runs cover letters plus harakat (tatweel joins a run but is
-    dropped from the surface).  Digits form their own runs; every other
-    non-space char becomes a single Punct token.
+    Word runs cover letters plus harakat (tatweel is a letter that joins
+    a run but is dropped from the shadow).  Digits form their own runs;
+    every other non-space char becomes a single Punct token.
     """
-    bmap = ByteMap(sentence_text)
     tokens: list[Token] = []
-    i = 0
-    n = len(sentence_text)
-    while i < n:
-        ch = sentence_text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_word_char(ch):
-            j = i
-            surface_chars: list[str] = []
-            shadow_chars: list[str] = []
-            shadow_map: list[int] = []
-            while j < n and _is_word_char(sentence_text[j]):
-                c = sentence_text[j]
-                if c != TATWEEL:
-                    surface_chars.append(c)
-                    if c not in HARAKAT:
-                        shadow_chars.append(c)
-                        shadow_map.append(j)
-                j += 1
-            tokens.append(
-                Token(
-                    surface="".join(surface_chars),
-                    span=bmap.to_byte_span(i, j),
-                    kind=TokenKind.WORD,
-                    shadow="".join(shadow_chars),
-                    char_span=(i, j),
-                    shadow_map=tuple(shadow_map),
-                )
-            )
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and sentence_text[j].isdigit():
-                j += 1
-            run = sentence_text[i:j]
-            tokens.append(
-                Token(
-                    surface=run,
-                    span=bmap.to_byte_span(i, j),
-                    kind=TokenKind.DIGIT,
-                    shadow=run,
-                    char_span=(i, j),
-                    shadow_map=tuple(range(i, j)),
-                )
-            )
-            i = j
+    pos = 0  # UTF-8 length of the text before the current run
+    for gap, chunk in _CHUNK.findall(sentence_text):
+        pos += len(gap.encode())
+        shadow = chunk.translate(_SHADOW_DROP)
+        if shadow.isalpha():  # most chunks are one bare word
+            runs = ((chunk, TokenKind.WORD, shadow),)
         else:
-            tokens.append(
-                Token(
-                    surface=ch,
-                    span=bmap.to_byte_span(i, i + 1),
-                    kind=TokenKind.PUNCT,
-                    shadow=ch,
-                    char_span=(i, i + 1),
-                    shadow_map=(i,),
-                )
-            )
-            i += 1
+            runs = _runs(chunk)
+        for run, kind, shadow in runs:
+            end = pos + len(run.encode())
+            tokens.append(Token((pos, end), kind, shadow))
+            pos = end
     return tokens

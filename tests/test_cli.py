@@ -97,7 +97,7 @@ class TestAnalyze:
             out = tmp_path / name
             code = main(
                 ["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
-                 "--clock", "2026-01-01T00:00:00+00:00", "--jobs", "3"]
+                 "--clock", "2026-01-01T00:00:00+00:00"]
             )
             assert code == 0
             blob = {
@@ -141,6 +141,13 @@ class TestAnalyze:
         )
         assert code == 2
         assert "run.cfg, line 1: unknown config key 'paralellism'" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, mini_gold_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(tmp_path / "o"),
+                  "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_boundaries_flag_changes_segmentation(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -236,6 +243,44 @@ class TestEval:
         bad.write_text("d\t0\tnot-a-class\n", encoding="utf-8")
         code = main(["eval", "--corpus", str(mini_gold_dir), "--gold", str(bad)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 1: unknown class label 'not-a-class'" in err
+
+    def test_bad_config_integer_names_file_and_line(self, mini_gold_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# thresholds\nmin_run_chars = x\n", encoding="utf-8")
+        code = main(["eval", "--config", str(cfg), "--corpus", str(mini_gold_dir),
+                     "--gold", str(mini_gold_dir / "gold.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}, line 2: bad integer for min_run_chars: 'x'" in err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"doc_id": "x"}', "line 2: missing field 'sentence_index'"),
+            ("{not json", "line 2: Expecting property name"),
+            ("[1, 2]", "line 2: list indices must be integers"),
+            (
+                '{"doc_id": "x", "sentence_index": "0", "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [], "excerpt_span": null}',
+                "line 2: doc_id and class_label must be strings, sentence_index an integer",
+            ),
+        ],
+    )
+    def test_bad_annotations_line_names_file_and_line(
+        self, mini_gold_dir, tmp_path, capsys, record, message
+    ):
+        out = tmp_path / "out"
+        assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out)]) == 0
+        good = (out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        bad = tmp_path / "a.jsonl"
+        bad.write_text(f"{good}\n{record}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--annotations", str(bad),
+                     "--gold", str(mini_gold_dir / "gold.tsv")])
+        assert code == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     def test_needs_some_input(self, mini_gold_dir):
         code = main(["eval", "--gold", str(mini_gold_dir / "gold.tsv")])

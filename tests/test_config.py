@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
@@ -14,7 +15,6 @@ class TestConfigFile:
     def test_defaults(self):
         cfg = Config().validate()
         assert cfg.min_run_chars == 130
-        assert cfg.parallelism == 1
         assert cfg.strict_adjacency is False
 
     def test_key_value_parsing(self, tmp_path):
@@ -26,15 +26,13 @@ class TestConfigFile:
             "min_run_chars = 80\n"
             "boundaries = dot-space, newline\n"
             "strict_adjacency = yes\n"
-            f"lexicon_dir = {lex}\n"
-            "parallelism = 3\n",
+            f"lexicon_dir = {lex}\n",
             encoding="utf-8",
         )
         cfg = load_config(path)
         assert cfg.min_run_chars == 80
         assert cfg.boundaries == frozenset({BOUNDARY_DOT, BOUNDARY_NEWLINE})
         assert cfg.strict_adjacency is True
-        assert cfg.parallelism == 3
 
     def test_missing_path_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -42,10 +40,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(path)
 
-    def test_parallelism_floor(self, tmp_path):
+    def test_parallelism_key_refused(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("parallelism = 0\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="parallelism"):
+        path.write_text("min_run_chars = 80\nparallelism = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg, line 2: unknown config key 'parallelism'"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("min_run_chars = x", "bad integer for min_run_chars: 'x'"),
+            ("strict_adjacency = maybe", "bad boolean for strict_adjacency: 'maybe'"),
+            ("boundaries = dot-space, bogus", "unknown boundary trigger"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"min_run_chars = 80\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"run.cfg, line 2: {message}")):
             load_config(path)
 
     def test_unknown_key_rejected_with_file_and_line(self, tmp_path):

@@ -250,10 +250,10 @@ class TestAnalyzeDocument:
                 for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
                     assert a1 < b1 <= a2 < b2
 
-    def test_parallel_identical(self, engine, mini_docs):
-        serial = engine.analyze_corpus(mini_docs, jobs=1)
-        parallel = engine.analyze_corpus(mini_docs, jobs=4)
-        assert [a.annotations for a in serial] == [a.annotations for a in parallel]
+    def test_rerun_identical(self, engine, mini_docs):
+        first = engine.analyze_corpus(mini_docs)
+        second = engine.analyze_corpus(mini_docs)
+        assert [a.annotations for a in first] == [a.annotations for a in second]
 
 
 class TestOracleEquivalence:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
+from hypothesis import given, settings, strategies as st
+
+import segment_ref
 from arfuture.offsets import byte_slice
 from arfuture.segment import (
     BOUNDARY_DOT,
+    DEFAULT_BOUNDARIES,
     Sentence,
     TokenKind,
     segment,
@@ -137,34 +142,42 @@ class TestSegmentProperties:
             assert texts(segment(body)) == oracle_split(body)
 
 
+def written(text: str, toks) -> list[tuple[TokenKind, str]]:
+    """Each token's kind and the text its byte span covers."""
+    return [(t.kind, byte_slice(text, t.span)) for t in toks]
+
+
 class TestTokenize:
     def test_two_word_split(self):
-        toks = tokenize("قد يترتب")
-        assert [(t.kind, t.surface) for t in toks] == [
+        text = "قد يترتب"
+        assert written(text, tokenize(text)) == [
             (TokenKind.WORD, "قد"),
             (TokenKind.WORD, "يترتب"),
         ]
 
     def test_two_token_participle_phrase(self):
-        toks = tokenize("من المرجح")
-        assert [t.surface for t in toks] == ["من", "المرجح"]
+        text = "من المرجح"
+        toks = tokenize(text)
+        assert [w for _, w in written(text, toks)] == ["من", "المرجح"]
+        assert [t.shadow for t in toks] == ["من", "المرجح"]
         assert all(t.kind is TokenKind.WORD for t in toks)
 
     def test_punctuation_isolated(self):
-        toks = tokenize('"الخطر"')
-        assert [(t.kind, t.surface) for t in toks] == [
+        text = '"الخطر"'
+        assert written(text, tokenize(text)) == [
             (TokenKind.PUNCT, '"'),
             (TokenKind.WORD, "الخطر"),
             (TokenKind.PUNCT, '"'),
         ]
 
     def test_digit_runs(self):
-        toks = tokenize("20 مليار")
-        assert toks[0].kind is TokenKind.DIGIT and toks[0].surface == "20"
+        text = "20 مليار"
+        toks = tokenize(text)
+        assert written(text, toks)[0] == (TokenKind.DIGIT, "20")
+        assert toks[0].shadow == "20"
 
-    def test_tatweel_stripped_from_surface(self):
+    def test_tatweel_stripped_from_shadow(self):
         toks = tokenize("مـتوقع")
-        assert toks[0].surface == "متوقع"
         assert toks[0].shadow == "متوقع"
         # the span still covers the raw run, tatweel included
         assert byte_slice("مـتوقع", toks[0].span) == "مـتوقع"
@@ -172,7 +185,7 @@ class TestTokenize:
     def test_diacritics_kept_in_surface_not_shadow(self):
         word = "مُتَوَقَّع"
         toks = tokenize(word)
-        assert toks[0].surface == word
+        assert byte_slice(word, toks[0].span) == word
         assert toks[0].shadow == "متوقع"
 
     def test_coverage_of_non_whitespace(self):
@@ -191,8 +204,63 @@ class TestTokenize:
             assert not data[pos:].decode("utf-8").strip()
             assert bytes(covered).decode("utf-8") == re.sub(r"\s+", "", text)
 
-    def test_shadow_span_mapping_covers_full_word(self):
-        toks = tokenize("مُتَوَقَّعاً تقرير")
-        tok = toks[0]
-        start, end = tok.shadow_to_char_span(0, len(tok.shadow))
-        assert (start, end) == tok.char_span
+    def test_diacritized_word_span_covers_written_word(self):
+        text = "مُتَوَقَّعاً تقرير"
+        toks = tokenize(text)
+        assert written(text, toks) == [
+            (TokenKind.WORD, "مُتَوَقَّعاً"),
+            (TokenKind.WORD, "تقرير"),
+        ]
+        assert toks[0].shadow == "متوقعا"
+
+
+# Any text a UTF-8 file can hold, weighted toward what tokenization and
+# segmentation treat specially: harakat, tatweel, Arabic-Indic and
+# superscript digits, sentence triggers before every kind of whitespace
+# (NBSP, em space, tab, CR, newline), decimals and astral chars.
+_SPECIAL = "ًٌٍَُِّْـ٠١٢٣٤٥٦٧٨٩²³¹.؟!,\"\u00a0\u2003\t\r\n \U0001d7d8\U0001f600"
+_UNITS = ["سوف", "قد يترتب", "مُتَوَقَّعاً", "مـتوقع", ". ", ".\t", "؟\u00a0", "!\u2003", ".\r\n", "1.5"]
+_TEXT = st.lists(
+    st.one_of(
+        st.characters(codec="utf-8"), st.sampled_from(_SPECIAL), st.sampled_from(_UNITS)
+    ),
+    max_size=40,
+).map("".join)
+_BOUNDARY_SUBSETS = [
+    frozenset(c)
+    for r in range(len(DEFAULT_BOUNDARIES) + 1)
+    for c in itertools.combinations(sorted(DEFAULT_BOUNDARIES), r)
+]
+
+
+def assert_tiles(text: str, spans_and_texts) -> None:
+    """Spans slice back to their text, in order, with whitespace between."""
+    data = text.encode("utf-8")
+    pos = 0
+    for (start, end), piece in spans_and_texts:
+        assert not data[pos:start].decode("utf-8").strip()
+        assert data[start:end].decode("utf-8") == piece
+        pos = end
+    assert not data[pos:].decode("utf-8").strip()
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT)
+    def test_tokenize_matches_reference(self, text):
+        toks = tokenize(text)
+        assert toks == segment_ref.tokenize(text)
+        pieces = [byte_slice(text, t.span) for t in toks]
+        assert_tiles(text, zip((t.span for t in toks), pieces))
+        assert "".join(pieces) == "".join(text.split())
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_TEXT)
+    def test_segment_matches_reference_for_every_boundary_subset(self, body):
+        for boundaries in _BOUNDARY_SUBSETS:
+            got = segment(body, doc_id="d", boundaries=boundaries)
+            want = segment_ref.segment(body, doc_id="d", boundaries=boundaries)
+            assert [(s.index, s.span, s.text) for s in got] == [
+                (s.index, s.span, s.text) for s in want
+            ]
+            assert_tiles(body, [(s.span, s.text) for s in got])
