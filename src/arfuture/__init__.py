@@ -23,8 +23,6 @@ from .engine import (
     Engine,
     RejectionTrace,
     RejectReason,
-    classify_sentence,
-    match_rule,
 )
 from .evaluate import (
     CLASS_LABELS,
@@ -43,8 +41,8 @@ from .morpho import (
     load_lexicons,
     strip_clitics,
 )
-from .report import render_html, render_index, write_reports
-from .resources import data_dir, load_engine, load_ruleset
+from .report import render_index, write_reports
+from .resources import data_dir, load_engine
 from .rules import (
     LinguisticForm,
     LinguisticRule,
@@ -82,7 +80,6 @@ __all__ = [
     "Verdict",
     "analyze_token",
     "build_query_list",
-    "classify_sentence",
     "compile_corpus_file",
     "data_dir",
     "dedupe_documents",
@@ -94,14 +91,11 @@ __all__ = [
     "load_engine",
     "load_gold",
     "load_lexicons",
-    "load_ruleset",
-    "match_rule",
     "parse_corpus_file",
     "parse_pattern",
     "parse_rules",
     "parse_semantic_map",
     "parse_variable_defs",
-    "render_html",
     "render_index",
     "score",
     "segment",

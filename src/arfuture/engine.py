@@ -61,6 +61,12 @@ class RejectionTrace:
 
 @dataclass(frozen=True)
 class DocumentAnalysis:
+    """One document's sentences and the rule results kept for its outputs.
+
+    ``traces`` holds only the ``NEGATIVE_FOUND`` rejections, whose search
+    fields the report shades; ``iter_rule_results`` yields every rejection.
+    """
+
     doc: Document
     sentences: tuple[Sentence, ...]
     annotations: tuple[Annotation, ...]
@@ -291,28 +297,6 @@ def iter_rule_results(
         scan_from = first_match.end_token + 1
 
 
-def match_rule(
-    rule: LinguisticRule,
-    sentence: Sentence,
-    tokens: list[Token],
-    lex: Lexicons | None = None,
-    *,
-    punct_transparent: bool = True,
-) -> Annotation | RejectionTrace:
-    """First outcome of testing one rule: a match, or why it failed."""
-    lex = lex or Lexicons()
-    first_trace: RejectionTrace | None = None
-    for result in iter_rule_results(
-        rule, sentence, tokens, lex, punct_transparent=punct_transparent
-    ):
-        if isinstance(result, Annotation):
-            return result
-        if first_trace is None:
-            first_trace = result
-    assert first_trace is not None
-    return first_trace
-
-
 def classify_sentence_results(
     sentence: Sentence,
     tokens: list[Token],
@@ -321,6 +305,8 @@ def classify_sentence_results(
     *,
     punct_transparent: bool = True,
 ) -> tuple[list[Annotation], list[RejectionTrace]]:
+    """Annotations from every rule, in rule order then position order, and
+    the ``NEGATIVE_FOUND`` traces: the only rejections an output reads."""
     annotations: list[Annotation] = []
     traces: list[RejectionTrace] = []
     for rule in ruleset:
@@ -329,28 +315,9 @@ def classify_sentence_results(
         ):
             if isinstance(result, Annotation):
                 annotations.append(result)
-            else:
+            elif result.reason is RejectReason.NEGATIVE_FOUND:
                 traces.append(result)
     return annotations, traces
-
-
-def classify_sentence(
-    sentence: Sentence,
-    tokens: list[Token],
-    ruleset: list[LinguisticRule],
-    lex: Lexicons | None = None,
-    *,
-    punct_transparent: bool = True,
-) -> list[Annotation]:
-    """Annotations from every rule, in rule order then position order."""
-    annotations, _ = classify_sentence_results(
-        sentence,
-        tokens,
-        ruleset,
-        lex or Lexicons(),
-        punct_transparent=punct_transparent,
-    )
-    return annotations
 
 
 class Engine:

@@ -40,7 +40,7 @@ class GoldAnnotation:
         return (self.doc_id, self.sentence_index, self.class_label)
 
 
-def load_gold(text: str, known_labels: tuple[str, ...] = CLASS_LABELS) -> list[GoldAnnotation]:
+def load_gold(text: str) -> list[GoldAnnotation]:
     """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``."""
     gold: list[GoldAnnotation] = []
     seen: set[Triple] = set()
@@ -56,7 +56,7 @@ def load_gold(text: str, known_labels: tuple[str, ...] = CLASS_LABELS) -> list[G
             index = int(index_str)
         except ValueError:
             raise GoldFormatError(f"line {lineno}: bad sentence index {index_str!r}") from None
-        if label not in known_labels:
+        if label not in CLASS_LABELS:
             raise GoldFormatError(f"line {lineno}: unknown class label {label!r}")
         ann = GoldAnnotation(doc_id=doc_id, sentence_index=index, class_label=label)
         if ann.triple in seen:

@@ -115,11 +115,7 @@ def strip_clitics(token: str) -> tuple[str, str]:
     return "", token
 
 
-def analyze_token(
-    token: str,
-    lex: Lexicons,
-    min_stem_after_prefix: int = MIN_STEM_AFTER_PREFIX,
-) -> MorphVerdict:
+def analyze_token(token: str, lex: Lexicons) -> MorphVerdict:
     """Classify a (diacritic-stripped) word token.
 
     Order matters: the proper-noun stoplist wins over everything, then the
@@ -137,7 +133,7 @@ def analyze_token(
     elif (
         stem
         and stem[0] in IMPERFECTIVE_PREFIXES
-        and len(stem) - 1 >= min_stem_after_prefix
+        and len(stem) - 1 >= MIN_STEM_AFTER_PREFIX
     ):
         verdict = Verdict.PRESENT_VERB
     else:

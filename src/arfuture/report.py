@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import Document
-from .engine import Annotation, DocumentAnalysis, RejectReason, RejectionTrace
+from .engine import Annotation, DocumentAnalysis, RejectionTrace
 from .segment import Sentence
 
 
@@ -138,44 +138,39 @@ def build_report_page(
     generated_at: datetime | None = None,
     show_all_negative_fields: bool = False,
 ) -> ReportPage:
+    """Group one document's annotated sentences by category.
+
+    A sentence shades the negative fields of the rules that annotated it,
+    or, with ``show_all_negative_fields``, of every trace on it.
+    """
     by_index = {s.index: s for s in sentences}
     when = generated_at or datetime.now(timezone.utc)
     page = ReportPage(doc=doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
 
     annotated_rules: dict[int, set[str]] = {}
+    per_cat_sentences: dict[str, set[int]] = {}
+    per_sentence_anns: dict[tuple[str, int], list[Annotation]] = {}
     for ann in annotations:
         annotated_rules.setdefault(ann.sentence_index, set()).add(ann.rule_id)
         page.class_counts[ann.class_label] = page.class_counts.get(ann.class_label, 0) + 1
-
-    categories: list[str] = []
-    per_cat_sentences: dict[str, list[int]] = {}
-    per_sentence_anns: dict[tuple[str, int], list[Annotation]] = {}
-    for ann in annotations:
-        if ann.category not in categories:
-            categories.append(ann.category)
-            per_cat_sentences[ann.category] = []
-        if ann.sentence_index not in per_cat_sentences[ann.category]:
-            per_cat_sentences[ann.category].append(ann.sentence_index)
+        per_cat_sentences.setdefault(ann.category, set()).add(ann.sentence_index)
         per_sentence_anns.setdefault((ann.category, ann.sentence_index), []).append(ann)
 
-    for category in categories:
+    field_traces: dict[int, list[RejectionTrace]] = {}
+    for t in traces:
+        if show_all_negative_fields or t.rule_id in annotated_rules.get(t.sentence_index, ()):
+            field_traces.setdefault(t.sentence_index, []).append(t)
+
+    for category, indices in per_cat_sentences.items():
         blocks: list[str] = []
-        for idx in sorted(per_cat_sentences[category]):
+        for idx in sorted(indices):
             sentence = by_index.get(idx)
             if sentence is None:
                 raise RenderError(f"annotation references unknown sentence {idx}")
-            field_traces = [
-                t
-                for t in traces
-                if t.sentence_index == idx
-                and t.reason is RejectReason.NEGATIVE_FOUND
-                and (
-                    show_all_negative_fields
-                    or t.rule_id in annotated_rules.get(idx, set())
-                )
-            ]
             blocks.append(
-                _sentence_block(sentence, per_sentence_anns[(category, idx)], field_traces)
+                _sentence_block(
+                    sentence, per_sentence_anns[(category, idx)], field_traces.get(idx, [])
+                )
             )
         page.groups[category] = blocks
     return page
@@ -212,27 +207,6 @@ def render_page(page: ReportPage) -> str:
     parts.append("</body>")
     parts.append("</html>")
     return "\n".join(parts) + "\n"
-
-
-def render_html(
-    doc: Document,
-    annotations: list[Annotation],
-    traces: list[RejectionTrace],
-    sentences: list[Sentence],
-    *,
-    generated_at: datetime | None = None,
-    show_all_negative_fields: bool = False,
-) -> str:
-    """Standalone HTML page for one document's results."""
-    page = build_report_page(
-        doc,
-        annotations,
-        traces,
-        sentences,
-        generated_at=generated_at,
-        show_all_negative_fields=show_all_negative_fields,
-    )
-    return render_page(page)
 
 
 def render_index(pages: list[ReportPage], class_order: tuple[str, ...] = ()) -> str:

@@ -12,14 +12,7 @@ from pathlib import Path
 
 from .engine import Engine
 from .morpho import Lexicons, load_lexicons, merge_lexicons
-from .rules import (
-    LinguisticRule,
-    SemanticCategory,
-    VariableTable,
-    parse_rules,
-    parse_semantic_map,
-    parse_variable_defs,
-)
+from .rules import parse_rules, parse_semantic_map, parse_variable_defs
 from .segment import DEFAULT_BOUNDARIES
 
 DATA_DIR_ENV = "SLCSAS_DATA_DIR"
@@ -37,19 +30,6 @@ def data_dir() -> Path:
     return Path(str(importlib_resources.files("arfuture").joinpath("data")))
 
 
-def load_ruleset(
-    rules_path: str | Path,
-    variables_path: str | Path,
-    semantic_map_path: str | Path,
-) -> tuple[list[LinguisticRule], VariableTable, list[SemanticCategory]]:
-    variables = parse_variable_defs(Path(variables_path).read_text(encoding="utf-8"))
-    semantic_map = parse_semantic_map(Path(semantic_map_path).read_text(encoding="utf-8"))
-    ruleset = parse_rules(
-        Path(rules_path).read_text(encoding="utf-8"), variables, semantic_map
-    )
-    return ruleset, variables, semantic_map
-
-
 def load_engine(
     rules_path: str | Path | None = None,
     variables_path: str | Path | None = None,
@@ -64,11 +44,13 @@ def load_engine(
     An explicit ``lexicon_dir`` extends (not replaces) the bundled lexicons.
     """
     base = data_dir()
-    ruleset, _, _ = load_ruleset(
-        rules_path or base / RULES_FILE,
-        variables_path or base / VARIABLES_FILE,
-        semantic_map_path or base / SEMANTIC_MAP_FILE,
-    )
+
+    def read(path: str | Path | None, default: str) -> str:
+        return Path(path or base / default).read_text(encoding="utf-8")
+
+    variables = parse_variable_defs(read(variables_path, VARIABLES_FILE))
+    semantic_map = parse_semantic_map(read(semantic_map_path, SEMANTIC_MAP_FILE))
+    ruleset = parse_rules(read(rules_path, RULES_FILE), variables, semantic_map)
     lexicons: Lexicons = load_lexicons(base)
     if lexicon_dir is not None:
         lexicons = merge_lexicons(lexicons, load_lexicons(lexicon_dir))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import re
 import threading
 
 import pytest
@@ -175,6 +176,32 @@ class TestAnalyze:
         main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "b"),
               "--strict-adjacency"])
         assert "future=0" in capsys.readouterr().out
+
+    def test_show_all_negative_fields_flag(self, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(
+            "sawfa: سوف > -قبل@2 -> مستقبل\nlan: لن > -بعد@2 -> مستقبل\n", encoding="utf-8"
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d.corpus.txt").write_text(
+            "URL: http://x\nTITLE: t\n\n"
+            "سوف يتحسن الوضع ثم سوف يجتمعون قبل المساء لكنه لن يتغير بعد ذلك\n",
+            encoding="utf-8",
+        )
+        shaded = {}
+        for flags in ((), ("--show-all-negative-fields",)):
+            out = tmp_path / f"out{len(flags)}"
+            code = main(["analyze", "--corpus", str(corpus), "--out", str(out),
+                         "--rules", str(rules), *flags])
+            assert code == 0
+            [report] = [p for p in (out / "reports").iterdir() if p.name != "index.html"]
+            shaded[bool(flags)] = re.findall(
+                r'class="neg-field" title="negative marker: ([^"]*)"',
+                report.read_text(encoding="utf-8"),
+            )
+        # only the annotating rule's field, unless the flag asks for all
+        assert shaded == {False: ["قبل"], True: ["قبل", "بعد"]}
 
     def test_bad_rules_file_exits_2(self, mini_gold_dir, tmp_path, capsys):
         bad = tmp_path / "rules.txt"

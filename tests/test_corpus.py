@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfuture.corpus import (
     CorpusError,
@@ -72,6 +73,15 @@ class TestQueries:
         assert build_query_list(seeds) == ["اقتصاد لبنان"]
 
 
+# fragments that steer arbitrary text into tags, entities, comments,
+# declarations and runs long enough to keep
+_HTML_BITS = [
+    "<p>", "</p>", "<script>", "</script>", "<style>", "<title>", "</title>", "<br/>",
+    "&amp;", "&#1587;", "&#x", "<!--", "-->", "<![CDATA[", "<!DOCTYPE", "<?xml",
+    "<a href='", "\n", PARA_ONE,
+]
+
+
 class TestExtraction:
     def test_golden_page(self):
         page = RawPage(source_url="http://news.example/econ", html=GOLDEN_HTML)
@@ -123,6 +133,19 @@ class TestExtraction:
         page = RawPage(source_url="x", html=GOLDEN_HTML)
         _, body = extract_main_article(page)
         assert all(len(line) >= 130 for line in body.split("\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        html=st.one_of(
+            st.text(), st.lists(st.one_of(st.text(), st.sampled_from(_HTML_BITS))).map("".join)
+        ),
+        min_run_chars=st.integers(0, 200),
+    )
+    def test_arbitrary_input_raises_only_corpus_error(self, html, min_run_chars):
+        try:
+            extract_main_article(RawPage(source_url="x", html=html), min_run_chars)
+        except CorpusError:
+            pass
 
 
 WORDS = ["نص", "لبنان", "اقتصاد", "تقرير", "نمو", "العام"]

@@ -7,12 +7,10 @@ from arfuture.engine import (
     Annotation,
     RejectionTrace,
     RejectReason,
-    classify_sentence,
     classify_sentence_results,
     dump_annotations,
     iter_rule_results,
     load_annotations,
-    match_rule,
 )
 from arfuture.offsets import byte_slice
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
@@ -37,36 +35,36 @@ def marker_words(sentence: Sentence, ann: Annotation) -> list[str]:
 class TestMatchRule:
     def test_qad_with_verified_verb(self, rules_by_id, lexicons):
         s = one_sentence("وتحدث عن الخطر الذي قد يترتب جراء ذلك")
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["qad"], s, tokenize(s.text), lexicons))
         assert isinstance(result, Annotation)
         assert marker_words(s, result) == ["قد", "يترتب"]
 
     def test_qad_with_past_verb_rejected(self, rules_by_id, lexicons):
         s = one_sentence("قد درس الطالب")
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["qad"], s, tokenize(s.text), lexicons))
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.MORPH_REJECTED
 
     def test_no_marker_anywhere(self, rules_by_id, lexicons):
         s = one_sentence("كتاب على الطاولة")
-        result = match_rule(rules_by_id["sawfa"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["sawfa"], s, tokenize(s.text), lexicons))
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.POSITIVE_NOT_FOUND
 
     def test_qad_verb_after_punctuation(self, rules_by_id, lexicons):
         s = one_sentence('قد "يترتب" ذلك')
-        result = match_rule(rules_by_id["qad"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["qad"], s, tokenize(s.text), lexicons))
         assert isinstance(result, Annotation)
 
     def test_siin_skips_stoplisted_then_matches_later(self, rules_by_id, lexicons):
         s = one_sentence("التقى سيمون وقال ان الوضع سيتحسن قريبا")
-        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["sin"], s, tokenize(s.text), lexicons))
         assert isinstance(result, Annotation)
         assert marker_words(s, result) == ["سيتحسن"]
 
     def test_siin_only_stoplist_gives_morph_trace(self, rules_by_id, lexicons):
         s = one_sentence("وصل سيمون الى بيروت")
-        result = match_rule(rules_by_id["sin"], s, tokenize(s.text), lexicons)
+        result = next(iter_rule_results(rules_by_id["sin"], s, tokenize(s.text), lexicons))
         assert isinstance(result, RejectionTrace)
         assert result.reason is RejectReason.MORPH_REJECTED
 
@@ -74,21 +72,22 @@ class TestMatchRule:
 class TestClassifySentence:
     def test_sawfa_example_gets_both_classes(self, ruleset, lexicons):
         s = one_sentence("الضغوط سوف تتزايد وبما سيؤثر سلبا على الوضع")
-        labels = {a.class_label for a in classify_sentence(s, tokenize(s.text), ruleset, lexicons)}
+        anns, _ = classify_sentence_results(s, tokenize(s.text), ruleset, lexicons)
+        labels = {a.class_label for a in anns}
         assert labels == {"sawfa", "sin"}
 
     def test_lan_example(self, ruleset, lexicons):
         s = one_sentence("الاستقالة لن تؤدي بين ليلة وضحاها الى تغيير الوضع")
-        anns = classify_sentence(s, tokenize(s.text), ruleset, lexicons)
+        anns = classify_sentence_results(s, tokenize(s.text), ruleset, lexicons)[0]
         assert [a.class_label for a in anns] == ["lan"]
 
     def test_empty_sentence(self, ruleset, lexicons):
         s = Sentence(doc_id="d", index=0, span=(0, 0), text="")
-        assert classify_sentence(s, [], ruleset, lexicons) == []
+        assert classify_sentence_results(s, [], ruleset, lexicons)[0] == []
 
     def test_rule_order_then_position_order(self, ruleset, lexicons):
         s = one_sentence("سوف يصل ثم سوف يغادر وفي الختام قد يتكلم")
-        anns = classify_sentence(s, tokenize(s.text), ruleset, lexicons)
+        anns = classify_sentence_results(s, tokenize(s.text), ruleset, lexicons)[0]
         rule_sequence = [a.rule_id for a in anns]
         assert rule_sequence == sorted(
             rule_sequence, key=lambda rid: [r.id for r in ruleset].index(rid)
@@ -108,15 +107,15 @@ class TestClassifySentence:
     def test_order_invariance_of_rules(self, ruleset, lexicons):
         s = one_sentence("من المتوقع ان يتحسن الوضع وقد يرتفع النمو")
         tokens = tokenize(s.text)
-        full = classify_sentence(s, tokens, ruleset, lexicons)
+        full = classify_sentence_results(s, tokens, ruleset, lexicons)[0]
         for rule in ruleset:
-            alone = classify_sentence(s, tokens, [rule], lexicons)
+            alone = classify_sentence_results(s, tokens, [rule], lexicons)[0]
             assert alone == [a for a in full if a.rule_id == rule.id]
 
     def test_field_monotonicity(self, lexicons):
         rules = parse_rules("r: قد > سوف -> مستقبل\n", NO_VARS, MAP)
         s = one_sentence("قد يصل ثم سوف يغادر")
-        anns = classify_sentence(s, tokenize(s.text), rules, lexicons)
+        anns = classify_sentence_results(s, tokenize(s.text), rules, lexicons)[0]
         assert len(anns) == 1
         spans = anns[0].positive_marker_spans
         assert spans[0][1] <= spans[1][0]
@@ -127,7 +126,7 @@ class TestClassifySentence:
         text = "قال قبل يومين ان الوضع سوف يتحسن"
         s = one_sentence(text)
         tokens = tokenize(s.text)
-        assert classify_sentence(s, tokens, plain, lexicons)
+        assert classify_sentence_results(s, tokens, plain, lexicons)[0]
         anns, traces = classify_sentence_results(s, tokens, negated, lexicons)
         assert anns == []
         negative_traces = [t for t in traces if t.reason is RejectReason.NEGATIVE_FOUND]
@@ -152,7 +151,7 @@ class TestClassifySentence:
         for rule in ruleset:
             s = one_sentence(matching_text[rule.id])
             tokens = tokenize(s.text)
-            assert classify_sentence(s, tokens, [rule], lexicons), rule.id
+            assert classify_sentence_results(s, tokens, [rule], lexicons)[0], rule.id
             poisoned = dataclasses.replace(rule, forms=(negative,) + rule.forms)
             anns, traces = classify_sentence_results(s, tokens, [poisoned], lexicons)
             assert anns == [], rule.id
@@ -161,17 +160,30 @@ class TestClassifySentence:
     def test_search_field_truncation(self, lexicons):
         near = parse_rules("r: قد > سوف@2 -> مستقبل\n", NO_VARS, MAP)
         s = one_sentence("قد جاء اليوم تقرير يقول سوف يتحسن الوضع")
-        anns, traces = classify_sentence_results(s, tokenize(s.text), near, lexicons)
-        assert anns == []
-        assert any(t.reason is RejectReason.POSITIVE_NOT_FOUND for t in traces)
+        assert classify_sentence_results(s, tokenize(s.text), near, lexicons)[0] == []
+        results = iter_rule_results(near[0], s, tokenize(s.text), lexicons)
+        assert any(t.reason is RejectReason.POSITIVE_NOT_FOUND for t in results)
         wide = parse_rules("r: قد > سوف@6 -> مستقبل\n", NO_VARS, MAP)
-        assert classify_sentence(s, tokenize(s.text), wide, lexicons)
+        assert classify_sentence_results(s, tokenize(s.text), wide, lexicons)[0]
 
     def test_field_length_counts_words_not_punctuation(self, lexicons):
         rules = parse_rules("r: قد > سوف@2 -> مستقبل\n", NO_VARS, MAP)
         # سوف is the second word after قد; the quotes in between do not count
         s = one_sentence('قد جاء " " سوف يتحسن')
-        assert classify_sentence(s, tokenize(s.text), rules, lexicons)
+        assert classify_sentence_results(s, tokenize(s.text), rules, lexicons)[0]
+
+    def test_results_keep_only_negative_found_traces(self, ruleset, lexicons):
+        s = one_sentence("وصل سيمون الى بيروت قبل قد درس الطالب")
+        tokens = tokenize(s.text)
+        every = [r for rule in ruleset for r in iter_rule_results(rule, s, tokens, lexicons)]
+        assert {r.reason for r in every} == {
+            RejectReason.POSITIVE_NOT_FOUND, RejectReason.MORPH_REJECTED
+        }
+        assert classify_sentence_results(s, tokens, ruleset, lexicons) == ([], [])
+        negated = parse_rules("r: سوف > -قبل@2 -> مستقبل\n", NO_VARS, MAP)
+        s = one_sentence("سوف يصل قبل المساء")
+        _, traces = classify_sentence_results(s, tokenize(s.text), ruleset + negated, lexicons)
+        assert [t.reason for t in traces] == [RejectReason.NEGATIVE_FOUND]
 
     def test_negative_field_span_covers_searched_words(self, lexicons):
         rules = parse_rules("r: سوف > -قبل@2 -> مستقبل\n", NO_VARS, MAP)

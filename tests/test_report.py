@@ -13,8 +13,8 @@ from arfuture.offsets import byte_length
 from arfuture.report import (
     RenderError,
     build_report_page,
-    render_html,
     render_index,
+    render_page,
     write_reports,
 )
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
@@ -46,8 +46,9 @@ class TestRenderHtml:
             body="اشار التقرير الى ان الخطر قد يترتب على ذلك. لا جديد في الملف.",
         )
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences),
-                           generated_at=CLOCK)
+        page = render_page(build_report_page(
+            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
+        ))
         paragraph = sentence_paragraphs(page)[0]
         assert paragraph.count('<mark class="pos">') == 2
 
@@ -58,15 +59,17 @@ class TestRenderHtml:
             body="اشار التقرير الى ان الخطر قد يترتب على ذلك. لا جديد في الملف.",
         )
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences),
-                           generated_at=CLOCK)
+        page = render_page(build_report_page(
+            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
+        ))
         assert page == GOLDEN.read_text(encoding="utf-8")
 
     def test_no_matches_page(self, engine):
         doc = make_document(url="http://x", title="فارغ", body="كتاب على الطاولة.")
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences),
-                           generated_at=CLOCK)
+        page = render_page(build_report_page(
+            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
+        ))
         assert "no matches" in page
         assert '<section class="category">' not in page
 
@@ -74,13 +77,17 @@ class TestRenderHtml:
         doc = make_document(url="http://src.example/a?b=1&c=2", title="عنوان",
                             body="سوف يتحسن الوضع.")
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        page = render_page(
+            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        )
         assert '<a href="http://src.example/a?b=1&amp;c=2">' in page
 
     def test_rtl_declared(self, engine):
         doc = make_document(url="http://x", title="t", body="سوف يتحسن الوضع.")
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        page = render_page(
+            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        )
         assert '<html lang="ar" dir="rtl">' in page
 
     def test_script_in_body_escaped(self, engine):
@@ -89,15 +96,18 @@ class TestRenderHtml:
             body='سوف يتحسن <script>alert("x")</script> الوضع.',
         )
         a = analyze(engine, doc)
-        page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        page = render_page(
+            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
+        )
         skeleton_scripts = page.count("<script")
         assert skeleton_scripts == 0
 
     def test_span_fidelity(self, engine, mini_docs):
         for doc in mini_docs:
             a = analyze(engine, doc)
-            page = render_html(doc, list(a.annotations), list(a.traces), list(a.sentences),
-                               generated_at=CLOCK)
+            page = render_page(build_report_page(
+                doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
+            ))
             rendered = sentence_paragraphs(page)
             annotated = sorted({ann.sentence_index for ann in a.annotations})
             assert len(rendered) == len(annotated)
@@ -108,7 +118,8 @@ class TestRenderHtml:
         doc = mini_docs[0]
         a = analyze(engine, doc)
         args = (doc, list(a.annotations), list(a.traces), list(a.sentences))
-        assert render_html(*args, generated_at=CLOCK) == render_html(*args, generated_at=CLOCK)
+        first = render_page(build_report_page(*args, generated_at=CLOCK))
+        assert first == render_page(build_report_page(*args, generated_at=CLOCK))
 
     def test_out_of_bounds_span_fails_fast(self, engine):
         doc = make_document(url="http://x", title="t", body="سوف يتحسن الوضع.")
@@ -118,7 +129,7 @@ class TestRenderHtml:
             class_label="sawfa", positive_marker_spans=((0, 10_000),),
         )
         with pytest.raises(RenderError):
-            render_html(doc, [bad], [], list(a.sentences))
+            render_page(build_report_page(doc, [bad], [], list(a.sentences)))
 
     def test_excerpt_underlined(self, lexicons):
         rules = parse_rules(
@@ -131,7 +142,7 @@ class TestRenderHtml:
         )
         assert anns[0].excerpt_span is not None
         assert anns[0].excerpt_span[1] == byte_length(sentences[0].text)
-        page = render_html(doc, anns, traces, sentences, generated_at=CLOCK)
+        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
         assert '<span class="excerpt">' in page
 
     def test_negative_field_rendered_red_with_hover(self, lexicons):
@@ -149,9 +160,37 @@ class TestRenderHtml:
         )
         assert len(anns) == 1
         assert any(t.negative_field_span for t in traces)
-        page = render_html(doc, anns, traces, sentences, generated_at=CLOCK)
+        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
         assert 'class="neg-field"' in page
         assert "negative marker:" in page
+
+
+class TestNegativeFields:
+    # sawfa annotates the sentence and later runs into its negative قبل;
+    # lan never annotates it and runs into its negative بعد
+    RULES = "sawfa: سوف > -قبل@2 -> مستقبل\nlan: لن > -بعد@2 -> مستقبل\n"
+    BODY = "سوف يتحسن الوضع ثم سوف يجتمعون قبل المساء لكنه لن يتغير بعد ذلك"
+
+    def test_other_rules_fields_shaded_only_with_flag(self, lexicons):
+        rules = parse_rules(self.RULES, NO_VARS, MAP)
+        doc = make_document(url="http://x", title="t", body=self.BODY)
+        sentences = segment(doc.body, doc_id=doc.id)
+        anns, traces = classify_sentence_results(
+            sentences[0], tokenize(sentences[0].text), rules, lexicons
+        )
+        assert [a.rule_id for a in anns] == ["sawfa"]
+        assert [t.rule_id for t in traces] == ["sawfa", "lan"]
+        shaded = {}
+        for flag in (False, True):
+            page = render_page(build_report_page(
+                doc, anns, traces, sentences,
+                generated_at=CLOCK, show_all_negative_fields=flag,
+            ))
+            shaded[flag] = re.findall(
+                r'<span class="neg-field" title="negative marker: ([^"]*)">([^<]*)</span>', page
+            )
+        assert shaded[False] == [("قبل", "يجتمعون قبل")]
+        assert shaded[True] == [("قبل", "يجتمعون قبل"), ("بعد", "يتغير بعد")]
 
 
 class TestCategoryGrouping:
@@ -170,7 +209,7 @@ class TestCategoryGrouping:
             a, t = classify_sentence_results(s, tokenize(s.text), rules, lexicons)
             anns.extend(a)
             traces.extend(t)
-        page = render_html(doc, anns, traces, sentences, generated_at=CLOCK)
+        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
         assert page.count('<section class="category">') == 2
         assert "<h2>نمو</h2>" in page and "<h2>تراجع</h2>" in page
         # each category section holds exactly its own sentence

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arfuture.rules import (
     MAX_EXPANSIONS,
@@ -387,3 +387,34 @@ class TestIndexAgainstBacktracker:
         for start in range(len(tokens)):
             want = ends(matcher.match_at(tokens, start, **kw))
             assert ends(index.match_at(tokens, start, **kw)) == want, start
+
+
+def _merge_glued_literals(seq: PatternSeq) -> PatternSeq:
+    """The structure parsing gives back: glued neighbouring literals are
+    written as one word, so they read back as one literal."""
+    items: list = []
+    joins: list[Adjacency] = []
+    for i, item in enumerate(seq.items):
+        if isinstance(item, Group):
+            item = Group(tuple(map(_merge_glued_literals, item.alternatives)), item.optional)
+        if i and seq.joins[i - 1] is Adjacency.GLUED and isinstance(item, Literal) \
+                and isinstance(items[-1], Literal):
+            items[-1] = Literal(items[-1].text + item.text)
+            continue
+        if i:
+            joins.append(seq.joins[i - 1])
+        items.append(item)
+    return PatternSeq(tuple(items), tuple(joins))
+
+
+class TestGeneratedRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=_PATTERNS)
+    def test_format_then_parse(self, pattern):
+        text = format_pattern(pattern)
+        try:
+            parsed = parse_pattern(text)
+        except RuleParseError:
+            assume(False)  # e.g. every item optional: may match the empty string
+        assert parsed == _merge_glued_literals(pattern), text
+        assert expansions(parsed) == expansions(pattern), text
