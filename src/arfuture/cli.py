@@ -130,11 +130,18 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     if not corpus_dir.is_dir():
         raise corpus_mod.CorpusError(f"corpus directory not found: {corpus_dir}")
     docs = []
+    paths: dict[str, Path] = {}  # document id -> the file that gave it
     for path in sorted(corpus_dir.glob("*.corpus.txt")):
         try:
-            docs.append(corpus_mod.parse_corpus_file(path.read_text(encoding="utf-8")))
+            doc = corpus_mod.parse_corpus_file(path.read_text(encoding="utf-8"))
         except corpus_mod.CorpusError as exc:
             raise corpus_mod.CorpusError(f"{path}: {exc}") from None
+        if doc.id in paths:
+            raise corpus_mod.CorpusError(
+                f"{path}: same URL as {paths[doc.id]} (document id {doc.id})"
+            )
+        paths[doc.id] = path
+        docs.append(doc)
     return docs
 
 

@@ -7,7 +7,9 @@ decimals, which is how exact fractions like 64/68 come out as 94.11.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import Annotation
 
@@ -29,21 +31,19 @@ class GoldFormatError(ValueError):
     """Malformed gold annotation file."""
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
+    """A gold (doc_id, sentence_index, class_label) triple; it equals, and
+    hashes like, the plain tuple."""
+
     doc_id: str
     sentence_index: int
     class_label: str
-
-    @property
-    def triple(self) -> Triple:
-        return (self.doc_id, self.sentence_index, self.class_label)
 
 
 def load_gold(text: str) -> list[GoldAnnotation]:
     """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``."""
     gold: list[GoldAnnotation] = []
-    seen: set[Triple] = set()
+    seen: set[GoldAnnotation] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -58,10 +58,10 @@ def load_gold(text: str) -> list[GoldAnnotation]:
             raise GoldFormatError(f"line {lineno}: bad sentence index {index_str!r}") from None
         if label not in CLASS_LABELS:
             raise GoldFormatError(f"line {lineno}: unknown class label {label!r}")
-        ann = GoldAnnotation(doc_id=doc_id, sentence_index=index, class_label=label)
-        if ann.triple in seen:
+        ann = GoldAnnotation(doc_id, index, label)
+        if ann in seen:
             raise GoldFormatError(f"line {lineno}: duplicate gold annotation")
-        seen.add(ann.triple)
+        seen.add(ann)
         gold.append(ann)
     return gold
 
@@ -117,12 +117,19 @@ def score(
         pred_triples = predicted
     else:
         pred_triples = predictions_to_triples(predicted)
-    gold_triples = {g.triple for g in gold}
+    gold_triples = set(gold)
 
-    labels = list(CLASS_LABELS)
-    for t in sorted(pred_triples | gold_triples):
-        if t[2] not in labels:
-            labels.append(t[2])
+    tp: Counter[str] = Counter()
+    fp: Counter[str] = Counter()
+    for t in pred_triples:
+        (tp if t in gold_triples else fp)[t[2]] += 1
+    fn = Counter(t[2] for t in gold_triples if t not in pred_triples)
+
+    # labels outside CLASS_LABELS follow, in the order of their least triple
+    unknown = sorted(
+        t for ts in (pred_triples, gold_triples) for t in ts if t[2] not in CLASS_LABELS
+    )
+    labels = dict.fromkeys([*CLASS_LABELS, *(t[2] for t in unknown)])
 
     report = EvalReport(
         total_sentences=total_sentences,
@@ -130,13 +137,7 @@ def score(
         gold_future=len(gold_triples),
     )
     for label in labels:
-        pred_l = {t for t in pred_triples if t[2] == label}
-        gold_l = {t for t in gold_triples if t[2] == label}
-        cs = ClassScore(
-            tp=len(pred_l & gold_l),
-            fp=len(pred_l - gold_l),
-            fn=len(gold_l - pred_l),
-        )
+        cs = ClassScore(tp=tp[label], fp=fp[label], fn=fn[label])
         report.per_class[label] = cs
         report.overall.tp += cs.tp
         report.overall.fp += cs.fp

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 SIIN = "س"  # س
 CONJUNCTION_CLITICS = ("و", "ف")  # و ف
@@ -31,8 +32,7 @@ class Verdict(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class MorphVerdict:
+class MorphVerdict(NamedTuple):
     token: str
     verdict: Verdict
     stripped_clitics: str
@@ -138,7 +138,7 @@ def analyze_token(token: str, lex: Lexicons) -> MorphVerdict:
         verdict = Verdict.PRESENT_VERB
     else:
         verdict = Verdict.OTHER
-    return MorphVerdict(token=token, verdict=verdict, stripped_clitics=clitics, stem=stem)
+    return MorphVerdict(token, verdict, clitics, stem)
 
 
 def is_future_verb_with_siin(token: str, lex: Lexicons) -> bool:

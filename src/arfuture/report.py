@@ -13,6 +13,7 @@ import html
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Document
 from .engine import Annotation, DocumentAnalysis, RejectionTrace
@@ -41,8 +42,7 @@ footer { margin-top: 2em; color: #999; font-size: 0.8em; }
 """
 
 
-@dataclass(frozen=True)
-class _Decoration:
+class _Decoration(NamedTuple):
     span: tuple[int, int]
     kind: str  # "mark" | "field" | "excerpt"
     title: str = ""
@@ -65,31 +65,40 @@ def _render_decorated(text: str, decorations: list[_Decoration]) -> str:
 
     Regions may overlap arbitrarily; the text is cut at every span edge and
     each slice is wrapped independently, so stripping the markup always
-    gives back the sentence verbatim.
+    gives back the sentence verbatim.  One loop over the decorations per
+    slice sets its mark, excerpt and field flags and collects the non-empty
+    field titles in decoration order.
     """
     data = text.encode("utf-8")
     size = len(data)
+    edges = {0, size}
     for deco in decorations:
         a, b = deco.span
         if not (0 <= a <= b <= size):
             raise RenderError(f"span {deco.span} outside sentence of {size} bytes")
-    edges = {0, size}
-    for deco in decorations:
         edges.update(deco.span)
     points = sorted(edges)
     out: list[str] = []
     for a, b in zip(points, points[1:]):
+        mark = excerpt = shaded = False
+        titles: list[str] = []
+        for (start, end), kind, title in decorations:
+            if start <= a and b <= end:
+                if kind == "mark":
+                    mark = True
+                elif kind == "excerpt":
+                    excerpt = True
+                elif kind == "field":
+                    shaded = True
+                    if title:
+                        titles.append(title)
         piece = html.escape(data[a:b].decode("utf-8"))
-        if not piece:
-            continue
-        active = [d for d in decorations if d.span[0] <= a and b <= d.span[1]]
-        if any(d.kind == "mark" for d in active):
+        if mark:
             piece = f'<mark class="pos">{piece}</mark>'
-        if any(d.kind == "excerpt" for d in active):
+        if excerpt:
             piece = f'<span class="excerpt">{piece}</span>'
-        fields = [d for d in active if d.kind == "field"]
-        if fields:
-            title = html.escape("; ".join(d.title for d in fields if d.title), quote=True)
+        if shaded:
+            title = html.escape("; ".join(titles), quote=True)
             piece = f'<span class="neg-field" title="{title}">{piece}</span>'
         out.append(piece)
     return "".join(out)
@@ -109,16 +118,16 @@ def _sentence_block(
         for span in ann.positive_marker_spans:
             if span not in seen_spans:
                 seen_spans.add(span)
-                decorations.append(_Decoration(span=span, kind="mark"))
+                decorations.append(_Decoration(span, "mark"))
         if ann.excerpt_span:
-            decorations.append(_Decoration(span=ann.excerpt_span, kind="excerpt"))
+            decorations.append(_Decoration(ann.excerpt_span, "excerpt"))
     for trace in field_traces:
         if trace.negative_field_span:
             decorations.append(
                 _Decoration(
-                    span=trace.negative_field_span,
-                    kind="field",
-                    title=f"negative marker: {trace.negative_marker}",
+                    trace.negative_field_span,
+                    "field",
+                    f"negative marker: {trace.negative_marker}",
                 )
             )
     body = _render_decorated(sentence.text, decorations)

@@ -85,7 +85,7 @@ def test_criterion_2_metric_arithmetic():
         for i in range(count)
     ]
     assert len(gold) == 743
-    predicted = {g.triple for g in gold}
+    predicted = set(gold)
     for label, count in false_positives.items():
         for i in range(count):
             predicted.add((f"fp-{label}-{i}", 0, label))

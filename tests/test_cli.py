@@ -133,6 +133,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "bad.corpus.txt" in err and "malformed corpus file" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_same_url_in_two_files_refused(self, mini_gold_dir, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a", "b"):
+            (corpus / f"{name}.corpus.txt").write_text(
+                f"URL: http://x\nTITLE: {name}\n\nسوف يرتفع.\n", encoding="utf-8"
+            )
+        argv = {
+            "analyze": ["analyze", "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--gold", str(mini_gold_dir / "gold.tsv")],
+        }[command]
+        code = main([*argv, "--corpus", str(corpus)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {corpus / 'b.corpus.txt'}: same URL as {corpus / 'a.corpus.txt'}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_typo_exits_2(self, mini_gold_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("paralellism = 4\n", encoding="utf-8")
@@ -292,6 +310,40 @@ class TestEval:
                 '{"doc_id": "x", "sentence_index": "0", "rule_id": "r", "category": "c", '
                 '"class_label": "qad", "positive_marker_spans": [], "excerpt_span": null}',
                 "line 2: doc_id and class_label must be strings, sentence_index an integer",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": true, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [], "excerpt_span": null}',
+                "line 2: doc_id and class_label must be strings, sentence_index an integer",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": 0, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": "ab", "excerpt_span": null}',
+                "line 2: positive_marker_spans must be a list of spans, not 'ab'",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": 0, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [[0, 4, 8]], '
+                '"excerpt_span": null}',
+                "line 2: a span must be a list of two integers, not [0, 4, 8]",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": 0, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [[0, true]], '
+                '"excerpt_span": null}',
+                "line 2: a span must be a list of two integers, not [0, True]",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": 0, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [[0, 4]], '
+                '"excerpt_span": "04"}',
+                "line 2: a span must be a list of two integers, not '04'",
+            ),
+            (
+                '{"doc_id": "x", "sentence_index": 0, "rule_id": "r", "category": "c", '
+                '"class_label": "qad", "positive_marker_spans": [[0, 4]], '
+                '"excerpt_span": [0, 4.5]}',
+                "line 2: a span must be a list of two integers, not [0, 4.5]",
             ),
         ],
     )

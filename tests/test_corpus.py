@@ -199,6 +199,23 @@ class TestCorpusFileFormat:
         doc = make_document(url="http://x", title="t", body="URL: http://y\n URL: z\nعادي")
         assert parse_corpus_file(compile_corpus_file(doc)) == doc
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text().filter(lambda t: "\n" not in t),
+        st.text().filter(lambda t: "\n" not in t),
+        st.lists(
+            st.one_of(
+                st.text(),
+                st.builds(lambda pad, rest: " " * pad + "URL: " + rest,
+                          st.integers(0, 3), st.text()),
+            ),
+            min_size=1,
+        ).map("\n".join).filter(bool),
+    )
+    def test_round_trip_any_body(self, url, title, body):
+        doc = make_document(url=url, title=title, body=body)
+        assert parse_corpus_file(compile_corpus_file(doc)) == doc
+
     def test_stable_id_from_url(self):
         a = make_document(url="http://x", title="", body="b")
         b = make_document(url="http://x", title="other", body="c")

@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import json
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfuture.corpus import make_document
 from arfuture.engine import (
     Annotation,
     RejectionTrace,
     RejectReason,
+    annotation_from_json,
+    annotation_to_json,
     classify_sentence_results,
     dump_annotations,
     iter_rule_results,
     load_annotations,
 )
+from arfuture.evaluate import GoldAnnotation
+from arfuture.morpho import MorphVerdict, Verdict
+from arfuture.report import _Decoration
 from arfuture.offsets import byte_slice
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import Sentence, segment, tokenize
@@ -297,3 +306,52 @@ class TestAnnotationDump:
         text = dump_annotations(anns)
         assert load_annotations(text) == anns
         assert text.count("\n") == len(anns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            Annotation,
+            st.text(),
+            st.integers(),
+            st.text(),
+            st.text(),
+            st.text(),
+            st.lists(st.tuples(st.integers(), st.integers())).map(tuple),
+            st.none() | st.tuples(st.integers(), st.integers()),
+        )
+    )
+    def test_json_round_trip_of_any_annotation(self, ann):
+        line = annotation_to_json(ann)
+        back = annotation_from_json(line)
+        assert type(back) is Annotation and back == ann
+        # the shared encoder writes what json.dumps wrote for the same record
+        record = {
+            "doc_id": ann.doc_id,
+            "sentence_index": ann.sentence_index,
+            "rule_id": ann.rule_id,
+            "category": ann.category,
+            "class_label": ann.class_label,
+            "positive_marker_spans": [list(s) for s in ann.positive_marker_spans],
+            "excerpt_span": list(ann.excerpt_span) if ann.excerpt_span else None,
+        }
+        assert line == json.dumps(record, ensure_ascii=False, separators=(", ", ": "))
+
+
+RECORDS = [
+    Annotation("d", 0, "qad", "مستقبل", "qad", ((0, 4), (5, 9)), (0, 20)),
+    RejectionTrace("d", 0, "sawfa", 1, RejectReason.NEGATIVE_FOUND, (5, 9), "قبل"),
+    _Decoration((0, 4), "field", "negative marker: قبل"),
+    MorphVerdict("وسيتحسن", Verdict.OTHER, "و", "سيتحسن"),
+    GoldAnnotation("d", 0, "qad"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_hashable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert hash(record) == hash(tuple(record))
+    assert {record, type(record)(*record)} == {record}

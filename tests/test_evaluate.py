@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arfuture.engine import Annotation
 from arfuture.evaluate import (
     CLASS_LABELS,
     GoldAnnotation,
@@ -15,6 +17,7 @@ from arfuture.evaluate import (
     format_results,
     load_gold,
     pct_string,
+    predictions_to_triples,
     report_to_json_dict,
     score,
 )
@@ -41,7 +44,7 @@ def synthetic_gold() -> list[GoldAnnotation]:
 
 
 def synthetic_predictions() -> set[tuple[str, int, str]]:
-    triples = {g.triple for g in synthetic_gold()}
+    triples = set(synthetic_gold())
     for label, count in REFERENCE_FALSE_POSITIVES.items():
         for i in range(count):
             triples.add((f"fp-{label}-{i}", 0, label))
@@ -71,6 +74,12 @@ class TestPctString:
             assert pct_string(numer, denom) == expected
 
 
+# a gold field: no tab, no line break, no "#" and no surrounding whitespace
+_GOLD_FIELD = st.text(min_size=1).filter(
+    lambda t: t == t.strip() and "#" not in t and "\t" not in t and t.splitlines() == [t]
+)
+
+
 class TestLoadGold:
     def test_single_row(self):
         got = load_gold("d1\t3\tqad")
@@ -97,13 +106,70 @@ class TestLoadGold:
                 sentence_index=rng.randint(0, 30),
                 class_label=rng.choice(CLASS_LABELS),
             )
-            if g.triple not in seen:
-                seen.add(g.triple)
+            if g not in seen:
+                seen.add(g)
                 gold.append(g)
         assert load_gold(dump_gold(gold)) == gold
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(GoldAnnotation, _GOLD_FIELD, st.integers(),
+                              st.sampled_from(CLASS_LABELS)), unique=True))
+    def test_round_trip_of_any_gold(self, gold):
+        assert load_gold(dump_gold(gold)) == gold
+
+
+def reference_score(pred_triples, gold):
+    """The per-label set arithmetic ``score`` did before its one-pass count."""
+    gold_triples = set(gold)
+    labels = list(CLASS_LABELS)
+    for t in sorted(pred_triples | gold_triples):
+        if t[2] not in labels:
+            labels.append(t[2])
+    counts = {}
+    for label in labels:
+        pred_l = {t for t in pred_triples if t[2] == label}
+        gold_l = {t for t in gold_triples if t[2] == label}
+        counts[label] = (len(pred_l & gold_l), len(pred_l - gold_l), len(gold_l - pred_l))
+    return counts
+
 
 class TestScore:
+    def test_unknown_labels_follow_in_order_of_least_triple(self):
+        gold = [GoldAnnotation("a", 5, "zeta"), GoldAnnotation("b", 0, "qad")]
+        preds = {("a", 5, "zeta"), ("b", 0, "alpha"), ("c", 2, "zeta"), ("a", 0, "sin")}
+        report = score(preds, gold)
+        assert list(report.per_class) == [*CLASS_LABELS, "zeta", "alpha"]
+        zeta, alpha = report.per_class["zeta"], report.per_class["alpha"]
+        assert (zeta.tp, zeta.fp, zeta.fn) == (1, 1, 0)
+        assert (alpha.tp, alpha.fp, alpha.fn) == (0, 1, 0)
+        qad = report.per_class["qad"]
+        assert (qad.tp, qad.fp, qad.fn) == (0, 0, 1)
+        assert (report.overall.tp, report.overall.fp, report.overall.fn) == (1, 3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.tuples(st.sampled_from("abc"), st.integers(0, 3),
+                          st.sampled_from([*CLASS_LABELS, "zeta", "alpha"]))),
+        st.sets(st.tuples(st.sampled_from("abc"), st.integers(0, 3),
+                          st.sampled_from([*CLASS_LABELS, "omega"]))),
+    )
+    def test_matches_per_label_set_arithmetic(self, preds, gold_triples):
+        gold = [GoldAnnotation(*t) for t in gold_triples]
+        report = score(preds, gold)
+        want = reference_score(preds, gold)
+        assert list(report.per_class) == list(want)
+        assert {k: (c.tp, c.fp, c.fn) for k, c in report.per_class.items()} == want
+        assert (report.predicted_future, report.gold_future) == (len(preds), len(gold))
+
+    def test_annotations_score_like_their_triples(self, engine, mini_docs, mini_gold_dir):
+        annotations = [a for d in mini_docs for a in engine.analyze(d).annotations]
+        annotations.append(annotations[0]._replace(rule_id="other", class_label="zeta"))
+        gold = load_gold((mini_gold_dir / "gold.tsv").read_text(encoding="utf-8"))
+        triples = predictions_to_triples(annotations)
+        assert len(triples) < len(annotations)
+        assert score(annotations, gold, 8) == score(triples, gold, 8)
+        assert list(score(annotations, gold).per_class)[-1] == "zeta"
+
     def test_reference_counts_reproduce_results_table(self):
         report = score(synthetic_predictions(), synthetic_gold())
         assert report.predicted_future == 762
@@ -140,7 +206,7 @@ class TestScore:
 
     def test_perfect_predictions_symmetry(self):
         gold = synthetic_gold()
-        report = score({g.triple for g in gold}, gold)
+        report = score(set(gold), gold)
         for cs in report.per_class.values():
             if cs.tp:
                 assert cs.precision == "100.00" and cs.recall == "100.00"
@@ -158,8 +224,8 @@ class TestScore:
                 GoldAnnotation(f"d{i}", 0, rng.choice(CLASS_LABELS))
                 for i in range(rng.randint(1, 12))
             ]
-            gold = list({g.triple: g for g in gold}.values())
-            preds = {g.triple for g in gold if rng.random() < 0.8}
+            gold = list(dict.fromkeys(gold))
+            preds = {g for g in gold if rng.random() < 0.8}
             base = score(set(preds), gold)
             extra_label = rng.choice(CLASS_LABELS)
             preds.add((f"fp{rng.randint(0, 10**6)}", 0, extra_label))

@@ -6,12 +6,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfuture.corpus import make_document
 from arfuture.engine import Annotation, classify_sentence_results
 from arfuture.offsets import byte_length
 from arfuture.report import (
     RenderError,
+    _Decoration,
+    _render_decorated,
     build_report_page,
     render_index,
     render_page,
@@ -19,6 +22,8 @@ from arfuture.report import (
 )
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import segment, tokenize
+
+from report_ref import render_decorated
 
 GOLDEN = Path(__file__).parent / "golden" / "report_qad.html"
 CLOCK = datetime(2026, 1, 15, 12, 0, tzinfo=timezone.utc)
@@ -257,3 +262,52 @@ class TestWriteReports:
         files = sorted(p.name for p in (tmp_path / "reports").iterdir())
         assert "index.html" in files
         assert len(files) == len(mini_docs) + 1
+
+
+# Arabic letters, harakat, tatweel, space and the characters HTML escapes
+_RENDER_ALPHABET = "سوفقدلنيتحسالوضع" + "\u064e\u064f\u0650\u0652\u0651\u064b" + "\u0640 &<>\"'"
+
+
+@st.composite
+def decorated_sentences(draw, bad_span: bool = False):
+    text = draw(st.text(alphabet=_RENDER_ALPHABET, max_size=12))
+    size = len(text.encode("utf-8"))
+    # spans cut at character edges, drawn from a small pool so that
+    # duplicate and zero-width spans come up often
+    edges = sorted({len(text[:i].encode("utf-8")) for i in range(len(text) + 1)})
+    span = st.tuples(st.sampled_from(edges), st.sampled_from(edges)).map(sorted).map(tuple)
+    pool = draw(st.lists(span, min_size=1, max_size=3))
+
+    def decoration(spans):
+        return st.builds(
+            _Decoration,
+            st.sampled_from(spans),
+            st.sampled_from(["mark", "excerpt", "field"]),
+            st.sampled_from(["", "negative marker: قبل", "a&b <\"x\"> 'y'"]),
+        )
+
+    decorations = draw(st.lists(decoration(pool), max_size=6))
+    if bad_span:
+        bad = draw(decoration([(0, size + 1), (-1, 0), (size, size + 3), (2, 1)]))
+        decorations.insert(draw(st.integers(0, len(decorations))), bad)
+    return text, decorations
+
+
+class TestRenderDecorated:
+    @settings(max_examples=300, deadline=None)
+    @given(decorated_sentences())
+    def test_matches_reference_renderer(self, case):
+        text, decorations = case
+        got = _render_decorated(text, decorations)
+        assert got == render_decorated(text, decorations)
+        assert strip_markup(got) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(decorated_sentences(bad_span=True))
+    def test_out_of_bounds_span_raises_like_reference(self, case):
+        text, decorations = case
+        with pytest.raises(RenderError) as got:
+            _render_decorated(text, decorations)
+        with pytest.raises(RenderError) as want:
+            render_decorated(text, decorations)
+        assert str(got.value) == str(want.value)
