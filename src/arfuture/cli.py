@@ -237,7 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         gold = eval_mod.load_gold(args.gold.read_text(encoding="utf-8"))
     except eval_mod.GoldFormatError as exc:
         raise eval_mod.GoldFormatError(f"{args.gold}: {exc}") from None
-    total_sentences = 0
+    total_sentences = None  # an annotation dump does not say how many sentences it covers
     if args.annotations:
         try:
             annotations = load_annotations(args.annotations.read_text(encoding="utf-8"))

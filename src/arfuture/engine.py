@@ -8,11 +8,18 @@ gates bring in morphology: ``morph=qad`` requires a present-tense verb
 right after the matched particle, ``morph=siin`` lets the final form match
 a word prefix and then verifies the whole word as a siin-future verb.
 
-Forms are searched indicator-first: each form carries a ``FormIndex``
+Rules are searched indicator-first.  Each form carries a ``FormIndex``
 keyed by the first written word of its surface forms, built when the
-rule is parsed.  A token whose shadow (or, in siin prefix mode, a prefix
-of it) is not a key costs one dict lookup; only candidate tokens have the
-rest of the form checked against the words that follow them.
+rule is parsed, and the ``Engine`` builds once, from its ruleset, a
+``StartTable``: the first words of every rule's first positive form,
+mapped to the rules they start, plus the siin prefix keys.  A sentence's
+tokens are looked up in it once, which gives every rule its candidate
+starts: the tokens whose shadow (or, in siin prefix mode, a prefix of
+it) a match of that form can begin with.  The first positive form is
+tried only at those starts, and a rule whose first form is positive and
+has none is rejected without a scan.  Negative and later positive forms
+search their fields lazily, one ``FormIndex`` lookup per token up to the
+leftmost match.
 
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection.  The bundled rules give about ten
@@ -25,9 +32,10 @@ them; ``_fields`` and ``_asdict`` do.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
 from .morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
@@ -103,25 +111,14 @@ def _next_word_index(
     return None
 
 
-def _scan_positive(
-    index: FormIndex,
-    tokens: list[Token],
-    start_at: int,
-    field_end: int,
-    prefix_mode: bool,
-    siin_gate: Lexicons | None,
-    punct_transparent: bool,
-) -> tuple[PatternMatch | None, bool]:
-    """Leftmost match of a positive form inside [start_at, field_end).
-
-    In siin mode the pattern may cover just a word prefix and the whole
-    word must verify as a siin future verb; candidates failing the verb
-    check are skipped (reported via the second return value).
-    """
-    saw_gate_failure = False
+def _candidates(
+    index: FormIndex, tokens: list[Token], lo: int, hi: int, prefix_mode: bool
+) -> Iterator[int]:
+    """Tokens in [lo, hi) a match of the form can start at: those whose
+    shadow, or in prefix mode a prefix of it, is a first word of the form."""
     tails = index.tails
     prefix_lengths = index.prefix_lengths if prefix_mode else ()
-    for t in range(start_at, field_end):
+    for t in range(lo, hi):
         shadow = tokens[t].shadow
         if shadow not in tails:
             for n in prefix_lengths:
@@ -129,6 +126,34 @@ def _scan_positive(
                     break
             else:
                 continue
+        yield t
+
+
+def _prefix_mode(rule: LinguisticRule, fi: int) -> bool:
+    """Whether form ``fi`` may match a word prefix (the siin gate's form)."""
+    return rule.morph == "siin" and fi == rule.positives[-1]
+
+
+def _scan_positive(
+    index: FormIndex,
+    tokens: list[Token],
+    starts: Iterable[int],
+    field_end: int,
+    prefix_mode: bool,
+    siin_gate: Lexicons | None,
+    punct_transparent: bool,
+) -> tuple[PatternMatch | None, bool]:
+    """Leftmost match of a positive form at one of ``starts`` (ascending)
+    that ends before ``field_end``.
+
+    In siin mode the pattern may cover just a word prefix and the whole
+    word must verify as a siin future verb; candidates failing the verb
+    check are skipped (reported via the second return value).
+    """
+    saw_gate_failure = False
+    for t in starts:
+        if t >= field_end:
+            break
         m = index.match_at(
             tokens, t, prefix=prefix_mode, punct_transparent=punct_transparent
         )
@@ -148,10 +173,12 @@ def _attempt(
     sentence: Sentence,
     tokens: list[Token],
     lex: Lexicons,
+    starts: Sequence[int],
     scan_from: int,
     punct_transparent: bool,
 ):
-    """One pass over the rule's form chain.
+    """One pass over the rule's form chain; the first positive form is
+    tried at its candidate ``starts`` from ``scan_from`` on.
 
     Returns (annotation_or_trace, first_positive_match_or_None).
     """
@@ -167,8 +194,9 @@ def _attempt(
         else:
             field_end = len(tokens)
         if form.polarity is Polarity.NEGATIVE:
+            candidates = _candidates(form.index, tokens, field_start, field_end, False)
             m, _ = _scan_positive(
-                form.index, tokens, field_start, field_end, False, None, punct_transparent
+                form.index, tokens, candidates, field_end, False, None, punct_transparent
             )
             if m is not None:
                 trace = RejectionTrace(
@@ -182,12 +210,15 @@ def _attempt(
                 )
                 return trace, first_match
             continue
-        start_at = max(field_start, scan_from) if fi == first_positive_idx else field_start
-        siin_mode = rule.morph == "siin" and fi == last_positive_idx
+        siin_mode = _prefix_mode(rule, fi)
+        if fi == first_positive_idx:  # the field starts at token 0 here
+            candidates = starts[bisect_left(starts, scan_from):]
+        else:
+            candidates = _candidates(form.index, tokens, field_start, field_end, siin_mode)
         m, gate_failed = _scan_positive(
             form.index,
             tokens,
-            start_at,
+            candidates,
             field_end,
             siin_mode,
             lex if siin_mode else None,
@@ -255,6 +286,52 @@ def _tokens_byte_span(
     return tokens[start].span[0], tokens[end - 1].span[1]
 
 
+class StartTable:
+    """The first words of each rule's first positive form, for one ruleset.
+
+    ``words`` maps a first word to the positions, in the ruleset, of the
+    rules whose first positive form it begins.  ``prefixes`` holds, for
+    each length N of a one-word form that the siin gate lets match a word
+    prefix, the map from such forms to their rules.
+    """
+
+    __slots__ = ("words", "prefixes")
+
+    def __init__(self, ruleset: list[LinguisticRule]):
+        words: dict[str, list[int]] = {}
+        prefixes: dict[int, dict[str, list[int]]] = {}
+        for r, rule in enumerate(ruleset):
+            first = rule.positives[0]
+            tails = rule.forms[first].index.tails
+            for word, rest in tails.items():
+                words.setdefault(word, []).append(r)
+                if () in rest and _prefix_mode(rule, first):
+                    prefixes.setdefault(len(word), {}).setdefault(word, []).append(r)
+        self.words = words
+        self.prefixes = tuple(sorted(prefixes.items()))
+
+    def starts(self, tokens: list[Token]) -> dict[int, list[int]]:
+        """Each rule's candidate starts, ascending, by ruleset position;
+        a rule with none is absent."""
+        words = self.words
+        prefixes = self.prefixes
+        starts: dict[int, list[int]] = {}
+        for t, token in enumerate(tokens):
+            shadow = token.shadow
+            rules = words.get(shadow)
+            if rules is not None:
+                for r in rules:
+                    starts.setdefault(r, []).append(t)
+            for n, keys in prefixes:
+                rules = keys.get(shadow[:n])
+                if rules is not None:
+                    for r in rules:
+                        found = starts.setdefault(r, [])
+                        if not found or found[-1] != t:
+                            found.append(t)
+        return starts
+
+
 def iter_rule_results(
     rule: LinguisticRule,
     sentence: Sentence,
@@ -262,35 +339,49 @@ def iter_rule_results(
     lex: Lexicons,
     *,
     punct_transparent: bool = True,
+    starts: Sequence[int] | None = None,
 ) -> Iterator[Annotation | RejectionTrace]:
     """All matches of one rule on one sentence, in left-to-right order.
 
     After a full match, scanning for the next one resumes past the first
     positive marker, so a rule can fire several times per sentence.  A
     matched negative form cancels the rule outright.
+
+    ``starts`` are the ascending candidate starts of the rule's first
+    positive form, as ``StartTable.starts`` gives them; by default they
+    are found from a table of this rule alone.
     """
+    first = rule.positives[0]
+    if starts is None:
+        starts = StartTable([rule]).starts(tokens).get(0, [])
+    if not starts and first == 0:
+        yield RejectionTrace(
+            sentence.doc_id, sentence.index, rule.id, 0, RejectReason.POSITIVE_NOT_FOUND
+        )
+        return
     scan_from = 0
     produced_any = False
-    while scan_from <= len(tokens):
+    while True:
         result, first_match = _attempt(
-            rule, sentence, tokens, lex, scan_from, punct_transparent
+            rule, sentence, tokens, lex, starts, scan_from, punct_transparent
         )
-        if isinstance(result, Annotation):
-            produced_any = True
-            yield result
-            scan_from = first_match.end_token + 1
-            continue
-        if result.reason is RejectReason.NEGATIVE_FOUND:
-            yield result
-            return
-        if first_match is None:
-            # the first positive form has no (further) candidate
-            if not produced_any:
+        if isinstance(result, RejectionTrace):
+            if result.reason is RejectReason.NEGATIVE_FOUND:
                 yield result
-            return
+                return
+            if first_match is None:
+                # the first positive form has no (further) candidate
+                if not produced_any:
+                    yield result
+                return
         produced_any = True
         yield result
         scan_from = first_match.end_token + 1
+        if starts[-1] < scan_from:
+            # no start left: a further attempt would find no first positive
+            # match (the negative forms before it search the same field as in
+            # this attempt), which after a result ends the rule silently
+            return
 
 
 def classify_sentence_results(
@@ -300,14 +391,22 @@ def classify_sentence_results(
     lex: Lexicons,
     *,
     punct_transparent: bool = True,
+    table: StartTable | None = None,
 ) -> tuple[list[Annotation], list[RejectionTrace]]:
     """Annotations from every rule, in rule order then position order, and
-    the ``NEGATIVE_FOUND`` traces: the only rejections an output reads."""
+    the ``NEGATIVE_FOUND`` traces: the only rejections an output reads.
+
+    ``table`` must be built from ``ruleset``; by default it is built here.
+    """
+    if table is None:
+        table = StartTable(ruleset)
+    starts = table.starts(tokens)
     annotations: list[Annotation] = []
     traces: list[RejectionTrace] = []
-    for rule in ruleset:
+    for r, rule in enumerate(ruleset):
         for result in iter_rule_results(
-            rule, sentence, tokens, lex, punct_transparent=punct_transparent
+            rule, sentence, tokens, lex,
+            punct_transparent=punct_transparent, starts=starts.get(r, ()),
         ):
             if isinstance(result, Annotation):
                 annotations.append(result)
@@ -317,7 +416,8 @@ def classify_sentence_results(
 
 
 class Engine:
-    """Immutable bundle of ruleset, lexicons and segmentation options."""
+    """Immutable bundle of ruleset, lexicons and segmentation options, with
+    the ruleset's ``StartTable``."""
 
     def __init__(
         self,
@@ -328,6 +428,7 @@ class Engine:
         punct_transparent: bool = True,
     ):
         self.ruleset = list(ruleset)
+        self.table = StartTable(self.ruleset)
         self.lexicons = lexicons
         self.boundaries = frozenset(boundaries)
         self.punct_transparent = punct_transparent
@@ -344,6 +445,7 @@ class Engine:
                 self.ruleset,
                 self.lexicons,
                 punct_transparent=self.punct_transparent,
+                table=self.table,
             )
             annotations.extend(anns)
             traces.extend(trcs)

@@ -102,7 +102,8 @@ class ClassScore:
 class EvalReport:
     per_class: dict[str, ClassScore] = field(default_factory=dict)
     overall: ClassScore = field(default_factory=ClassScore)
-    total_sentences: int = 0
+    #: None when the predictions came without their sentences
+    total_sentences: int | None = None
     predicted_future: int = 0
     gold_future: int = 0
 
@@ -110,7 +111,7 @@ class EvalReport:
 def score(
     predicted: list[Annotation] | set[Triple],
     gold: list[GoldAnnotation],
-    total_sentences: int = 0,
+    total_sentences: int | None = None,
 ) -> EvalReport:
     """Per-class and overall TP/FP/FN with precision and recall."""
     if isinstance(predicted, set):

@@ -20,7 +20,6 @@ DATA_DIR_ENV = "SLCSAS_DATA_DIR"
 RULES_FILE = "rules_future_ar.txt"
 VARIABLES_FILE = "variables_ar.txt"
 SEMANTIC_MAP_FILE = "semantic_map.txt"
-KEYWORDS_FILE = "keywords.tsv"
 
 
 def data_dir() -> Path:

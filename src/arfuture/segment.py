@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # Arabic harakat stripped from matching shadows (kept in the written text).
 HARAKAT = frozenset("ًٌٍَُِّْ")
@@ -54,14 +54,16 @@ class Sentence:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One token; ``span`` is a byte span into the sentence text.
 
     ``shadow`` is the written run without tatweel and harakat, the string
     patterns are matched against; digit and punctuation runs are their own
     shadow.  The span covers the whole written run, tatweel and harakat
     included, so a highlighted token shows the word as written.
+
+    A sentence has one token per word, so a token is a ``NamedTuple``,
+    built positionally at a fraction of a dataclass's cost.
     """
 
     span: tuple[int, int]
@@ -149,7 +151,7 @@ def tokenize(sentence_text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0  # UTF-8 length of the text before the current run
     for gap, chunk in _CHUNK.findall(sentence_text):
-        pos += len(gap.encode())
+        pos += len(gap) if gap.isascii() else len(gap.encode())
         shadow = chunk.translate(_SHADOW_DROP)
         if shadow.isalpha():  # most chunks are one bare word
             runs = ((chunk, TokenKind.WORD, shadow),)

@@ -277,11 +277,15 @@ class TestEval:
     def test_annotations_input_mode(self, mini_gold_dir, tmp_path):
         out = tmp_path / "out"
         assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
         code = main(
             ["eval", "--annotations", str(out / "annotations.jsonl"),
-             "--gold", str(mini_gold_dir / "gold.tsv")]
+             "--gold", str(mini_gold_dir / "gold.tsv"), "--report", str(report_path)]
         )
         assert code == 0
+        # an annotation dump does not say how many sentences were analyzed
+        data = json.loads(report_path.read_text(encoding="utf-8"))
+        assert data["totals"]["sentences"] is None
 
     def test_gold_parse_error_exits_2(self, mini_gold_dir, tmp_path, capsys):
         bad = tmp_path / "gold.tsv"

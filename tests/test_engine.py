@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scan_ref
+from arfuture import engine as engine_mod
 from arfuture.corpus import make_document
 from arfuture.engine import (
     Annotation,
     RejectionTrace,
     RejectReason,
+    StartTable,
     annotation_from_json,
     annotation_to_json,
     classify_sentence_results,
@@ -23,7 +27,7 @@ from arfuture.morpho import MorphVerdict, Verdict
 from arfuture.report import _Decoration
 from arfuture.offsets import byte_slice
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
-from arfuture.segment import Sentence, segment, tokenize
+from arfuture.segment import Sentence, Token, TokenKind, segment, tokenize
 
 from oracle import generate_sentence, oracle_marker_spans
 
@@ -300,6 +304,159 @@ class TestOracleEquivalence:
         assert checked > 200
 
 
+# Words the generated rules and sentences share: particles, verbs that pass
+# the qad and siin gates, siin-words that fail them (a stoplisted proper
+# noun, a noun), punctuation and digits.
+_GEN_WORDS = [
+    "قد", "وقد", "سوف", "لن", "قبل", "غدا", "يصل", "يتحسن", "تترتب", "سيتحسن",
+    "وسيتحسن", "فسيصل", "سيمون", "سلام", "س", "درس", "،", '"', "12",
+]
+_GEN_PATTERNS = [
+    "قد", "(و|ف)؟قد", "سوف", "لن", "قبل", "غدا", "سوف يتحسن", "قبل (غدا|يصل)",
+    "(سوف|لن)", "(و|ف)؟س", "س",
+]
+_SIIN_PATTERNS = ["(و|ف)؟س", "س", "سي", "(و)؟س"]
+
+
+@st.composite
+def _rule_line(draw, rule_id: str) -> str:
+    """A rule of 1-3 forms, each maybe negative and capped with ``@N``,
+    with at least one positive form, and a qad or siin gate or none."""
+    morph = draw(st.sampled_from([None, "qad", "siin"]))
+    n_forms = draw(st.integers(1, 3))
+    negative = [n_forms > 1 and draw(st.booleans()) for _ in range(n_forms)]
+    if all(negative):
+        negative[-1] = False
+    last_positive = max(i for i, neg in enumerate(negative) if not neg)
+    forms = []
+    for i, neg in enumerate(negative):
+        siin = morph == "siin" and i == last_positive
+        pattern = draw(st.sampled_from(_SIIN_PATTERNS if siin else _GEN_PATTERNS))
+        cap = draw(st.sampled_from(["", "", "@1", "@2", "@4"]))
+        forms.append(("-" if neg else "") + pattern + cap)
+    directives = [f"morph={morph}"] if morph else []
+    if draw(st.booleans()):
+        directives.append("extract=from-marker-to-end")
+    tail = f" [{', '.join(directives)}]" if directives else ""
+    return f"{rule_id}: {' > '.join(forms)} -> مستقبل{tail}\n"
+
+
+@st.composite
+def _generated_ruleset(draw):
+    n_rules = draw(st.integers(1, 3))
+    text = "".join(draw(_rule_line(f"r{i}")) for i in range(n_rules))
+    return parse_rules(text, NO_VARS, MAP)
+
+
+def _typed(results) -> list:
+    return [(type(r), r) for r in results]
+
+
+class TestCandidateStarts:
+    """The candidate-start scan gives every record the full-range scan of
+    ``scan_ref`` gives, with and without the ruleset table's starts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ruleset=_generated_ruleset(),
+        words=st.lists(st.sampled_from(_GEN_WORDS), max_size=14),
+        punct_transparent=st.booleans(),
+    )
+    def test_matches_reference_scan(self, lexicons, ruleset, words, punct_transparent):
+        text = " ".join(words)
+        sentence = Sentence("d", 0, (0, len(text.encode())), text)
+        tokens = tokenize(text)
+        table_starts = StartTable(ruleset).starts(tokens)
+        want_annotations, want_traces = [], []
+        for r, rule in enumerate(ruleset):
+            want = _typed(scan_ref.iter_rule_results(
+                rule, sentence, tokens, lexicons, punct_transparent=punct_transparent
+            ))
+            alone = iter_rule_results(
+                rule, sentence, tokens, lexicons, punct_transparent=punct_transparent
+            )
+            assert _typed(alone) == want
+            tabled = iter_rule_results(
+                rule, sentence, tokens, lexicons,
+                punct_transparent=punct_transparent, starts=table_starts.get(r, []),
+            )
+            assert _typed(tabled) == want
+            for kind, result in want:
+                if kind is Annotation:
+                    want_annotations.append(result)
+                elif result.reason is RejectReason.NEGATIVE_FOUND:
+                    want_traces.append(result)
+        assert classify_sentence_results(
+            sentence, tokens, ruleset, lexicons, punct_transparent=punct_transparent
+        ) == (want_annotations, want_traces)
+
+    def test_rule_without_candidates_yields_one_trace(self, rules_by_id, lexicons):
+        s = one_sentence("الوضع مستقر اليوم")
+        tokens = tokenize(s.text)
+        for rule in rules_by_id.values():
+            assert StartTable([rule]).starts(tokens) == {}
+            assert list(iter_rule_results(rule, s, tokens, lexicons, starts=[])) == [
+                RejectionTrace("d", 0, rule.id, 0, RejectReason.POSITIVE_NOT_FOUND)
+            ]
+
+    def test_table_keys_siin_prefixes_once_per_token(self, rules_by_id):
+        table = StartTable([rules_by_id["sin"], rules_by_id["sawfa"]])
+        tokens = tokenize("س سوف وسيتحسن سلام كتب")
+        # سوف starts both rules: as a word for sawfa, by its prefix for sin
+        assert table.starts(tokens) == {0: [0, 1, 2, 3], 1: [1]}
+
+
+class TestCallStructure:
+    """``Engine.analyze`` calls the module functions the benchmark wraps:
+    ``tokenize`` and ``classify_sentence_results`` once per sentence and
+    ``iter_rule_results`` once per (rule, sentence)."""
+
+    def test_wrapped_run_counts_like_reference_scan(self, engine, mini_docs, monkeypatch):
+        plain = [engine.analyze(d) for d in mini_docs]
+        calls: Counter = Counter()
+        counts: Counter = Counter()
+
+        def counting(name):
+            fn = getattr(engine_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def rule_results(rule, sentence, *args, **kwargs):
+            calls[rule.id, sentence.doc_id, sentence.index] += 1
+            results = list(original(rule, sentence, *args, **kwargs))
+            for result in results:
+                reason = "fired" if isinstance(result, Annotation) else result.reason
+                counts[rule.id, reason] += 1
+            return results
+
+        original = engine_mod.iter_rule_results
+        monkeypatch.setattr(engine_mod, "tokenize", counting("tokenize"))
+        monkeypatch.setattr(
+            engine_mod, "classify_sentence_results", counting("classify_sentence_results")
+        )
+        monkeypatch.setattr(engine_mod, "iter_rule_results", rule_results)
+        wrapped = [engine.analyze(d) for d in mini_docs]
+        monkeypatch.undo()
+
+        assert wrapped == plain
+        sentences = [s for a in plain for s in a.sentences]
+        assert calls.pop("tokenize") == calls.pop("classify_sentence_results") == len(sentences)
+        assert calls == Counter(
+            {(rule.id, s.doc_id, s.index): 1 for rule in engine.ruleset for s in sentences}
+        )
+        reference: Counter = Counter()
+        for s in sentences:
+            tokens = tokenize(s.text)
+            for rule in engine.ruleset:
+                for result in scan_ref.iter_rule_results(rule, s, tokens, engine.lexicons):
+                    reason = "fired" if isinstance(result, Annotation) else result.reason
+                    reference[rule.id, reason] += 1
+        assert counts == reference
+
+
 class TestAnnotationDump:
     def test_jsonl_round_trip(self, engine, mini_docs):
         anns = [a for d in mini_docs for a in engine.analyze(d).annotations]
@@ -343,6 +500,7 @@ RECORDS = [
     _Decoration((0, 4), "field", "negative marker: قبل"),
     MorphVerdict("وسيتحسن", Verdict.OTHER, "و", "سيتحسن"),
     GoldAnnotation("d", 0, "qad"),
+    Token((0, 6), TokenKind.WORD, "سوف"),
 ]
 
 
