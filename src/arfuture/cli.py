@@ -126,6 +126,15 @@ def _engine_from_config(cfg: Config):
     )
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text; bytes that are not UTF-8 fail naming the file and line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
 def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     if not corpus_dir.is_dir():
         raise corpus_mod.CorpusError(f"corpus directory not found: {corpus_dir}")
@@ -133,7 +142,7 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     paths: dict[str, Path] = {}  # document id -> the file that gave it
     for path in sorted(corpus_dir.glob("*.corpus.txt")):
         try:
-            doc = corpus_mod.parse_corpus_file(path.read_text(encoding="utf-8"))
+            doc = corpus_mod.parse_corpus_file(_read_text(path))
         except corpus_mod.CorpusError as exc:
             raise corpus_mod.CorpusError(f"{path}: {exc}") from None
         if doc.id in paths:
@@ -168,7 +177,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     else:
         urls = [
             line.strip()
-            for line in source.read_text(encoding="utf-8").splitlines()
+            for line in _read_text(source).splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
         fetched = corpus_mod.fetch_pages(urls, politeness_delay=args.delay / 1000.0)
@@ -234,13 +243,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: eval needs --annotations or --corpus", file=sys.stderr)
         return EXIT_ERROR
     try:
-        gold = eval_mod.load_gold(args.gold.read_text(encoding="utf-8"))
+        gold = eval_mod.load_gold(_read_text(args.gold))
     except eval_mod.GoldFormatError as exc:
         raise eval_mod.GoldFormatError(f"{args.gold}: {exc}") from None
     total_sentences = None  # an annotation dump does not say how many sentences it covers
     if args.annotations:
         try:
-            annotations = load_annotations(args.annotations.read_text(encoding="utf-8"))
+            annotations = load_annotations(_read_text(args.annotations))
         except AnnotationFormatError as exc:
             raise AnnotationFormatError(f"{args.annotations}: {exc}") from None
     else:

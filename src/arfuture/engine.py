@@ -27,6 +27,16 @@ per sentence, so both are ``NamedTuple``s, built positionally:
 immutable and hashable like a frozen dataclass, at under a third of
 its cost to build.  ``dataclasses.fields`` and ``asdict`` do not apply to
 them; ``_fields`` and ``_asdict`` do.
+
+Annotations are dumped as JSON Lines, one record per line, split at
+``"\n"`` only: U+2028, U+2029 and U+0085, which are written raw, stay
+inside their line.  ``annotation_to_json`` writes a record with one
+f-string, quoting its strings with ``json``'s C escaper, and gives what
+``json.dumps(..., ensure_ascii=False, separators=(", ", ": "))`` gives.
+``annotation_from_json`` decodes a line with one ``raw_decode`` call and
+accepts exactly the lines ``json.loads`` accepts; ``doc_id`` and
+``class_label`` must be strings, ``sentence_index`` an integer (not a
+boolean), and each span a list of two integers.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
@@ -469,41 +481,45 @@ class AnnotationFormatError(ValueError):
     """Malformed annotation dump."""
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+_decode = json.JSONDecoder().raw_decode
+_skip_space = json.decoder.WHITESPACE.match
+_record_fields = itemgetter(*Annotation._fields)
 
 
 def annotation_to_json(ann: Annotation) -> str:
-    # the encoder writes tuples as JSON arrays
-    return _ENCODER.encode({
-        "doc_id": ann.doc_id,
-        "sentence_index": ann.sentence_index,
-        "rule_id": ann.rule_id,
-        "category": ann.category,
-        "class_label": ann.class_label,
-        "positive_marker_spans": ann.positive_marker_spans,
-        "excerpt_span": ann.excerpt_span or None,
-    })
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """One record as ``json.dumps(..., ensure_ascii=False,
+    separators=(", ", ": "))`` writes it, spans as arrays and an empty
+    or missing excerpt as ``null``."""
+    doc_id, index, rule_id, category, label, spans, excerpt = ann
+    spans_json = ", ".join(["[%s, %s]" % span for span in spans])
+    excerpt_json = "[%s, %s]" % excerpt if excerpt else "null"
+    return (
+        f'{{"doc_id": {_quote(doc_id)}, "sentence_index": {index}, '
+        f'"rule_id": {_quote(rule_id)}, "category": {_quote(category)}, '
+        f'"class_label": {_quote(label)}, "positive_marker_spans": [{spans_json}], '
+        f'"excerpt_span": {excerpt_json}}}'
+    )
 
 
 def _span(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
-        raise ValueError(f"a span must be a list of two integers, not {value!r}")
-    return value[0], value[1]
+    # JSON gives no int subclass but bool, which the exact type test refuses
+    if type(value) is list and len(value) == 2:
+        start, end = value
+        if type(start) is int and type(end) is int:
+            return start, end
+    raise ValueError(f"a span must be a list of two integers, not {value!r}")
 
 
 def annotation_from_json(line: str) -> Annotation:
-    record = json.loads(line)
-    doc_id, index, rule_id, category, label, spans, excerpt = (
-        record[name] for name in Annotation._fields
-    )
+    """Parse one record; what ``json.loads`` would refuse fails the same way."""
+    record, end = _decode(line, 0 if line[:1] == "{" else _skip_space(line, 0).end())
+    if end != len(line) and line[end:].strip(" \t\n\r"):
+        raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
+    doc_id, index, rule_id, category, label, spans, excerpt = _record_fields(record)
     # scoring sorts (doc_id, sentence_index, class_label) triples with the gold ones
-    if not (isinstance(doc_id, str) and _is_int(index) and isinstance(label, str)):
+    if not (type(doc_id) is str and type(index) is int and type(label) is str):
         raise ValueError("doc_id and class_label must be strings, sentence_index an integer")
-    if not isinstance(spans, list):
+    if type(spans) is not list:
         raise ValueError(f"positive_marker_spans must be a list of spans, not {spans!r}")
     return Annotation(
         doc_id,
@@ -517,19 +533,19 @@ def annotation_from_json(line: str) -> Annotation:
 
 
 def dump_annotations(annotations: list[Annotation]) -> str:
-    return "".join(annotation_to_json(a) + "\n" for a in annotations)
+    return "".join([annotation_to_json(a) + "\n" for a in annotations])
 
 
 def load_annotations(text: str) -> list[Annotation]:
-    """Parse a JSON Lines dump; a bad record fails naming its line."""
+    """Parse a JSON Lines dump, split at "\\n" only; a line of whitespace is
+    skipped and a bad record fails naming its line."""
     annotations: list[Annotation] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            annotations.append(annotation_from_json(line))
-        except KeyError as exc:
-            raise AnnotationFormatError(f"line {lineno}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise AnnotationFormatError(f"line {lineno}: {exc}") from None
+    try:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if line.strip():
+                annotations.append(annotation_from_json(line))
+    except KeyError as exc:
+        raise AnnotationFormatError(f"line {lineno}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise AnnotationFormatError(f"line {lineno}: {exc}") from None
     return annotations

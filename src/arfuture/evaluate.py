@@ -41,17 +41,27 @@ class GoldAnnotation(NamedTuple):
 
 
 def load_gold(text: str) -> list[GoldAnnotation]:
-    """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``."""
+    """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``.
+
+    ``#`` starts a comment; blank lines, and whitespace around the line and
+    around each field, are ignored.
+    """
     gold: list[GoldAnnotation] = []
     seen: set[GoldAnnotation] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise GoldFormatError(f"line {lineno}: expected 3 tab-separated fields")
-        doc_id, index_str, label = (p.strip() for p in parts)
+        doc_id, index_str, label = parts
+        # the line is stripped, so only the padding inside it is left
+        doc_id = doc_id.rstrip()
+        label = label.lstrip()
+        index_str = index_str.strip()  # int() keeps \x1f, which strip() drops
         try:
             index = int(index_str)
         except ValueError:

@@ -133,6 +133,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "bad.corpus.txt" in err and "malformed corpus file" in err
 
+    def test_corpus_file_not_utf8_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        bad = corpus / "bad.corpus.txt"
+        bad.write_bytes("URL: http://x\nTITLE: t\n\nسوف يرتفع.\n".encode("utf-8") + b"\xff\n")
+        code = main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {bad}: line 5: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["analyze", "eval"])
     def test_same_url_in_two_files_refused(self, mini_gold_dir, tmp_path, capsys, command):
         corpus = tmp_path / "corpus"
@@ -364,6 +373,19 @@ class TestEval:
                      "--gold", str(mini_gold_dir / "gold.tsv")])
         assert code == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--annotations", "--gold"])
+    def test_input_not_utf8_is_named(self, mini_gold_dir, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        good = str(mini_gold_dir / "gold.tsv")
+        argv = ["eval", "--annotations", good, "--gold", good]
+        argv[argv.index(flag) + 1] = str(bad)
+        code = main(argv)
+        assert code == 2
+        assert f"error: {bad}: line 1: 'utf-8' codec can't decode byte 0xff in position 0" in (
+            capsys.readouterr().err
+        )
 
     def test_needs_some_input(self, mini_gold_dir):
         code = main(["eval", "--gold", str(mini_gold_dir / "gold.tsv")])

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codec_ref
+
 from arfuture.engine import Annotation
 from arfuture.evaluate import (
     CLASS_LABELS,
@@ -80,6 +82,32 @@ _GOLD_FIELD = st.text(min_size=1).filter(
 )
 
 
+#: whitespace str.strip removes; int() keeps \x1f but the field is stripped first
+_GOLD_PAD = st.text(" \t\xa0\u3000\x1f", max_size=2)
+
+
+def _gold_row():
+    """A gold line: padded fields, sometimes bad, with comments and extra tabs."""
+    doc_id = st.sampled_from(["d1", "d2", "مقال"]) | _GOLD_FIELD
+    index = st.integers(-2, 3).map(str) | st.sampled_from(["1_0", "+1", "٣", "x", "", "1.0"])
+    label = st.sampled_from(CLASS_LABELS) | st.sampled_from(["QAD", "future", ""])
+    row = st.tuples(*(st.tuples(_GOLD_PAD, values, _GOLD_PAD).map("".join)
+                      for values in (doc_id, index, label))).map("\t".join)
+    extra = st.sampled_from(["", "\t", "\t\t", "\tx"])
+    comment = st.sampled_from(["", "#", "# note", " #\tc"])
+    return st.one_of(
+        st.tuples(extra, row, extra, comment).map("".join),
+        _GOLD_PAD, comment,
+    )
+
+
+def _gold_outcome(load, text: str):
+    try:
+        return load(text)
+    except GoldFormatError as exc:
+        return type(exc), str(exc)
+
+
 class TestLoadGold:
     def test_single_row(self):
         got = load_gold("d1\t3\tqad")
@@ -116,6 +144,17 @@ class TestLoadGold:
                               st.sampled_from(CLASS_LABELS)), unique=True))
     def test_round_trip_of_any_gold(self, gold):
         assert load_gold(dump_gold(gold)) == gold
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_gold_row()), st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_matches_reference_on_rows(self, rows, newline):
+        text = newline.join(rows)
+        assert _gold_outcome(load_gold, text) == _gold_outcome(codec_ref.load_gold, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_matches_reference_on_any_text(self, text):
+        assert _gold_outcome(load_gold, text) == _gold_outcome(codec_ref.load_gold, text)
 
 
 def reference_score(pred_triples, gold):
