@@ -38,15 +38,13 @@ from .morpho import (
     Verdict,
     analyze_token,
     is_future_verb_with_siin,
-    load_lexicons,
     strip_clitics,
 )
 from .report import render_index, write_reports
-from .resources import data_dir, load_engine
+from .resources import data_dir, load_engine, load_lexicons
 from .rules import (
     LinguisticForm,
     LinguisticRule,
-    VariableTable,
     expansions,
     parse_pattern,
     parse_rules,
@@ -76,7 +74,6 @@ __all__ = [
     "Sentence",
     "Token",
     "TokenKind",
-    "VariableTable",
     "Verdict",
     "analyze_token",
     "build_query_list",

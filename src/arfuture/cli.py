@@ -14,11 +14,10 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
-from .config import Config, ConfigError, load_config, parse_boundaries
-from .engine import AnnotationFormatError, dump_annotations, load_annotations
+from .config import Config, load_config, parse_boundaries
+from .engine import dump_annotations, load_annotations
 from .report import write_reports
-from .resources import load_engine
-from .rules import RuleParseError
+from .resources import load_engine, parse_file
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -126,13 +125,10 @@ def _engine_from_config(cfg: Config):
     )
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 file's text; bytes that are not UTF-8 fail naming the file and line."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: {exc}") from None
+def _url_list(text: str) -> list[str]:
+    """One URL or local path per line; ``#`` opens a comment line."""
+    return [url for url in map(str.strip, text.splitlines())
+            if url and not url.startswith("#")]
 
 
 def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
@@ -141,10 +137,7 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     docs = []
     paths: dict[str, Path] = {}  # document id -> the file that gave it
     for path in sorted(corpus_dir.glob("*.corpus.txt")):
-        try:
-            doc = corpus_mod.parse_corpus_file(_read_text(path))
-        except corpus_mod.CorpusError as exc:
-            raise corpus_mod.CorpusError(f"{path}: {exc}") from None
+        doc = parse_file(path, corpus_mod.parse_corpus_file)
         if doc.id in paths:
             raise corpus_mod.CorpusError(
                 f"{path}: same URL as {paths[doc.id]} (document id {doc.id})"
@@ -175,11 +168,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 print(f"skipping {path}: {exc}", file=sys.stderr)
                 failures += 1
     else:
-        urls = [
-            line.strip()
-            for line in _read_text(source).splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
+        urls = parse_file(source, _url_list)
         fetched = corpus_mod.fetch_pages(urls, politeness_delay=args.delay / 1000.0)
         pages = fetched.pages
         for failure in fetched.failures:
@@ -242,16 +231,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.annotations and not args.corpus:
         print("error: eval needs --annotations or --corpus", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        gold = eval_mod.load_gold(_read_text(args.gold))
-    except eval_mod.GoldFormatError as exc:
-        raise eval_mod.GoldFormatError(f"{args.gold}: {exc}") from None
+    gold = parse_file(args.gold, eval_mod.load_gold)
     total_sentences = None  # an annotation dump does not say how many sentences it covers
     if args.annotations:
-        try:
-            annotations = load_annotations(_read_text(args.annotations))
-        except AnnotationFormatError as exc:
-            raise AnnotationFormatError(f"{args.annotations}: {exc}") from None
+        annotations = parse_file(args.annotations, load_annotations)
     else:
         engine = _engine_from_config(cfg)
         docs = _read_corpus_dir(args.corpus)
@@ -285,11 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_analyze(args)
         if args.command == "eval":
             return cmd_eval(args)
-    except (ConfigError, RuleParseError, corpus_mod.CorpusError,
-            eval_mod.GoldFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     parser.error(f"unknown command {args.command!r}")

@@ -5,7 +5,8 @@ override file values.  Recognized keys mirror the flag names:
 ``min_run_chars``, ``boundaries`` (comma-separated trigger names),
 ``strict_adjacency``, ``show_all_negative_fields``, ``lexicon_dir``,
 ``rules_path``, ``variables_path``, ``semantic_map_path``.  Any other key,
-or a value of the wrong type, is an error that names the file and line.
+or a value of the wrong type, is an error that names the file and line;
+a path that does not exist names the file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_MIN_RUN_CHARS
+from .resources import parse_file
 from .segment import (
     BOUNDARY_DOT,
     BOUNDARY_EXCLAM,
@@ -92,10 +94,10 @@ _PARSERS = {
 }
 
 
-def load_config(path: str | Path) -> Config:
-    """Read a flat key=value config file."""
+def parse_config(text: str) -> Config:
+    """Parse flat key=value config text; a bad line fails naming its number."""
     cfg = Config()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -107,5 +109,10 @@ def load_config(path: str | Path) -> Config:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _PARSERS[key](value, key))
         except ConfigError as exc:
-            raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg.validate()
+
+
+def load_config(path: str | Path) -> Config:
+    """Read a flat key=value config file."""
+    return parse_file(path, parse_config)

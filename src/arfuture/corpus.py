@@ -322,7 +322,7 @@ def fetch_pages(
             path = parsed.path if parsed.scheme == "file" else url
             try:
                 result.pages.append(read_local_page(path))
-            except (OSError, CorpusError) as exc:
+            except (OSError, ValueError) as exc:  # CorpusError, or a path with a NUL
                 result.failures.append(FetchFailure(url=url, reason=str(exc)))
             continue
         if session is None:

@@ -3,15 +3,16 @@
 Replaces a full morpho-syntactic analyzer with lexicon lookups plus an
 imperfective-prefix heuristic.  The point is to decide whether a token is
 a present-tense verb, in particular after stripping a leading conjunction
-clitic and/or a future-marking siin prefix.  Lexicon files are plain text
-and user-extensible, so precision can be tuned without touching code.
+clitic and/or a future-marking siin prefix.  This module reads no files:
+the word lists behind ``Lexicons`` are plain, user-extensible text files
+that ``resources.load_lexicons`` reads, so precision can be tuned without
+touching code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 SIIN = "س"  # س
@@ -46,7 +47,8 @@ class Lexicons:
     ``proper_nouns`` is the stoplist of siin-initial names that would
     otherwise look like future verbs.  ``qad_exclusions`` lists verbs that
     should not count as future after the qad particle; it is empty by
-    default so the method keeps its documented over-triggering.
+    default so the method keeps its documented over-triggering.  Each
+    field is read from the word list ``<field name>.txt``.
     """
 
     present_verbs: frozenset[str] = frozenset()
@@ -61,46 +63,6 @@ class Lexicons:
                 "lexicon conflict: entries are both present_verb and proper_noun: "
                 + ", ".join(sorted(clash))
             )
-
-
-def _read_word_list(path: Path) -> frozenset[str]:
-    words: set[str] = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            words.add(line)
-    return frozenset(words)
-
-
-def load_lexicons(directory: str | Path) -> Lexicons:
-    """Load the four lexicon files from a directory.
-
-    Expected files: ``present_verbs.txt``, ``past_verbs.txt``,
-    ``proper_nouns.txt`` and optionally ``qad_exclusions.txt``.  Missing
-    files yield empty sets.
-    """
-    directory = Path(directory)
-
-    def read(name: str) -> frozenset[str]:
-        p = directory / name
-        return _read_word_list(p) if p.exists() else frozenset()
-
-    return Lexicons(
-        present_verbs=read("present_verbs.txt"),
-        past_verbs=read("past_verbs.txt"),
-        proper_nouns=read("proper_nouns.txt"),
-        qad_exclusions=read("qad_exclusions.txt"),
-    )
-
-
-def merge_lexicons(base: Lexicons, extra: Lexicons) -> Lexicons:
-    """Union two lexicon sets (user extensions on top of the bundled ones)."""
-    return Lexicons(
-        present_verbs=base.present_verbs | extra.present_verbs,
-        past_verbs=base.past_verbs | extra.past_verbs,
-        proper_nouns=base.proper_nouns | extra.proper_nouns,
-        qad_exclusions=base.qad_exclusions | extra.qad_exclusions,
-    )
 
 
 def strip_clitics(token: str) -> tuple[str, str]:

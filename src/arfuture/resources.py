@@ -1,4 +1,9 @@
-"""Locating and loading the bundled data files.
+"""Reading input files, and locating and loading the bundled data files.
+
+``parse_file`` is the one place a file is read: every input (corpus files,
+gold, annotation dumps, URL lists, config, rules, variables, semantic map
+and lexicon word lists) is decoded as UTF-8 there, and each error it lets
+through names the file, plus the line when the fault has one.
 
 The ``SLCSAS_DATA_DIR`` environment variable points the whole toolchain at
 an alternative data directory (same file names) without code changes.
@@ -7,11 +12,13 @@ an alternative data directory (same file names) without code changes.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .engine import Engine
-from .morpho import Lexicons, load_lexicons, merge_lexicons
+from .morpho import Lexicons
 from .rules import parse_rules, parse_semantic_map, parse_variable_defs
 from .segment import DEFAULT_BOUNDARIES
 
@@ -21,12 +28,58 @@ RULES_FILE = "rules_future_ar.txt"
 VARIABLES_FILE = "variables_ar.txt"
 SEMANTIC_MAP_FILE = "semantic_map.txt"
 
+T = TypeVar("T")
+
+
+def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the text of a UTF-8 file.
+
+    A byte that is not UTF-8 fails as ``ValueError("<path>: line N: ...")``;
+    a ``ValueError`` from ``parse`` is raised again as the same type, its
+    message prefixed with ``<path>: ``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
 
 def data_dir() -> Path:
     override = os.environ.get(DATA_DIR_ENV)
     if override:
         return Path(override)
     return Path(str(importlib_resources.files("arfuture").joinpath("data")))
+
+
+def _word_list(text: str) -> set[str]:
+    """One word per line; ``#`` starts a comment."""
+    return {word for word in (line.split("#", 1)[0].strip() for line in text.splitlines())
+            if word}
+
+
+def load_lexicons(*directories: str | Path) -> Lexicons:
+    """The union of the lexicon word lists found in each directory.
+
+    A directory may hold ``present_verbs.txt``, ``past_verbs.txt``,
+    ``proper_nouns.txt`` and ``qad_exclusions.txt``; a missing file adds
+    nothing.  A word that ends up both a present verb and a proper noun
+    fails naming the directories.
+    """
+    words: dict[str, set[str]] = {f.name: set() for f in fields(Lexicons)}
+    for directory in directories:
+        for name, found in words.items():
+            path = Path(directory) / f"{name}.txt"
+            if path.exists():
+                found |= parse_file(path, _word_list)
+    try:
+        return Lexicons(**{name: frozenset(found) for name, found in words.items()})
+    except ValueError as exc:
+        raise ValueError(f"{', '.join(map(str, directories))}: {exc}") from None
 
 
 def load_engine(
@@ -43,16 +96,13 @@ def load_engine(
     An explicit ``lexicon_dir`` extends (not replaces) the bundled lexicons.
     """
     base = data_dir()
-
-    def read(path: str | Path | None, default: str) -> str:
-        return Path(path or base / default).read_text(encoding="utf-8")
-
-    variables = parse_variable_defs(read(variables_path, VARIABLES_FILE))
-    semantic_map = parse_semantic_map(read(semantic_map_path, SEMANTIC_MAP_FILE))
-    ruleset = parse_rules(read(rules_path, RULES_FILE), variables, semantic_map)
-    lexicons: Lexicons = load_lexicons(base)
-    if lexicon_dir is not None:
-        lexicons = merge_lexicons(lexicons, load_lexicons(lexicon_dir))
+    variables = parse_file(variables_path or base / VARIABLES_FILE, parse_variable_defs)
+    semantic_map = parse_file(semantic_map_path or base / SEMANTIC_MAP_FILE, parse_semantic_map)
+    ruleset = parse_file(
+        rules_path or base / RULES_FILE,
+        lambda text: parse_rules(text, variables, semantic_map),
+    )
+    lexicons = load_lexicons(base) if lexicon_dir is None else load_lexicons(base, lexicon_dir)
     return Engine(
         ruleset,
         lexicons,

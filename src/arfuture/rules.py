@@ -24,9 +24,10 @@ parse time.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .segment import Token, TokenKind
 
@@ -111,19 +112,6 @@ class LinguisticRule:
             i for i, f in enumerate(self.forms) if f.polarity is Polarity.POSITIVE
         )
         object.__setattr__(self, "positives", positives)
-
-
-@dataclass
-class VariableTable:
-    """Named patterns; entries are fully expanded (variable-free)."""
-
-    entries: Mapping[str, PatternSeq] = field(default_factory=dict)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __getitem__(self, name: str) -> PatternSeq:
-        return self.entries[name]
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +216,10 @@ def _can_match_empty(seq: PatternSeq) -> bool:
 
 
 def expand_variables(
-    seq: PatternSeq, table: VariableTable, _stack: tuple[str, ...] = ()
+    seq: PatternSeq, table: Mapping[str, PatternSeq], _stack: tuple[str, ...] = ()
 ) -> PatternSeq:
-    """Inline every variable reference; detects cycles."""
+    """Inline every variable reference, looked up in ``table`` by name;
+    detects cycles."""
     items: list[PatternElement] = []
     for item in seq.items:
         if isinstance(item, VariableRef):
@@ -256,34 +245,38 @@ def expand_variables(
 # variable definition / semantic map / rule file parsing
 
 
-def parse_variable_defs(text: str) -> VariableTable:
-    """Parse ``::name = expression`` lines into a fully expanded table."""
+@contextmanager
+def _at_line(lineno: int) -> Iterator[None]:
+    """Prefix a ``RuleParseError`` raised in the block with ``line N: ``."""
+    try:
+        yield
+    except RuleParseError as exc:
+        raise RuleParseError(f"line {lineno}: {exc}") from None
+
+
+def parse_variable_defs(text: str) -> dict[str, PatternSeq]:
+    """Parse ``::name = expression`` lines into fully expanded patterns."""
     raw: dict[str, PatternSeq] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.match(r"::(\S+)\s*=\s*(.+)$", line)
-        if not m:
-            raise RuleParseError(f"bad variable definition at line {lineno}: {line!r}")
-        name, expr = m.group(1), m.group(2)
-        if name in raw:
-            raise RuleParseError(f"duplicate variable {name} at line {lineno}")
-        try:
+        with _at_line(lineno):
+            m = re.match(r"::(\S+)\s*=\s*(.+)$", line)
+            if not m:
+                raise RuleParseError(f"bad variable definition: {line!r}")
+            name, expr = m.group(1), m.group(2)
+            if name in raw:
+                raise RuleParseError(f"duplicate variable {name}")
             raw[name] = parse_pattern(expr)
-        except RuleParseError as exc:
-            raise RuleParseError(f"line {lineno}: {exc}") from None
-        lines[name] = lineno
-    staging = VariableTable(raw)
+            lines[name] = lineno
     expanded: dict[str, PatternSeq] = {}
     for name, lineno in lines.items():
-        try:
-            expanded[name] = expand_variables(raw[name], staging)
+        with _at_line(lineno):
+            expanded[name] = expand_variables(raw[name], raw)
             _check_expansion_limit(expanded[name])
-        except RuleParseError as exc:
-            raise RuleParseError(f"line {lineno}: {exc}") from None
-    return VariableTable(expanded)
+    return expanded
 
 
 def parse_semantic_map(text: str) -> list[SemanticCategory]:
@@ -297,13 +290,12 @@ def parse_semantic_map(text: str) -> list[SemanticCategory]:
             continue
         indent = len(stripped) - len(stripped.lstrip(" "))
         name = stripped.strip()
-        if indent % 2 != 0:
-            raise RuleParseError(f"inconsistent indentation at line {lineno}")
         level = indent // 2
-        if level > len(stack):
-            raise RuleParseError(f"inconsistent indentation at line {lineno}")
-        if name in seen:
-            raise RuleParseError(f"duplicate category {name} at line {lineno}")
+        with _at_line(lineno):
+            if indent % 2 != 0 or level > len(stack):
+                raise RuleParseError("inconsistent indentation")
+            if name in seen:
+                raise RuleParseError(f"duplicate category {name}")
         parent = stack[level - 1] if level > 0 else None
         categories.append(SemanticCategory(name=name, parent=parent))
         seen.add(name)
@@ -320,76 +312,74 @@ _KNOWN_DIRECTIVES = {"morph", "class", "extract"}
 
 def parse_rules(
     text: str,
-    variables: VariableTable,
+    variables: Mapping[str, PatternSeq],
     semantic_map: list[SemanticCategory] | None = None,
 ) -> list[LinguisticRule]:
     """Parse a rule file; one rule per non-empty, non-comment line.
 
     Patterns are expanded against ``variables`` immediately, so returned
     rules are ready to match.  When a semantic map is given, rule
-    categories are checked against it.
+    categories are checked against it.  A line without an ``id:`` gets the
+    id ``rule<N>``, N counting the rules so far; an id seen twice is refused.
     """
     known_categories = {c.name for c in semantic_map} if semantic_map is not None else None
     rules: list[LinguisticRule] = []
+    ids: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        rule_id = f"rule{len(rules) + 1}"
-        m = _RULE_ID_RE.match(line)
-        if m:
-            rule_id = m.group(1)
-            line = line[m.end():]
-        directives: dict[str, str] = {}
-        m = _DIRECTIVES_RE.search(line)
-        if m:
-            line = line[: m.start()].strip()
-            for part in m.group(1).split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                if "=" not in part:
-                    raise RuleParseError(f"bad directive {part!r} at line {lineno}")
-                key, value = part.split("=", 1)
-                key = key.strip()
-                if key not in _KNOWN_DIRECTIVES:
-                    raise RuleParseError(f"unknown directive {key!r} at line {lineno}")
-                directives[key] = value.strip()
-        arrow = "->" if "->" in line else "<-" if "<-" in line else None
-        if arrow is None:
-            raise RuleParseError(f"missing category arrow at line {lineno}")
-        lhs, _, category = line.rpartition(arrow)
-        category = category.strip()
-        if not category:
-            raise RuleParseError(f"missing category at line {lineno}")
-        if known_categories is not None and category not in known_categories:
-            raise RuleParseError(
-                f"category not in semantic map: {category} at line {lineno}"
-            )
-        forms: list[LinguisticForm] = []
-        for chunk in lhs.split(">"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise RuleParseError(f"empty linguistic form at line {lineno}")
-            polarity = Polarity.POSITIVE
-            if chunk.startswith("-"):
-                polarity = Polarity.NEGATIVE
-                chunk = chunk[1:].strip()
-            field_words = 0
-            fm = _FIELD_RE.search(chunk)
-            if fm:
-                field_words = int(fm.group(1))
-                chunk = chunk[: fm.start()].strip()
-            try:
+        with _at_line(lineno):
+            rule_id = f"rule{len(rules) + 1}"
+            m = _RULE_ID_RE.match(line)
+            if m:
+                rule_id = m.group(1)
+                line = line[m.end():]
+            if rule_id in ids:
+                raise RuleParseError(f"duplicate rule id {rule_id}")
+            directives: dict[str, str] = {}
+            m = _DIRECTIVES_RE.search(line)
+            if m:
+                line = line[: m.start()].strip()
+                for part in m.group(1).split(","):
+                    part = part.strip()
+                    if not part:
+                        continue
+                    if "=" not in part:
+                        raise RuleParseError(f"bad directive {part!r}")
+                    key, value = part.split("=", 1)
+                    key = key.strip()
+                    if key not in _KNOWN_DIRECTIVES:
+                        raise RuleParseError(f"unknown directive {key!r}")
+                    directives[key] = value.strip()
+            arrow = "->" if "->" in line else "<-" if "<-" in line else None
+            if arrow is None:
+                raise RuleParseError("missing category arrow")
+            lhs, _, category = line.rpartition(arrow)
+            category = category.strip()
+            if not category:
+                raise RuleParseError("missing category")
+            if known_categories is not None and category not in known_categories:
+                raise RuleParseError(f"category not in semantic map: {category}")
+            forms: list[LinguisticForm] = []
+            for chunk in lhs.split(">"):
+                chunk = chunk.strip()
+                if not chunk:
+                    raise RuleParseError("empty linguistic form")
+                polarity = Polarity.POSITIVE
+                if chunk.startswith("-"):
+                    polarity = Polarity.NEGATIVE
+                    chunk = chunk[1:].strip()
+                field_words = 0
+                fm = _FIELD_RE.search(chunk)
+                if fm:
+                    field_words = int(fm.group(1))
+                    chunk = chunk[: fm.start()].strip()
                 pattern = expand_variables(parse_pattern(chunk), variables)
-                form = LinguisticForm(
-                    polarity=polarity, pattern=pattern, search_field_words=field_words
-                )
-            except RuleParseError as exc:
-                raise RuleParseError(f"{exc} at line {lineno}") from None
-            forms.append(form)
-        if not any(f.polarity is Polarity.POSITIVE for f in forms):
-            raise RuleParseError(f"rule has no positive marker at line {lineno}")
+                forms.append(LinguisticForm(polarity, pattern, field_words))
+            if not any(f.polarity is Polarity.POSITIVE for f in forms):
+                raise RuleParseError("rule has no positive marker")
+        ids.add(rule_id)
         rules.append(
             LinguisticRule(
                 id=rule_id,

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from arfuture.cli import main
+from arfuture.engine import Annotation, annotation_to_json
 
 LONG_PARA = ("النمو الاقتصادي في لبنان سوف يتحسن " * 4).strip()  # 139 chars
 
@@ -78,6 +79,17 @@ class TestIngest:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_bad_url_line_is_one_failure(self, html_dir, tmp_path, capsys):
+        url_list = tmp_path / "urls.txt"
+        url_list.write_text(f"{html_dir / 'a.html'}\nbad\x00name.html\n", encoding="utf-8")
+        out = tmp_path / "corpus"
+        code = main(["ingest", "--input", str(url_list), "--out", str(out), "--delay", "0"])
+        assert code == 0
+        assert len(list(out.glob("*.corpus.txt"))) == 1
+        captured = capsys.readouterr()
+        assert "fetch failed bad\x00name.html: embedded null byte" in captured.err
+        assert "pages=2 documents=1 rejected=1" in captured.out
 
 
 class TestAnalyze:
@@ -168,7 +180,7 @@ class TestAnalyze:
              "--config", str(cfg)]
         )
         assert code == 2
-        assert "run.cfg, line 1: unknown config key 'paralellism'" in capsys.readouterr().err
+        assert "run.cfg: line 1: unknown config key 'paralellism'" in capsys.readouterr().err
 
     def test_jobs_flag_is_gone(self, mini_gold_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,7 +250,7 @@ class TestAnalyze:
              "--rules", str(bad)]
         )
         assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"error: {bad}: line 1: unresolved variable مجهول\n" in capsys.readouterr().err
 
     def test_config_file_paths_validated(self, mini_gold_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -311,7 +323,7 @@ class TestEval:
                      "--gold", str(mini_gold_dir / "gold.tsv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {cfg}, line 2: bad integer for min_run_chars: 'x'" in err
+        assert f"error: {cfg}: line 2: bad integer for min_run_chars: 'x'" in err
 
     @pytest.mark.parametrize(
         "record, message",
@@ -390,3 +402,61 @@ class TestEval:
     def test_needs_some_input(self, mini_gold_dir):
         code = main(["eval", "--gold", str(mini_gold_dir / "gold.tsv")])
         assert code == 2
+
+
+
+#: one row per kind of input file: its name, the command that reads it
+#: ({file} is the file, {dir} its directory), a good first line, and a
+#: malformed second line with the message it gives (None where the format
+#: has no malformed line)
+INPUT_KINDS = [
+    ("config", "run.cfg", "analyze --corpus {mini} --config {file}",
+     "min_run_chars = 80", ("min_run_chars", "expected key = value")),
+    ("rules", "rules.txt", "analyze --corpus {mini} --rules {file}",
+     "سوف -> مستقبل", ("لن مستقبل", "missing category arrow")),
+    ("variables", "vars.txt", "analyze --corpus {mini} --variables {file}",
+     "::a = ا", ("::b ب", "bad variable definition: '::b ب'")),
+    ("semantic-map", "map.txt", "analyze --corpus {mini} --semantic-map {file}",
+     "مستقبل", ("   فرعي", "inconsistent indentation")),
+    ("lexicon", "proper_nouns.txt", "analyze --corpus {mini} --lexicon-dir {dir}",
+     "سيدني", None),
+    ("corpus", "d.corpus.txt", "analyze --corpus {dir}", "URL: http://x", None),
+    ("gold", "gold.tsv", "eval --corpus {mini} --gold {file}",
+     "d\t0\tqad", ("d\t0", "expected 3 tab-separated fields")),
+    ("annotations", "a.jsonl", "eval --gold {gold} --annotations {file}",
+     annotation_to_json(Annotation("d", 0, "qad", "مستقبل", "qad", ((0, 4),), None)),
+     ("{not json", "Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)")),
+    ("url-list", "urls.txt", "ingest --input {file}", "# pages", None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, line1, line2, message",
+    [
+        pytest.param(name, command, line1, b"\xff",
+                     "'utf-8' codec can't decode byte 0xff in position "
+                     f"{len(line1.encode()) + 1}: invalid start byte",
+                     id=f"{kind}-not-utf8")
+        for kind, name, command, line1, _ in INPUT_KINDS
+    ] + [
+        pytest.param(name, command, line1, malformed[0].encode(), malformed[1],
+                     id=f"{kind}-malformed")
+        for kind, name, command, line1, malformed in INPUT_KINDS
+        if malformed
+    ],
+)
+def test_bad_input_names_file_and_line(
+    mini_gold_dir, tmp_path, capsys, name, command, line1, line2, message
+):
+    """Every input file, bad on line 2, fails as ``<path>: line 2: <what>``."""
+    folder = tmp_path / "in"
+    folder.mkdir()
+    path = folder / name
+    path.write_bytes(line1.encode() + b"\n" + line2 + b"\n")
+    values = {"mini": mini_gold_dir, "gold": mini_gold_dir / "gold.tsv",
+              "file": path, "dir": folder}
+    argv = [word.format(**values) for word in command.split(" ")]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {path}: line 2: {message}\n" in capsys.readouterr().err

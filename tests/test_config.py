@@ -7,7 +7,7 @@ import pytest
 
 from arfuture.config import Config, ConfigError, load_config, parse_boundaries
 from arfuture.corpus import CorpusError, read_local_page
-from arfuture.resources import data_dir, load_engine
+from arfuture.resources import data_dir, load_engine, load_lexicons
 from arfuture.segment import BOUNDARY_DOT, BOUNDARY_NEWLINE
 
 
@@ -43,7 +43,7 @@ class TestConfigFile:
     def test_parallelism_key_refused(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("min_run_chars = 80\nparallelism = 2\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"run\.cfg, line 2: unknown config key 'parallelism'"):
+        with pytest.raises(ConfigError, match=r"run\.cfg: line 2: unknown config key 'parallelism'"):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -57,13 +57,13 @@ class TestConfigFile:
     def test_bad_value_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "run.cfg"
         path.write_text(f"min_run_chars = 80\n{line}\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=re.escape(f"run.cfg, line 2: {message}")):
+        with pytest.raises(ConfigError, match=re.escape(f"run.cfg: line 2: {message}")):
             load_config(path)
 
     def test_unknown_key_rejected_with_file_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("min_run_chars = 80\nparalellism = 4\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"run\.cfg, line 2: unknown config key 'paralellism'"):
+        with pytest.raises(ConfigError, match=r"run\.cfg: line 2: unknown config key 'paralellism'"):
             load_config(path)
 
     def test_unknown_boundary_rejected(self):
@@ -120,3 +120,17 @@ class TestLexiconExtensions:
         (user / "qad_exclusions.txt").write_text("يكون\n", encoding="utf-8")
         engine = load_engine(lexicon_dir=user)
         assert "qad" not in self._labels(engine, "قد يكون الامر مختلفا")
+
+    def test_lists_are_unioned_and_a_conflict_names_the_directories(self, tmp_path):
+        user = tmp_path / "lex"
+        user.mkdir()
+        (user / "past_verbs.txt").write_text("# extra\nأعلن\n", encoding="utf-8")
+        lexicons = load_lexicons(data_dir(), user)
+        assert lexicons.past_verbs == load_lexicons(data_dir()).past_verbs | {"أعلن"}
+        # يفرض is a bundled present verb
+        (user / "proper_nouns.txt").write_text("يفرض\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{data_dir()}, {user}: lexicon conflict: entries are both present_verb "
+            "and proper_noun: يفرض"
+        )):
+            load_engine(lexicon_dir=user)

@@ -14,7 +14,6 @@ from arfuture.rules import (
     PatternSeq,
     Polarity,
     RuleParseError,
-    VariableTable,
     expansions,
     format_pattern,
     format_rule,
@@ -99,7 +98,9 @@ class TestExpansionLimit:
 
     def test_rule_over_limit_names_line(self):
         text = "سوف -> مستقبل\n" + self.BLOWUP + " -> مستقبل\n"
-        with pytest.raises(RuleParseError, match="more than 10,000 .* at line 2"):
+        with pytest.raises(
+            RuleParseError, match="^line 2: pattern expands to more than 10,000 surface forms$"
+        ):
             parse_rules(text, VARS, MAP)
 
     def test_variable_over_limit_names_line(self):
@@ -109,7 +110,9 @@ class TestExpansionLimit:
     def test_limit_counts_the_expanded_rule(self):
         # each variable is under the limit; the rule joining them is not
         table = parse_variable_defs("::x = " + "(ا|ب)" * 7 + "\n")
-        with pytest.raises(RuleParseError, match="at line 1"):
+        with pytest.raises(
+            RuleParseError, match="^line 1: pattern expands to more than 10,000 surface forms$"
+        ):
             parse_rules("::x ::x -> مستقبل\n", table, MAP)
 
     def test_limit_is_inclusive(self):
@@ -204,7 +207,7 @@ class TestRuleParsing:
         assert rules[0].class_label == "sin"
 
     def test_unresolved_variable(self):
-        with pytest.raises(RuleParseError, match="unresolved variable .* at line 1"):
+        with pytest.raises(RuleParseError, match="^line 1: unresolved variable مجهول$"):
             parse_rules("::مجهول -> مستقبل\n", VARS, MAP)
 
     def test_no_positive_marker(self):
@@ -219,10 +222,23 @@ class TestRuleParsing:
         rules = parse_rules("# والتعليق\n\nسوف -> مستقبل\n", VARS, MAP)
         assert len(rules) == 1
 
+    def test_missing_arrow_names_line(self):
+        with pytest.raises(RuleParseError, match="^line 2: missing category arrow$"):
+            parse_rules("سوف -> مستقبل\nلن مستقبل\n", VARS, MAP)
+
+    def test_auto_id_clashing_with_explicit_id_rejected(self):
+        # the second rule's automatic id is rule2, already taken by line 1
+        with pytest.raises(RuleParseError, match="^line 2: duplicate rule id rule2$"):
+            parse_rules("rule2: سوف -> مستقبل\nلن -> مستقبل\n", VARS, MAP)
+
+    def test_repeated_explicit_id_rejected(self):
+        with pytest.raises(RuleParseError, match="^line 3: duplicate rule id a$"):
+            parse_rules("a: سوف -> مستقبل\n\na: لن -> مستقبل\n", VARS, MAP)
+
 
 class TestRoundTrip:
     def test_bundled_rules_round_trip(self, ruleset):
-        empty = VariableTable({})
+        empty = {}
         for rule in ruleset:
             line = format_rule(rule)
             reparsed = parse_rules(line + "\n", empty, MAP)
