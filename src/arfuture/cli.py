@@ -127,7 +127,7 @@ def _engine_from_config(cfg: Config):
 
 def _url_list(text: str) -> list[str]:
     """One URL or local path per line; ``#`` opens a comment line."""
-    return [url for url in map(str.strip, text.splitlines())
+    return [url for url in map(str.strip, text.split("\n"))
             if url and not url.startswith("#")]
 
 

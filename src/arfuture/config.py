@@ -97,7 +97,7 @@ _PARSERS = {
 def parse_config(text: str) -> Config:
     """Parse flat key=value config text; a bad line fails naming its number."""
     cfg = Config()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

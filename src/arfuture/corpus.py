@@ -89,7 +89,7 @@ def build_query_list(seeds: list[QuerySeed]) -> list[str]:
 def load_query_seeds(text: str) -> list[QuerySeed]:
     """Parse the keyword TSV (``keyword_ar<TAB>keyword_en`` per line)."""
     seeds = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,15 +240,20 @@ def compile_corpus_file(doc: Document) -> str:
     return f"{_URL_LINE}{doc.url}\n{_TITLE_LINE}{doc.title}\n\n" + "\n".join(body_lines) + "\n"
 
 
+def _malformed(lineno: int, expected: str) -> CorpusError:
+    return CorpusError(f"line {lineno}: malformed corpus file: expected {expected}")
+
+
 def parse_corpus_file(text: str) -> Document:
-    """Inverse of :func:`compile_corpus_file`."""
+    """Inverse of :func:`compile_corpus_file`; a bad or missing header line,
+    or an empty body, fails naming the first line at fault."""
     lines = text.split("\n")
-    if len(lines) < 4 or not lines[0].startswith(_URL_LINE):
-        raise CorpusError("malformed corpus file")
-    if not lines[1].startswith(_TITLE_LINE):
-        raise CorpusError("malformed corpus file")
-    if lines[2] != "":
-        raise CorpusError("malformed corpus file")
+    if not lines[0].startswith(_URL_LINE):
+        raise _malformed(1, f'a "{_URL_LINE}" line')
+    if len(lines) < 2 or not lines[1].startswith(_TITLE_LINE):
+        raise _malformed(2, f'a "{_TITLE_LINE}" line')
+    if len(lines) < 3 or lines[2] != "":
+        raise _malformed(3, "a blank line")
     url = lines[0][len(_URL_LINE):]
     title = lines[1][len(_TITLE_LINE):]
     body_lines = lines[3:]
@@ -260,7 +265,7 @@ def parse_corpus_file(text: str) -> Document:
     ]
     body = "\n".join(body_lines)
     if not body:
-        raise CorpusError("malformed corpus file")
+        raise _malformed(4, "a non-empty body")
     return make_document(url=url, title=title, body=body)
 
 
@@ -319,7 +324,10 @@ def fetch_pages(
     for url in urls:
         parsed = urlparse(url)
         if parsed.scheme in ("", "file"):
-            path = parsed.path if parsed.scheme == "file" else url
+            # imported here: urllib.request pulls in http.client and ssl
+            from urllib.request import url2pathname
+
+            path = url2pathname(parsed.path) if parsed.scheme == "file" else url
             try:
                 result.pages.append(read_local_page(path))
             except (OSError, ValueError) as exc:  # CorpusError, or a path with a NUL

@@ -10,16 +10,17 @@ a word prefix and then verifies the whole word as a siin-future verb.
 
 Rules are searched indicator-first.  Each form carries a ``FormIndex``
 keyed by the first written word of its surface forms, built when the
-rule is parsed, and the ``Engine`` builds once, from its ruleset, a
+rule is parsed, and each rule knows its ``siin_form``, the one form that
+may match a word prefix.  The ``Engine`` builds once, from its ruleset, a
 ``StartTable``: the first words of every rule's first positive form,
 mapped to the rules they start, plus the siin prefix keys.  A sentence's
 tokens are looked up in it once, which gives every rule its candidate
-starts: the tokens whose shadow (or, in siin prefix mode, a prefix of
-it) a match of that form can begin with.  The first positive form is
-tried only at those starts, and a rule whose first form is positive and
-has none is rejected without a scan.  Negative and later positive forms
-search their fields lazily, one ``FormIndex`` lookup per token up to the
-leftmost match.
+starts: the tokens whose shadow (or, for a siin form, a prefix of it) a
+match of that form can begin with.  The first positive form is tried
+only at those starts, and a rule whose first form is positive and has
+none is rejected without a scan.  Negative and later positive forms try
+each token of their field in turn, up to the leftmost match; a token
+that begins no match costs one ``FormIndex`` dict lookup.
 
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection.  The bundled rules give about ten
@@ -123,52 +124,27 @@ def _next_word_index(
     return None
 
 
-def _candidates(
-    index: FormIndex, tokens: list[Token], lo: int, hi: int, prefix_mode: bool
-) -> Iterator[int]:
-    """Tokens in [lo, hi) a match of the form can start at: those whose
-    shadow, or in prefix mode a prefix of it, is a first word of the form."""
-    tails = index.tails
-    prefix_lengths = index.prefix_lengths if prefix_mode else ()
-    for t in range(lo, hi):
-        shadow = tokens[t].shadow
-        if shadow not in tails:
-            for n in prefix_lengths:
-                if shadow[:n] in tails:
-                    break
-            else:
-                continue
-        yield t
-
-
-def _prefix_mode(rule: LinguisticRule, fi: int) -> bool:
-    """Whether form ``fi`` may match a word prefix (the siin gate's form)."""
-    return rule.morph == "siin" and fi == rule.positives[-1]
-
-
 def _scan_positive(
     index: FormIndex,
     tokens: list[Token],
     starts: Iterable[int],
     field_end: int,
-    prefix_mode: bool,
     siin_gate: Lexicons | None,
     punct_transparent: bool,
 ) -> tuple[PatternMatch | None, bool]:
-    """Leftmost match of a positive form at one of ``starts`` (ascending)
-    that ends before ``field_end``.
+    """Leftmost match of a form at one of ``starts`` (ascending) that ends
+    before ``field_end``.
 
-    In siin mode the pattern may cover just a word prefix and the whole
-    word must verify as a siin future verb; candidates failing the verb
-    check are skipped (reported via the second return value).
+    With a siin gate the pattern may cover just a word prefix and the whole
+    word must verify as a siin future verb; starts failing the verb check
+    are skipped (reported via the second return value).
     """
+    prefix = siin_gate is not None
     saw_gate_failure = False
     for t in starts:
         if t >= field_end:
             break
-        m = index.match_at(
-            tokens, t, prefix=prefix_mode, punct_transparent=punct_transparent
-        )
+        m = index.match_at(tokens, t, prefix=prefix, punct_transparent=punct_transparent)
         if m is None or m.end_token >= field_end:
             continue
         if siin_gate is not None:
@@ -205,10 +181,13 @@ def _attempt(
             field_end = _field_end(tokens, field_start, form.search_field_words)
         else:
             field_end = len(tokens)
+        if fi == first_positive_idx:  # the field starts at token 0 here
+            candidates = starts[bisect_left(starts, scan_from):]
+        else:
+            candidates = range(field_start, field_end)
         if form.polarity is Polarity.NEGATIVE:
-            candidates = _candidates(form.index, tokens, field_start, field_end, False)
             m, _ = _scan_positive(
-                form.index, tokens, candidates, field_end, False, None, punct_transparent
+                form.index, tokens, candidates, field_end, None, punct_transparent
             )
             if m is not None:
                 trace = RejectionTrace(
@@ -222,18 +201,12 @@ def _attempt(
                 )
                 return trace, first_match
             continue
-        siin_mode = _prefix_mode(rule, fi)
-        if fi == first_positive_idx:  # the field starts at token 0 here
-            candidates = starts[bisect_left(starts, scan_from):]
-        else:
-            candidates = _candidates(form.index, tokens, field_start, field_end, siin_mode)
         m, gate_failed = _scan_positive(
             form.index,
             tokens,
             candidates,
             field_end,
-            siin_mode,
-            lex if siin_mode else None,
+            lex if fi == rule.siin_form else None,
             punct_transparent,
         )
         if m is None:
@@ -292,9 +265,8 @@ def _attempt(
 def _tokens_byte_span(
     tokens: list[Token], start: int, end: int
 ) -> tuple[int, int] | None:
-    if start >= end or start >= len(tokens):
+    if start >= end:
         return None
-    end = min(end, len(tokens))
     return tokens[start].span[0], tokens[end - 1].span[1]
 
 
@@ -317,7 +289,7 @@ class StartTable:
             tails = rule.forms[first].index.tails
             for word, rest in tails.items():
                 words.setdefault(word, []).append(r)
-                if () in rest and _prefix_mode(rule, first):
+                if () in rest and first == rule.siin_form:
                     prefixes.setdefault(len(word), {}).setdefault(word, []).append(r)
         self.words = words
         self.prefixes = tuple(sorted(prefixes.items()))

@@ -48,7 +48,7 @@ def load_gold(text: str) -> list[GoldAnnotation]:
     """
     gold: list[GoldAnnotation] = []
     seen: set[GoldAnnotation] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()

@@ -58,7 +58,7 @@ def data_dir() -> Path:
 
 def _word_list(text: str) -> set[str]:
     """One word per line; ``#`` starts a comment."""
-    return {word for word in (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return {word for word in (line.split("#", 1)[0].strip() for line in text.split("\n"))
             if word}
 
 

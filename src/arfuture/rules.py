@@ -106,12 +106,16 @@ class LinguisticRule:
     extract: str | None = None  # None | "from-marker-to-end"
     #: indices of the positive forms, in order
     positives: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: index of the form the siin gate checks, which may match a word
+    #: prefix: the last positive form under ``morph=siin``, else -1
+    siin_form: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         positives = tuple(
             i for i, f in enumerate(self.forms) if f.polarity is Polarity.POSITIVE
         )
         object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "siin_form", positives[-1] if self.morph == "siin" else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,7 @@ def parse_variable_defs(text: str) -> dict[str, PatternSeq]:
     """Parse ``::name = expression`` lines into fully expanded patterns."""
     raw: dict[str, PatternSeq] = {}
     lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -284,7 +288,7 @@ def parse_semantic_map(text: str) -> list[SemanticCategory]:
     categories: list[SemanticCategory] = []
     seen: set[str] = set()
     stack: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
@@ -307,7 +311,12 @@ def parse_semantic_map(text: str) -> list[SemanticCategory]:
 _RULE_ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_-]*):\s+")
 _DIRECTIVES_RE = re.compile(r"\[([^\]]*)\]\s*$")
 _FIELD_RE = re.compile(r"@(\d+)\s*$")
-_KNOWN_DIRECTIVES = {"morph", "class", "extract"}
+#: each directive's allowed values; None allows any non-empty text
+_DIRECTIVES: dict[str, tuple[str, ...] | None] = {
+    "morph": ("qad", "siin"),
+    "extract": ("from-marker-to-end",),
+    "class": None,
+}
 
 
 def parse_rules(
@@ -325,7 +334,7 @@ def parse_rules(
     known_categories = {c.name for c in semantic_map} if semantic_map is not None else None
     rules: list[LinguisticRule] = []
     ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -347,11 +356,19 @@ def parse_rules(
                         continue
                     if "=" not in part:
                         raise RuleParseError(f"bad directive {part!r}")
-                    key, value = part.split("=", 1)
-                    key = key.strip()
-                    if key not in _KNOWN_DIRECTIVES:
+                    key, value = (s.strip() for s in part.split("=", 1))
+                    if key not in _DIRECTIVES:
                         raise RuleParseError(f"unknown directive {key!r}")
-                    directives[key] = value.strip()
+                    if key in directives:
+                        raise RuleParseError(f"repeated directive {key!r}")
+                    allowed = _DIRECTIVES[key]
+                    if allowed is not None and value not in allowed:
+                        raise RuleParseError(
+                            f"{key} must be {' or '.join(allowed)}, not {value!r}"
+                        )
+                    if not value:
+                        raise RuleParseError(f"empty {key} directive")
+                    directives[key] = value
             arrow = "->" if "->" in line else "<-" if "<-" in line else None
             if arrow is None:
                 raise RuleParseError("missing category arrow")

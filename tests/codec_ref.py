@@ -4,9 +4,11 @@
 with one ``JSONDecoder.raw_decode`` call, reading the fields with one
 ``itemgetter``; ``arfuture.evaluate.load_gold`` strips each line once and
 then only the padding left inside it.  This module keeps the earlier
-versions, which split with ``str.splitlines``, decode each line with
-``json.loads`` and strip every gold field in a generator, so tests can
-hold the two to the same records and the same errors on the same lines.
+versions, which decode each line with ``json.loads`` and strip every gold
+field in a generator, so tests can hold the two to the same records and
+the same errors on the same lines.  The annotation reader splits with
+``str.splitlines``, as it did; the gold reader splits at ``"\n"`` only,
+as ``load_gold`` does.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def load_annotations(text: str) -> list[Annotation]:
 def load_gold(text: str) -> list[GoldAnnotation]:
     gold: list[GoldAnnotation] = []
     seen: set[GoldAnnotation] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

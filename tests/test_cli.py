@@ -7,8 +7,13 @@ import threading
 
 import pytest
 
-from arfuture.cli import main
+from arfuture.cli import _url_list, main
+from arfuture.config import parse_config
+from arfuture.corpus import load_query_seeds
 from arfuture.engine import Annotation, annotation_to_json
+from arfuture.evaluate import load_gold
+from arfuture.resources import _word_list
+from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 
 LONG_PARA = ("النمو الاقتصادي في لبنان سوف يتحسن " * 4).strip()  # 139 chars
 
@@ -252,6 +257,18 @@ class TestAnalyze:
         assert code == 2
         assert f"error: {bad}: line 1: unresolved variable مجهول\n" in capsys.readouterr().err
 
+    def test_bad_directive_value_exits_2(self, mini_gold_dir, tmp_path, capsys):
+        bad = tmp_path / "rules.txt"
+        bad.write_text("سوف -> مستقبل\nsin: س -> مستقبل [morph=sin]\n", encoding="utf-8")
+        code = main(
+            ["analyze", "--corpus", str(mini_gold_dir), "--out", str(tmp_path / "o"),
+             "--rules", str(bad)]
+        )
+        assert code == 2
+        assert f"error: {bad}: line 2: morph must be qad or siin, not 'sin'\n" in (
+            capsys.readouterr().err
+        )
+
     def test_config_file_paths_validated(self, mini_gold_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rules_path = /nonexistent/rules.txt\n", encoding="utf-8")
@@ -460,3 +477,44 @@ def test_bad_input_names_file_and_line(
     code = main([*argv, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {path}: line 2: {message}\n" in capsys.readouterr().err
+
+
+#: the characters besides "\n" and "\r" at which str.splitlines breaks a
+#: line ("\r" ends a CRLF line, and every reader strips it)
+SPLITLINES_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+#: a reader of lines with "#" comments, a bad line 2 and the message it gives
+LINE_2_FAULTS = [
+    ("config", parse_config, "min_run_chars = x", "bad integer for min_run_chars: 'x'"),
+    ("rules", lambda text: parse_rules(text, {}, parse_semantic_map("مستقبل")),
+     "r: لن -> مستقبل [morph=sin]", "morph must be qad or siin, not 'sin'"),
+    ("variables", parse_variable_defs, "::b ب", "bad variable definition: '::b ب'"),
+    ("semantic-map", parse_semantic_map, "   فرعي", "inconsistent indentation"),
+    ("gold", load_gold, "d\t0\tfoo", "unknown class label 'foo'"),
+]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=ascii)
+@pytest.mark.parametrize(
+    "parse, line2, message",
+    [pytest.param(*row[1:], id=row[0]) for row in LINE_2_FAULTS],
+)
+def test_comment_keeps_other_line_breaks(char, parse, line2, message):
+    """Lines split at "\n" only: a comment holding another line break
+    stays one line, and line 2 fails with its own message."""
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        parse(f"# c{char}x\n{line2}\n")
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=ascii)
+@pytest.mark.parametrize(
+    "parse, line2, parsed",
+    [
+        pytest.param(_word_list, "سيدني", {"سيدني"}, id="lexicon"),
+        pytest.param(_url_list, "page.html", ["page.html"], id="url-list"),
+        pytest.param(lambda text: [s.keyword_ar for s in load_query_seeds(text)],
+                     "اقتصاد\teconomy", ["اقتصاد"], id="query-seeds"),
+    ],
+)
+def test_comment_of_an_item_list_keeps_other_line_breaks(char, parse, line2, parsed):
+    assert parse(f"# c{char}x\n{line2}\n") == parsed

@@ -189,6 +189,23 @@ class TestCorpusFileFormat:
         with pytest.raises(CorpusError, match="malformed corpus file"):
             parse_corpus_file("TITLE: t\n\nb\n")
 
+    @pytest.mark.parametrize(
+        "text, lineno, expected",
+        [
+            ("TITLE: t\n\nb\n", 1, 'a "URL: " line'),
+            ("URL: http://x", 2, 'a "TITLE: " line'),
+            ("URL: http://x\nT: t\n\nb\n", 2, 'a "TITLE: " line'),
+            ("URL: http://x\nTITLE: t", 3, "a blank line"),
+            ("URL: http://x\nTITLE: t\nb\n", 3, "a blank line"),
+            ("URL: http://x\nTITLE: t\n", 4, "a non-empty body"),
+            ("URL: http://x\nTITLE: t\n\n", 4, "a non-empty body"),
+        ],
+    )
+    def test_malformed_file_names_line_and_expectation(self, text, lineno, expected):
+        message = f"line {lineno}: malformed corpus file: expected {expected}"
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+            parse_corpus_file(text)
+
     def test_round_trip_100_random_documents(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -241,6 +258,13 @@ class TestFetchPages:
         result = fetch_pages([str(f)])
         assert len(result.pages) == 1
         assert result.pages[0].html == "<p>محتوى</p>"
+
+    def test_file_url_is_percent_decoded(self, tmp_path):
+        f = tmp_path / "a b%.html"
+        f.write_text("<p>محتوى</p>", encoding="utf-8")
+        by_url = fetch_pages([f.as_uri()])
+        assert by_url.failures == []
+        assert by_url.pages == fetch_pages([str(f)]).pages
 
     def test_partial_failure(self, tmp_path):
         good1 = tmp_path / "a.html"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -205,6 +206,42 @@ class TestRuleParsing:
         rules = parse_rules("sin: (و|ف)؟س -> مستقبل [morph=siin, class=sin]\n", VARS, MAP)
         assert rules[0].morph == "siin"
         assert rules[0].class_label == "sin"
+
+    def test_every_allowed_directive_value(self):
+        text = (
+            "a: (و|ف)؟س -> مستقبل [morph=siin, extract=from-marker-to-end, class=a b]\n"
+            "b: (و|ف)؟قد -> مستقبل [morph=qad]\n"
+        )
+        a, b = parse_rules(text, VARS, MAP)
+        assert (a.morph, a.extract, a.class_label) == ("siin", "from-marker-to-end", "a b")
+        assert (b.morph, b.extract, b.class_label) == ("qad", None, "b")
+
+    @pytest.mark.parametrize(
+        "directives, message",
+        [
+            ("morph=sin", "morph must be qad or siin, not 'sin'"),
+            ("morph=", "morph must be qad or siin, not ''"),
+            ("extract=from-marker", "extract must be from-marker-to-end, not 'from-marker'"),
+            ("class=", "empty class directive"),
+            ("class= ", "empty class directive"),
+            ("morph=qad, morph=siin", "repeated directive 'morph'"),
+            ("class=x, class=x", "repeated directive 'class'"),
+            ("mode=qad", "unknown directive 'mode'"),
+            ("morph", "bad directive 'morph'"),
+        ],
+    )
+    def test_bad_directive_names_line(self, directives, message):
+        text = f"سوف -> مستقبل\nr: لن -> مستقبل [{directives}]\n"
+        with pytest.raises(RuleParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_rules(text, VARS, MAP)
+
+    def test_siin_form_is_the_last_positive_form(self):
+        text = (
+            "a: سوف > -لن > س > -قد -> مستقبل [morph=siin]\n"
+            "b: سوف > س -> مستقبل\n"
+            "c: -لن > س -> مستقبل [morph=siin]\n"
+        )
+        assert [r.siin_form for r in parse_rules(text, VARS, MAP)] == [2, -1, 1]
 
     def test_unresolved_variable(self):
         with pytest.raises(RuleParseError, match="^line 1: unresolved variable مجهول$"):
