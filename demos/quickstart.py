@@ -3,7 +3,6 @@ what it finds, with the matched marker words pulled back out of the text."""
 
 from arfuture import load_engine
 from arfuture.corpus import make_document
-from arfuture.offsets import byte_slice
 
 engine = load_engine()
 
@@ -20,7 +19,8 @@ analysis = engine.analyze(doc)
 print(f"{len(analysis.sentences)} sentences, {len(analysis.annotations)} future-expression matches\n")
 for ann in analysis.annotations:
     sentence = analysis.sentences[ann.sentence_index]
-    markers = " + ".join(byte_slice(sentence.text, span) for span in ann.positive_marker_spans)
+    text = sentence.text.encode()  # spans are UTF-8 byte offsets
+    markers = " + ".join(text[a:b].decode() for a, b in ann.positive_marker_spans)
     print(f"  sentence {ann.sentence_index}  class={ann.class_label:<12s}  markers: {markers}")
 
 print("\nNote the last sentence: سيمون and سويسرا start with the future prefix")

@@ -51,7 +51,7 @@ from .rules import (
     parse_semantic_map,
     parse_variable_defs,
 )
-from .segment import Sentence, Token, TokenKind, segment, tokenize
+from .segment import Sentence, Token, TokenKind, Tokens, segment, tokenize
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,7 @@ __all__ = [
     "Sentence",
     "Token",
     "TokenKind",
+    "Tokens",
     "Verdict",
     "analyze_token",
     "build_query_list",

@@ -201,7 +201,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = args.out or Path("out")
     clock = None
     if args.clock:
-        clock = datetime.fromisoformat(args.clock)
+        try:
+            clock = datetime.fromisoformat(args.clock)
+        except ValueError as exc:
+            raise ValueError(f"--clock: {exc}") from None
         if clock.tzinfo is None:
             clock = clock.replace(tzinfo=timezone.utc)
     engine = _engine_from_config(cfg)

@@ -54,7 +54,7 @@ from .corpus import Document
 from .morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
 from .offsets import byte_length
 from .rules import FormIndex, LinguisticRule, PatternMatch, Polarity, format_pattern
-from .segment import DEFAULT_BOUNDARIES, Sentence, Token, TokenKind, segment, tokenize
+from .segment import DEFAULT_BOUNDARIES, PUNCT, WORD, Sentence, Tokens, segment, tokenize
 
 
 class RejectReason(Enum):
@@ -99,34 +99,34 @@ class DocumentAnalysis:
     traces: tuple[RejectionTrace, ...]
 
 
-def _field_end(tokens: list[Token], start: int, n_words: int) -> int:
+def _field_end(tokens: Tokens, start: int, n_words: int) -> int:
     """Token index just past the N-th word of the field (len() if fewer)."""
+    kinds = tokens.kinds
     if n_words <= 0:
-        return len(tokens)
+        return len(kinds)
     count = 0
-    for i in range(start, len(tokens)):
-        if tokens[i].kind is TokenKind.WORD:
+    for i in range(start, len(kinds)):
+        if kinds[i] is WORD:
             count += 1
             if count == n_words:
                 return i + 1
-    return len(tokens)
+    return len(kinds)
 
 
-def _next_word_index(
-    tokens: list[Token], after: int, punct_transparent: bool
-) -> int | None:
+def _next_word_index(tokens: Tokens, after: int, punct_transparent: bool) -> int | None:
+    kinds = tokens.kinds
     j = after + 1
     if punct_transparent:
-        while j < len(tokens) and tokens[j].kind is TokenKind.PUNCT:
+        while j < len(kinds) and kinds[j] is PUNCT:
             j += 1
-    if j < len(tokens) and tokens[j].kind is TokenKind.WORD:
+    if j < len(kinds) and kinds[j] is WORD:
         return j
     return None
 
 
 def _scan_positive(
     index: FormIndex,
-    tokens: list[Token],
+    tokens: Tokens,
     starts: Iterable[int],
     field_end: int,
     siin_gate: Lexicons | None,
@@ -148,7 +148,7 @@ def _scan_positive(
         if m is None or m.end_token >= field_end:
             continue
         if siin_gate is not None:
-            word = tokens[m.end_token].shadow
+            word = tokens.shadows[m.end_token]
             if not is_future_verb_with_siin(word, siin_gate):
                 saw_gate_failure = True
                 continue
@@ -159,7 +159,7 @@ def _scan_positive(
 def _attempt(
     rule: LinguisticRule,
     sentence: Sentence,
-    tokens: list[Token],
+    tokens: Tokens,
     lex: Lexicons,
     starts: Sequence[int],
     scan_from: int,
@@ -228,7 +228,7 @@ def _attempt(
         verb_idx = _next_word_index(tokens, matches[-1].end_token, punct_transparent)
         rejected = True
         if verb_idx is not None:
-            shadow = tokens[verb_idx].shadow
+            shadow = tokens.shadows[verb_idx]
             verdict = analyze_token(shadow, lex).verdict
             excluded = (
                 shadow in lex.qad_exclusions
@@ -246,7 +246,7 @@ def _attempt(
             return trace, first_match
         marker_tokens.append(verb_idx)
 
-    spans = tuple(tokens[ti].span for ti in marker_tokens)
+    spans = tuple(map(tokens.span, marker_tokens))
     excerpt = None
     if rule.extract == "from-marker-to-end" and spans:
         excerpt = (spans[0][0], byte_length(sentence.text))
@@ -262,12 +262,10 @@ def _attempt(
     return annotation, first_match
 
 
-def _tokens_byte_span(
-    tokens: list[Token], start: int, end: int
-) -> tuple[int, int] | None:
+def _tokens_byte_span(tokens: Tokens, start: int, end: int) -> tuple[int, int] | None:
     if start >= end:
         return None
-    return tokens[start].span[0], tokens[end - 1].span[1]
+    return tokens.span(start)[0], tokens.span(end - 1)[1]
 
 
 class StartTable:
@@ -276,10 +274,12 @@ class StartTable:
     ``words`` maps a first word to the positions, in the ruleset, of the
     rules whose first positive form it begins.  ``prefixes`` holds, for
     each length N of a one-word form that the siin gate lets match a word
-    prefix, the map from such forms to their rules.
+    prefix, the map from such forms to their rules; ``heads`` holds every
+    such form, so that one ``str.startswith`` call skips a token that
+    begins none.
     """
 
-    __slots__ = ("words", "prefixes")
+    __slots__ = ("words", "prefixes", "heads")
 
     def __init__(self, ruleset: list[LinguisticRule]):
         words: dict[str, list[int]] = {}
@@ -293,19 +293,22 @@ class StartTable:
                     prefixes.setdefault(len(word), {}).setdefault(word, []).append(r)
         self.words = words
         self.prefixes = tuple(sorted(prefixes.items()))
+        self.heads = tuple(word for keys in prefixes.values() for word in keys)
 
-    def starts(self, tokens: list[Token]) -> dict[int, list[int]]:
+    def starts(self, tokens: Tokens) -> dict[int, list[int]]:
         """Each rule's candidate starts, ascending, by ruleset position;
         a rule with none is absent."""
         words = self.words
         prefixes = self.prefixes
+        heads = self.heads
         starts: dict[int, list[int]] = {}
-        for t, token in enumerate(tokens):
-            shadow = token.shadow
+        for t, shadow in enumerate(tokens.shadows):
             rules = words.get(shadow)
             if rules is not None:
                 for r in rules:
                     starts.setdefault(r, []).append(t)
+            if not shadow.startswith(heads):
+                continue
             for n, keys in prefixes:
                 rules = keys.get(shadow[:n])
                 if rules is not None:
@@ -319,7 +322,7 @@ class StartTable:
 def iter_rule_results(
     rule: LinguisticRule,
     sentence: Sentence,
-    tokens: list[Token],
+    tokens: Tokens,
     lex: Lexicons,
     *,
     punct_transparent: bool = True,
@@ -370,7 +373,7 @@ def iter_rule_results(
 
 def classify_sentence_results(
     sentence: Sentence,
-    tokens: list[Token],
+    tokens: Tokens,
     ruleset: list[LinguisticRule],
     lex: Lexicons,
     *,

@@ -1,19 +1,13 @@
-"""Helpers for UTF-8 byte spans over Python (code point) strings.
+"""UTF-8 byte lengths for the package's byte spans.
 
 All public span fields in this package are byte offsets into the UTF-8
 encoding of the enclosing text, so that annotation dumps are stable and
-language-neutral.  Segmentation and tokenization produce them directly
-by keeping a running byte offset as they walk their text; these helpers
-read text back out of such spans.
+language-neutral.  Segmentation keeps a running byte offset as it walks
+a body; a token's byte span is worked out from its char offsets only
+when something reads it (``segment.Tokens.span``).
 """
 
 from __future__ import annotations
-
-
-def byte_slice(text: str, span: tuple[int, int]) -> str:
-    """Slice ``text`` by a UTF-8 byte span. Spans must fall on char borders."""
-    start, end = span
-    return text.encode("utf-8")[start:end].decode("utf-8")
 
 
 def byte_length(text: str) -> int:

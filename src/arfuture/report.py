@@ -154,6 +154,8 @@ def build_report_page(
     """
     by_index = {s.index: s for s in sentences}
     when = generated_at or datetime.now(timezone.utc)
+    if when.tzinfo is not None:  # a naive time is taken as UTC already
+        when = when.astimezone(timezone.utc)
     page = ReportPage(doc=doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
 
     annotated_rules: dict[int, set[str]] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Union
 
-from .segment import Token, TokenKind
+from .segment import PUNCT, WORD, TokenKind, Tokens
 
 
 class RuleParseError(ValueError):
@@ -556,15 +556,16 @@ class FormIndex:
 
     def match_at(
         self,
-        tokens: list[Token],
+        tokens: Tokens,
         start: int,
         *,
         prefix: bool = False,
         punct_transparent: bool = True,
     ) -> PatternMatch | None:
-        shadow = tokens[start].shadow
+        shadows = tokens.shadows
+        shadow = shadows[start]
         for tail in self.tails.get(shadow, ()):
-            covered = _follow(tokens, start, tail, prefix, punct_transparent)
+            covered = _follow(shadows, tokens.kinds, start, tail, prefix, punct_transparent)
             if covered is not None:
                 return PatternMatch(covered[-1], covered)
         if prefix:
@@ -575,7 +576,8 @@ class FormIndex:
 
 
 def _follow(
-    tokens: list[Token],
+    shadows: list[str],
+    kinds: list[TokenKind],
     start: int,
     tail: tuple[str, ...],
     prefix: bool,
@@ -584,15 +586,16 @@ def _follow(
     """Tokens covered by ``tail`` after the first word at ``start``, or None."""
     covered = [start]
     ti = start
+    n = len(kinds)
     last = len(tail) - 1
     for k, word in enumerate(tail):
         ti += 1
         if punct_transparent:
-            while ti < len(tokens) and tokens[ti].kind is TokenKind.PUNCT:
+            while ti < n and kinds[ti] is PUNCT:
                 ti += 1
-        if ti >= len(tokens) or tokens[ti].kind is not TokenKind.WORD:
+        if ti >= n or kinds[ti] is not WORD:
             return None
-        shadow = tokens[ti].shadow
+        shadow = shadows[ti]
         if not (shadow.startswith(word) if prefix and k == last else shadow == word):
             return None
         covered.append(ti)

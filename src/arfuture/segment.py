@@ -4,20 +4,23 @@ Segmentation is typographic: a sentence ends after a period, Arabic
 question mark or exclamation mark when followed by whitespace (or end of
 text), and at newlines.  Each trigger can be switched off individually;
 with only ``dot-space`` enabled the splitter degrades to the bare
-period-plus-space heuristic.
+period-plus-space heuristic.  It walks the body once and keeps a running
+UTF-8 byte offset, so each sentence span is a byte span.
 
-Both passes walk their text once and keep a running UTF-8 byte offset,
-adding the encoded length of each run they step over, so every span is a
-byte span without a per-string offset table.
+Tokenization is one regex scan per sentence into parallel columns: each
+token's shadow, kind and char start and end.  A token's UTF-8 byte span
+is worked out only when something reads it, which is only for the marker
+and field tokens an output shows.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 # Arabic harakat stripped from matching shadows (kept in the written text).
 HARAKAT = frozenset("ًٌٍَُِّْ")
@@ -35,13 +38,17 @@ DEFAULT_BOUNDARIES = frozenset(
 )
 
 _TRIGGER_CHARS = {BOUNDARY_DOT: ".", BOUNDARY_QMARK: "؟", BOUNDARY_EXCLAM: "!"}
-_CHUNK = re.compile(r"(\s*)(\S+)")
 
 
 class TokenKind(Enum):
     WORD = "word"
     PUNCT = "punct"
     DIGIT = "digit"
+
+
+#: the kinds as plain names, which a hot loop reads several times faster
+#: than an ``Enum`` member
+WORD, PUNCT, DIGIT = TokenKind.WORD, TokenKind.PUNCT, TokenKind.DIGIT
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,8 @@ class Token(NamedTuple):
     shadow.  The span covers the whole written run, tatweel and harakat
     included, so a highlighted token shows the word as written.
 
-    A sentence has one token per word, so a token is a ``NamedTuple``,
-    built positionally at a fraction of a dataclass's cost.
+    Matching reads the columns of ``Tokens``, which builds a ``Token``
+    only when it is indexed or iterated.
     """
 
     span: tuple[int, int]
@@ -118,47 +125,119 @@ def segment(
     return sentences
 
 
-def _runs(chunk: str) -> Iterator[tuple[str, TokenKind, str]]:
-    """(run, kind, shadow) for each token of a whitespace-free chunk."""
-    n = len(chunk)
-    i = 0
-    while i < n:
-        ch = chunk[i]
-        j = i + 1
-        if _is_word_char(ch):
-            while j < n and _is_word_char(chunk[j]):
-                j += 1
-            run = chunk[i:j]
-            yield run, TokenKind.WORD, run.translate(_SHADOW_DROP)
-        else:
-            kind = TokenKind.PUNCT
-            if ch.isdigit():
-                while j < n and chunk[j].isdigit():
-                    j += 1
-                kind = TokenKind.DIGIT
-            run = chunk[i:j]
-            yield run, kind, run
-        i = j
+_TOKEN = re.compile(
+    r"(\s*)(?:"
+    r"([\u0620-\u063f\u0641-\u064aA-Za-z]+)(?![\u0620-\u0652A-Za-z])"  # bare word
+    r"|([\u0620-\u0652A-Za-z]+)"  # word with tatweel or harakat
+    r"|([0-9\u0660-\u0669]+)"  # digits
+    r"|([^\w\s\u064b-\u0652])"  # punctuation: no letter, digit, space or haraka
+    r"|(\S))"  # anything else: the char loop decides
+)
 
 
-def tokenize(sentence_text: str) -> list[Token]:
+class Tokens(Sequence[Token]):
+    """A sentence's tokens, held as parallel columns.
+
+    ``shadows`` and ``kinds`` are what matching reads; ``starts`` and
+    ``ends`` are char offsets into ``text``.  ``span(i)`` is token i's
+    byte span, and ``tokens[i]`` builds its ``Token``, equal to the one a
+    list of tokens would hold.
+    """
+
+    __slots__ = ("text", "shadows", "kinds", "starts", "ends")
+
+    def __init__(
+        self, text: str, shadows: list[str], kinds: list[TokenKind],
+        starts: list[int], ends: list[int],
+    ):
+        self.text = text
+        self.shadows = shadows
+        self.kinds = kinds
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.shadows)
+
+    def __getitem__(self, i: int | slice) -> Token | list[Token]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Token(self.span(i), self.kinds[i], self.shadows[i])
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self)))
+
+    def span(self, i: int) -> tuple[int, int]:
+        """Token i's UTF-8 byte span in ``text``."""
+        text = self.text
+        start = self.starts[i]
+        offset = len(text[:start].encode())
+        return offset, offset + len(text[start:self.ends[i]].encode())
+
+
+def tokenize(sentence_text: str) -> Tokens:
     """Split sentence text into Word / Digit / Punct tokens.
 
     Word runs cover letters plus harakat (tatweel is a letter that joins
     a run but is dropped from the shadow).  Digits form their own runs;
     every other non-space char becomes a single Punct token.
+
+    One regex scan finds the runs.  Each of its classes holds only chars
+    of the kind it gives them, since ``re``'s ``\\w`` and ``\\d`` are not
+    ``str.isalpha`` and ``str.isdigit`` (they differ on "_", "²", "½",
+    "Ⅻ").  A char outside all of them, such as a letter or digit of
+    another script, sends the sentence to ``_tokenize_chars``, which
+    tests every char with the ``str`` predicates.
     """
-    tokens: list[Token] = []
-    pos = 0  # UTF-8 length of the text before the current run
-    for gap, chunk in _CHUNK.findall(sentence_text):
-        pos += len(gap) if gap.isascii() else len(gap.encode())
-        shadow = chunk.translate(_SHADOW_DROP)
-        if shadow.isalpha():  # most chunks are one bare word
-            runs = ((chunk, TokenKind.WORD, shadow),)
+    shadows: list[str] = []
+    kinds: list[TokenKind] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    end = 0
+    # trailing whitespace is cut first: the scan would take it for a gap
+    # with no token after it and retry from each of its chars, in time
+    # quadratic in its length
+    for gap, bare, marked, digits, punct, _ in _TOKEN.findall(sentence_text.rstrip()):
+        if bare:
+            run, kind = bare, WORD
+        elif marked:
+            run, kind = marked, WORD
+        elif digits:
+            run, kind = digits, DIGIT
+        elif punct:
+            run, kind = punct, PUNCT
         else:
-            runs = _runs(chunk)
-        for run, kind, shadow in runs:
-            end = pos + len(run.encode())
-            tokens.append(Token((pos, end), kind, shadow))
-            pos = end
+            return _tokenize_chars(sentence_text)
+        start = end + len(gap)
+        end = start + len(run)
+        shadows.append(marked.translate(_SHADOW_DROP) if marked else run)
+        kinds.append(kind)
+        starts.append(start)
+        ends.append(end)
+    return Tokens(sentence_text, shadows, kinds, starts, ends)
+
+
+def _tokenize_chars(text: str) -> Tokens:
+    """``tokenize`` by ``str`` predicates, one char at a time."""
+    tokens = Tokens(text, [], [], [], [])
+    n = len(text)
+    j = 0
+    for i, ch in enumerate(text):
+        if i < j or ch.isspace():
+            continue
+        j = i + 1
+        if _is_word_char(ch):
+            while j < n and _is_word_char(text[j]):
+                j += 1
+            kind, shadow = WORD, text[i:j].translate(_SHADOW_DROP)
+        elif ch.isdigit():
+            while j < n and text[j].isdigit():
+                j += 1
+            kind, shadow = DIGIT, text[i:j]
+        else:
+            kind, shadow = PUNCT, ch
+        tokens.shadows.append(shadow)
+        tokens.kinds.append(kind)
+        tokens.starts.append(i)
+        tokens.ends.append(j)
     return tokens

@@ -126,6 +126,25 @@ class TestAnalyze:
             outs.append(blob)
         assert outs[0] == outs[1]
 
+    def test_clock_with_offset_is_written_in_utc(self, mini_gold_dir, tmp_path):
+        out = tmp_path / "out"
+        code = main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
+                     "--clock", "2020-01-01T05:00:00+05:00"])
+        assert code == 0
+        reports = sorted((out / "reports").glob("*.html"))
+        assert len(reports) > 1
+        for report in reports:
+            footer = re.search(r"<footer>generated (.*?)</footer>", report.read_text("utf-8"))
+            assert footer.group(1) == "2020-01-01 00:00 UTC", report.name
+
+    def test_bad_clock_names_the_flag(self, mini_gold_dir, tmp_path, capsys):
+        code = main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(tmp_path / "o"),
+                     "--clock", "nonsense"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --clock: Invalid isoformat string: 'nonsense'\n"
+        )
+
     def test_empty_corpus_docs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

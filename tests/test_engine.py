@@ -27,11 +27,11 @@ from arfuture.engine import (
 from arfuture.evaluate import GoldAnnotation
 from arfuture.morpho import MorphVerdict, Verdict
 from arfuture.report import _Decoration
-from arfuture.offsets import byte_slice
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import Sentence, Token, TokenKind, segment, tokenize
 
 from oracle import generate_sentence, oracle_marker_spans
+from spans import byte_slice
 
 MAP = parse_semantic_map("مستقبل\n")
 NO_VARS = parse_variable_defs("")
@@ -98,7 +98,7 @@ class TestClassifySentence:
 
     def test_empty_sentence(self, ruleset, lexicons):
         s = Sentence(doc_id="d", index=0, span=(0, 0), text="")
-        assert classify_sentence_results(s, [], ruleset, lexicons)[0] == []
+        assert classify_sentence_results(s, tokenize(s.text), ruleset, lexicons)[0] == []
 
     def test_rule_order_then_position_order(self, ruleset, lexicons):
         s = one_sentence("سوف يصل ثم سوف يغادر وفي الختام قد يتكلم")

@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 from hypothesis import given, settings, strategies as st
 
 import segment_ref
-from arfuture.offsets import byte_slice
+from spans import byte_slice
 from arfuture.segment import (
     BOUNDARY_DOT,
     DEFAULT_BOUNDARIES,
@@ -204,6 +205,13 @@ class TestTokenize:
             assert not data[pos:].decode("utf-8").strip()
             assert bytes(covered).decode("utf-8") == re.sub(r"\s+", "", text)
 
+    def test_long_trailing_whitespace_costs_linear_time(self):
+        text = "قد يترتب" + " \t" * 10_000
+        started = time.perf_counter()
+        toks = tokenize(text)
+        assert time.perf_counter() - started < 1.0
+        assert [t.shadow for t in toks] == ["قد", "يترتب"]
+
     def test_diacritized_word_span_covers_written_word(self):
         text = "مُتَوَقَّعاً تقرير"
         toks = tokenize(text)
@@ -217,9 +225,19 @@ class TestTokenize:
 # Any text a UTF-8 file can hold, weighted toward what tokenization and
 # segmentation treat specially: harakat, tatweel, Arabic-Indic and
 # superscript digits, sentence triggers before every kind of whitespace
-# (NBSP, em space, tab, CR, newline), decimals and astral chars.
-_SPECIAL = "ًٌٍَُِّْـ٠١٢٣٤٥٦٧٨٩²³¹.؟!,\"\u00a0\u2003\t\r\n \U0001d7d8\U0001f600"
-_UNITS = ["سوف", "قد يترتب", "مُتَوَقَّعاً", "مـتوقع", ". ", ".\t", "؟\u00a0", "!\u2003", ".\r\n", "1.5"]
+# (NBSP, em space, tab, CR, newline), decimals and astral chars.  Also the
+# chars on which ``re``'s classes and ``str``'s predicates disagree: "_",
+# numerals that are not decimal digits (½ Ⅻ 〇), the Arabic number sign
+# U+0600 and the marks U+0670 and U+06D6, and runs of harakat or tatweel
+# alone, whose shadow is "", after a digit or punctuation.
+_SPECIAL = (
+    "ًٌٍَُِّْـ٠١٢٣٤٥٦٧٨٩²³¹.؟!,\"\u00a0\u2003\t\r\n \U0001d7d8\U0001f600"
+    "_½Ⅻ〇\u0600\u0670\u06d6"
+)
+_UNITS = [
+    "سوف", "قد يترتب", "مُتَوَقَّعاً", "مـتوقع", ". ", ".\t", "؟\u00a0", "!\u2003", ".\r\n",
+    "1.5", "1َ", "٣ـ", ".ًّ", "!ـــ", "2ـَ", "سوف_", "قد½",
+]
 _TEXT = st.lists(
     st.one_of(
         st.characters(codec="utf-8"), st.sampled_from(_SPECIAL), st.sampled_from(_UNITS)
@@ -249,10 +267,20 @@ class TestAgainstReference:
     @given(text=_TEXT)
     def test_tokenize_matches_reference(self, text):
         toks = tokenize(text)
-        assert toks == segment_ref.tokenize(text)
+        assert list(toks) == segment_ref.tokenize(text)
         pieces = [byte_slice(text, t.span) for t in toks]
         assert_tiles(text, zip((t.span for t in toks), pieces))
         assert "".join(pieces) == "".join(text.split())
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT)
+    def test_tokens_read_as_the_reference_list(self, text):
+        toks = tokenize(text)
+        want = segment_ref.tokenize(text)
+        assert len(toks) == len(want)
+        assert list(toks) == want
+        assert [toks[i] for i in range(-len(want), len(want))] == want + want
+        assert toks[1::2] == want[1::2]
 
     @settings(max_examples=300, deadline=None)
     @given(body=_TEXT)
