@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
-from .config import Config, load_config, parse_boundaries
+from .config import SETTINGS, Config, load_config
 from .engine import dump_annotations, load_annotations
 from .report import write_reports
 from .resources import load_engine, parse_file
@@ -24,38 +24,47 @@ EXIT_EMPTY = 1
 EXIT_ERROR = 2
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
     parser.add_argument("--config", type=Path, help="flat key=value config file")
-    parser.add_argument("--out", type=Path, help="output directory")
+    return parser
+
+
+def _resource_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rules", dest="rules_path", help="rule file override")
+    parser.add_argument("--variables", dest="variables_path", help="variable file override")
+    parser.add_argument("--semantic-map", dest="semantic_map_path",
+                        help="semantic map override")
+    parser.add_argument("--lexicon-dir", dest="lexicon_dir", help="extra lexicon directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each settings flag stores its text under its ``config.SETTINGS`` key."""
     parser = argparse.ArgumentParser(
         prog="arfuture",
         description="Detect Arabic future-event expressions in news text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="turn HTML pages into corpus files")
-    _common_flags(p_ingest)
+    p_ingest = _command(sub, "ingest", cmd_ingest, "turn HTML pages into corpus files")
+    p_ingest.add_argument("--out", type=Path, help="output directory")
     p_ingest.add_argument(
         "--input",
         required=True,
         type=Path,
         help="directory of HTML files, or a text file listing URLs/paths",
     )
-    p_ingest.add_argument("--min-run-chars", type=int, help="main-article run threshold")
+    p_ingest.add_argument("--min-run-chars", dest="min_run_chars",
+                          help="main-article run threshold")
     p_ingest.add_argument(
         "--delay", type=int, default=1000, help="politeness delay between fetches (ms)"
     )
 
-    p_analyze = sub.add_parser("analyze", help="annotate a corpus and write reports")
-    _common_flags(p_analyze)
+    p_analyze = _command(sub, "analyze", cmd_analyze, "annotate a corpus and write reports")
+    p_analyze.add_argument("--out", type=Path, help="output directory")
     p_analyze.add_argument("--corpus", required=True, type=Path, help="corpus directory")
-    p_analyze.add_argument("--rules", type=Path, help="rule file override")
-    p_analyze.add_argument("--variables", type=Path, help="variable file override")
-    p_analyze.add_argument("--semantic-map", type=Path, help="semantic map override")
-    p_analyze.add_argument("--lexicon-dir", type=Path, help="extra lexicon directory")
+    _resource_flags(p_analyze)
     p_analyze.add_argument(
         "--boundaries",
         help="comma-separated sentence boundary triggers "
@@ -63,12 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--strict-adjacency",
-        action="store_true",
+        action="store_const",
+        const="true",
         help="punctuation blocks word-to-word pattern gaps",
     )
     p_analyze.add_argument(
         "--show-all-negative-fields",
-        action="store_true",
+        action="store_const",
+        const="true",
         help="render every triggered negative search field, not only those of rules "
         "that also matched",
     )
@@ -77,45 +88,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed ISO-8601 timestamp for reproducible report output",
     )
 
-    p_eval = sub.add_parser("eval", help="score predictions against gold annotations")
-    _common_flags(p_eval)
+    p_eval = _command(sub, "eval", cmd_eval, "score predictions against gold annotations")
+    _resource_flags(p_eval)
     p_eval.add_argument("--corpus", type=Path, help="corpus directory to analyze")
     p_eval.add_argument(
         "--annotations", type=Path, help="existing annotations.jsonl to score instead"
     )
     p_eval.add_argument("--gold", required=True, type=Path, help="gold TSV file")
     p_eval.add_argument("--report", type=Path, help="also write the report as JSON")
-    p_eval.add_argument("--rules", type=Path, help="rule file override")
-    p_eval.add_argument("--variables", type=Path, help="variable file override")
-    p_eval.add_argument("--semantic-map", type=Path, help="semantic map override")
-    p_eval.add_argument("--lexicon-dir", type=Path, help="extra lexicon directory")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> Config:
+    """The ``--config`` file, then every settings flag given with a
+    non-empty text, read by the parser of its key."""
     cfg = load_config(args.config) if args.config else Config()
-    if getattr(args, "min_run_chars", None) is not None:
-        cfg.min_run_chars = args.min_run_chars
-    if getattr(args, "boundaries", None):
-        cfg.boundaries = parse_boundaries(args.boundaries)
-    if getattr(args, "strict_adjacency", False):
-        cfg.strict_adjacency = True
-    if getattr(args, "show_all_negative_fields", False):
-        cfg.show_all_negative_fields = True
-    for attr, key in (
-        ("rules", "rules_path"),
-        ("variables", "variables_path"),
-        ("semantic_map", "semantic_map_path"),
-        ("lexicon_dir", "lexicon_dir"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    for key, parse in SETTINGS.items():
+        text = getattr(args, key, None)
+        if text:
+            setattr(cfg, key, parse(text, key))
     return cfg.validate()
 
 
-def _engine_from_config(cfg: Config):
-    return load_engine(
+def _analyze_corpus(cfg: Config, corpus_dir: Path):
+    """Analyze every corpus file in ``corpus_dir``: (analyses, annotations)."""
+    engine = load_engine(
         rules_path=cfg.rules_path,
         variables_path=cfg.variables_path,
         semantic_map_path=cfg.semantic_map_path,
@@ -123,6 +120,8 @@ def _engine_from_config(cfg: Config):
         boundaries=cfg.boundaries,
         punct_transparent=not cfg.strict_adjacency,
     )
+    analyses = engine.analyze_corpus(_read_corpus_dir(corpus_dir))
+    return analyses, [a for analysis in analyses for a in analysis.annotations]
 
 
 def _url_list(text: str) -> list[str]:
@@ -205,13 +204,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             clock = datetime.fromisoformat(args.clock)
         except ValueError as exc:
             raise ValueError(f"--clock: {exc}") from None
-        if clock.tzinfo is None:
-            clock = clock.replace(tzinfo=timezone.utc)
-    engine = _engine_from_config(cfg)
-    docs = _read_corpus_dir(args.corpus)
-    analyses = engine.analyze_corpus(docs)
-
-    annotations = [a for analysis in analyses for a in analysis.annotations]
+    analyses, annotations = _analyze_corpus(cfg, args.corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "annotations.jsonl").write_text(
         dump_annotations(annotations), encoding="utf-8", newline="\n"
@@ -239,10 +232,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.annotations:
         annotations = parse_file(args.annotations, load_annotations)
     else:
-        engine = _engine_from_config(cfg)
-        docs = _read_corpus_dir(args.corpus)
-        analyses = engine.analyze_corpus(docs)
-        annotations = [a for analysis in analyses for a in analysis.annotations]
+        analyses, annotations = _analyze_corpus(cfg, args.corpus)
         total_sentences = sum(len(a.sentences) for a in analyses)
 
     report = eval_mod.score(annotations, gold, total_sentences=total_sentences)
@@ -262,20 +252,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "eval":
-            return cmd_eval(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Shared run configuration for the command-line pipeline.
 
 The config file is a flat ``key = value`` text file; command-line flags
-override file values.  Recognized keys mirror the flag names:
-``min_run_chars``, ``boundaries`` (comma-separated trigger names),
-``strict_adjacency``, ``show_all_negative_fields``, ``lexicon_dir``,
-``rules_path``, ``variables_path``, ``semantic_map_path``.  Any other key,
+override file values.  ``SETTINGS`` is the one list of keys, each a
+``Config`` field: a flag stores its text under its key, and the key's
+parser reads that text as it reads a config line's value.  Any other key,
 or a value of the wrong type, is an error that names the file and line;
 a path that does not exist names the file.
 """
@@ -27,6 +26,7 @@ from .segment import (
 _VALID_BOUNDARIES = {BOUNDARY_DOT, BOUNDARY_QMARK, BOUNDARY_EXCLAM, BOUNDARY_NEWLINE}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
+_PATH_KEYS = ("lexicon_dir", "rules_path", "variables_path", "semantic_map_path")
 
 
 class ConfigError(ValueError):
@@ -47,10 +47,7 @@ class Config:
     def validate(self) -> "Config":
         if self.min_run_chars < 1:
             raise ConfigError("min_run_chars must be >= 1")
-        bad = self.boundaries - _VALID_BOUNDARIES
-        if bad:
-            raise ConfigError(f"unknown boundary trigger(s): {', '.join(sorted(bad))}")
-        for name in ("lexicon_dir", "rules_path", "variables_path", "semantic_map_path"):
+        for name in _PATH_KEYS:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} does not exist: {value}")
@@ -81,16 +78,13 @@ def _parse_int(value: str, key: str) -> int:
         raise ConfigError(f"bad integer for {key}: {value!r}") from None
 
 
-#: config key -> parser of its value (given the value and the key)
-_PARSERS = {
+#: config key -> parser of its text (given the text and the key)
+SETTINGS = {
     "min_run_chars": _parse_int,
     "boundaries": lambda value, key: parse_boundaries(value),
     "strict_adjacency": _parse_bool,
     "show_all_negative_fields": _parse_bool,
-    **dict.fromkeys(
-        ("lexicon_dir", "rules_path", "variables_path", "semantic_map_path"),
-        lambda value, key: Path(value),
-    ),
+    **dict.fromkeys(_PATH_KEYS, lambda value, key: Path(value)),
 }
 
 
@@ -105,9 +99,9 @@ def parse_config(text: str) -> Config:
         try:
             if not eq:
                 raise ConfigError("expected key = value")
-            if key not in _PARSERS:
+            if key not in SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, _PARSERS[key](value, key))
+            setattr(cfg, key, SETTINGS[key](value, key))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg.validate()

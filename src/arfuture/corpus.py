@@ -324,10 +324,12 @@ def fetch_pages(
     for url in urls:
         parsed = urlparse(url)
         if parsed.scheme in ("", "file"):
-            # imported here: urllib.request pulls in http.client and ssl
-            from urllib.request import url2pathname
+            path = url
+            if parsed.scheme == "file":
+                # imported here: urllib.request pulls in http.client and ssl
+                from urllib.request import url2pathname
 
-            path = url2pathname(parsed.path) if parsed.scheme == "file" else url
+                path = url2pathname(parsed.path)
             try:
                 result.pages.append(read_local_page(path))
             except (OSError, ValueError) as exc:  # CorpusError, or a path with a NUL

@@ -1,10 +1,13 @@
 """Reference segmenter and tokenizer: the original char-by-char loops.
 
-``arfuture.segment`` finds sentence cuts with a regex and tokenizes one
-run at a time, keeping a running UTF-8 byte offset.  This module keeps
-the earlier algorithm, which visits every char and converts char indices
-to bytes through a per-string offset table, so tests can hold the two
-implementations to the same spans, kinds, shadows and sentence texts.
+``arfuture.segment`` finds sentence cuts with a regex and carries a
+running UTF-8 byte offset from one sentence to the next; its tokenizer
+finds every run in one regex scan into columns of shadows, kinds and
+char offsets, and works out a token's byte span only when asked.  This
+module keeps the earlier algorithm, which visits every char and converts
+char indices to bytes through a per-string offset table, so tests can
+hold the two implementations to the same spans, kinds, shadows and
+sentence texts.
 """
 
 from __future__ import annotations

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from arfuture.cli import _url_list, main
-from arfuture.config import parse_config
+from arfuture.cli import _merge_config, _url_list, build_parser, main
+from arfuture.config import Config, load_config, parse_config
 from arfuture.corpus import load_query_seeds
 from arfuture.engine import Annotation, annotation_to_json
 from arfuture.evaluate import load_gold
 from arfuture.resources import _word_list
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
+from arfuture.segment import DEFAULT_BOUNDARIES
 
 LONG_PARA = ("النمو الاقتصادي في لبنان سوف يتحسن " * 4).strip()  # 139 chars
 
@@ -84,6 +88,21 @@ class TestIngest:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_plain_path_list_does_not_import_urllib_request(self, html_dir, tmp_path):
+        url_list = tmp_path / "urls.txt"
+        url_list.write_text(f"{html_dir / 'a.html'}\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from arfuture.cli import main\n"
+            f"code = main(['ingest', '--input', {str(url_list)!r},"
+            f" '--out', {str(tmp_path / 'corpus')!r}, '--delay', '0'])\n"
+            "print(code, 'urllib.request' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.stdout.endswith("documents=1 rejected=0\n0 False\n"), done.stderr
 
     def test_bad_url_line_is_one_failure(self, html_dir, tmp_path, capsys):
         url_list = tmp_path / "urls.txt"
@@ -299,6 +318,14 @@ class TestAnalyze:
 
 
 class TestEval:
+    def test_out_flag_is_gone(self, mini_gold_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--corpus", str(mini_gold_dir),
+                  "--gold", str(mini_gold_dir / "gold.tsv"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --out {tmp_path / 'o'}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mini_gold_end_to_end(self, mini_gold_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(
@@ -441,6 +468,79 @@ class TestEval:
 
 
 
+#: one row per config key: the commands whose flag sets it, the flag's
+#: words, and its config-file value ({a} and {b} are files, {d} a
+#: directory); a second value, which the flag must beat, follows
+SETTING_ROWS = [
+    ("min_run_chars", ["ingest"], ["--min-run-chars", "80"], "80", "50"),
+    ("boundaries", ["analyze"], ["--boundaries", "dot-space,newline"],
+     "dot-space, newline", "exclam"),
+    ("strict_adjacency", ["analyze"], ["--strict-adjacency"], "yes", "no"),
+    ("show_all_negative_fields", ["analyze"], ["--show-all-negative-fields"], "true", "off"),
+    ("rules_path", ["analyze", "eval"], ["--rules", "{a}"], "{a}", "{b}"),
+    ("variables_path", ["analyze", "eval"], ["--variables", "{a}"], "{a}", "{b}"),
+    ("semantic_map_path", ["analyze", "eval"], ["--semantic-map", "{a}"], "{a}", "{b}"),
+    ("lexicon_dir", ["analyze", "eval"], ["--lexicon-dir", "{d}"], "{d}", "{d}/sub"),
+]
+
+#: the required flags of each command, which set no config key
+COMMAND_ARGV = {
+    "ingest": ["ingest", "--input", "pages"],
+    "analyze": ["analyze", "--corpus", "corpus"],
+    "eval": ["eval", "--gold", "gold.tsv"],
+}
+
+
+def _config_of(argv: list[str]) -> Config:
+    return _merge_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "key, commands, flag, value, other", SETTING_ROWS, ids=[row[0] for row in SETTING_ROWS]
+)
+def test_flag_and_config_line_set_the_same_field(tmp_path, key, commands, flag, value, other):
+    """A flag alone gives the Config its config line alone gives, and a
+    flag beats the file."""
+    names = {"a": tmp_path / "a.txt", "b": tmp_path / "b.txt", "d": tmp_path / "d"}
+    names["a"].write_text("", encoding="utf-8")
+    names["b"].write_text("", encoding="utf-8")
+    (names["d"] / "sub").mkdir(parents=True)
+    flag = [word.format(**names) for word in flag]
+    line_cfg, other_cfg = tmp_path / "line.cfg", tmp_path / "other.cfg"
+    line_cfg.write_text(f"{key} = {value.format(**names)}\n", encoding="utf-8")
+    other_cfg.write_text(f"{key} = {other.format(**names)}\n", encoding="utf-8")
+    assert getattr(load_config(other_cfg), key) != getattr(load_config(line_cfg), key)
+    for command in commands:
+        argv = COMMAND_ARGV[command]
+        from_flag = _config_of([*argv, *flag])
+        assert from_flag != Config()
+        assert from_flag == _config_of([*argv, "--config", str(line_cfg)])
+        assert from_flag == _config_of([*argv, "--config", str(other_cfg), *flag])
+
+
+def test_empty_boundaries_flag_keeps_the_default_triggers():
+    cfg = _config_of([*COMMAND_ARGV["analyze"], "--boundaries", ""])
+    assert cfg.boundaries == DEFAULT_BOUNDARIES
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ingest", "--input", "{pages}", "--min-run-chars", "0"],
+         "min_run_chars must be >= 1"),
+        (["analyze", "--corpus", "{corpus}", "--boundaries", "dot-space,bogus"],
+         "unknown boundary trigger(s): bogus"),
+    ],
+    ids=["min-run-chars-0", "bad-boundaries"],
+)
+def test_bad_flag_value_exits_2(html_dir, mini_gold_dir, tmp_path, capsys, argv, message):
+    argv = [word.format(pages=html_dir, corpus=mini_gold_dir) for word in argv]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 #: one row per kind of input file: its name, the command that reads it
 #: ({file} is the file, {dir} its directory), a good first line, and a
 #: malformed second line with the message it gives (None where the format
@@ -493,7 +593,9 @@ def test_bad_input_names_file_and_line(
     values = {"mini": mini_gold_dir, "gold": mini_gold_dir / "gold.tsv",
               "file": path, "dir": folder}
     argv = [word.format(**values) for word in command.split(" ")]
-    code = main([*argv, "--out", str(tmp_path / "out")])
+    if argv[0] != "eval":  # eval writes no output directory and has no --out
+        argv += ["--out", str(tmp_path / "out")]
+    code = main(argv)
     assert code == 2
     assert f"error: {path}: line 2: {message}\n" in capsys.readouterr().err
 
