@@ -18,7 +18,7 @@ docs = [
 gold = load_gold((sample_dir / "gold.tsv").read_text(encoding="utf-8"))
 
 engine = load_engine()
-analyses = engine.analyze_corpus(docs)
+analyses = list(engine.analyze_corpus(docs))
 annotations = [a for analysis in analyses for a in analysis.annotations]
 
 out = Path(__file__).parent / "out" / "reports"

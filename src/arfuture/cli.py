@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from .config import SETTINGS, Config, load_config
-from .engine import dump_annotations, load_annotations
+from .engine import DocumentAnalysis, dump_annotations, load_annotations
 from .report import write_reports
 from .resources import load_engine, parse_file
 
@@ -110,8 +112,9 @@ def _merge_config(args: argparse.Namespace) -> Config:
     return cfg.validate()
 
 
-def _analyze_corpus(cfg: Config, corpus_dir: Path):
-    """Analyze every corpus file in ``corpus_dir``: (analyses, annotations)."""
+def _analyze_corpus(cfg: Config, corpus_dir: Path) -> Iterator[DocumentAnalysis]:
+    """Load the engine, read and check every corpus file in ``corpus_dir``,
+    then analyze the documents one at a time, in document-id order."""
     engine = load_engine(
         rules_path=cfg.rules_path,
         variables_path=cfg.variables_path,
@@ -120,8 +123,29 @@ def _analyze_corpus(cfg: Config, corpus_dir: Path):
         boundaries=cfg.boundaries,
         punct_transparent=not cfg.strict_adjacency,
     )
-    analyses = engine.analyze_corpus(_read_corpus_dir(corpus_dir))
-    return analyses, [a for analysis in analyses for a in analysis.annotations]
+    return engine.analyze_corpus(_read_corpus_dir(corpus_dir))
+
+
+@dataclass
+class _Totals:
+    """The sentence count and the distinct (doc, sentence, class) triples
+    of the analyses added so far: all ``analyze`` prints and ``eval`` scores."""
+
+    sentences: int = 0
+    triples: set[eval_mod.Triple] = field(default_factory=set)
+
+    def add(self, analysis: DocumentAnalysis) -> None:
+        self.sentences += len(analysis.sentences)
+        self.triples |= eval_mod.predictions_to_triples(analysis.annotations)
+
+
+def _dumped(analyses: Iterable[DocumentAnalysis], jsonl: TextIO, totals: _Totals):
+    """Pass each analysis on once its annotation lines are written to
+    ``jsonl`` and it is added to ``totals``."""
+    for analysis in analyses:
+        jsonl.write(dump_annotations(analysis.annotations))
+        totals.add(analysis)
+        yield analysis
 
 
 def _url_list(text: str) -> list[str]:
@@ -204,21 +228,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             clock = datetime.fromisoformat(args.clock)
         except ValueError as exc:
             raise ValueError(f"--clock: {exc}") from None
-    analyses, annotations = _analyze_corpus(cfg, args.corpus)
+    analyses = _analyze_corpus(cfg, args.corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "annotations.jsonl").write_text(
-        dump_annotations(annotations), encoding="utf-8", newline="\n"
-    )
-    write_reports(
-        out_dir / "reports",
-        analyses,
-        generated_at=clock,
-        show_all_negative_fields=cfg.show_all_negative_fields,
-        class_order=eval_mod.CLASS_LABELS,
-    )
-    n_sentences = sum(len(a.sentences) for a in analyses)
-    n_future = len(eval_mod.predictions_to_triples(annotations))
-    print(f"sentences={n_sentences} future={n_future}")
+    totals = _Totals()
+    with open(out_dir / "annotations.jsonl", "w", encoding="utf-8", newline="\n") as jsonl:
+        write_reports(
+            out_dir / "reports",
+            _dumped(analyses, jsonl, totals),
+            generated_at=clock,
+            show_all_negative_fields=cfg.show_all_negative_fields,
+            class_order=eval_mod.CLASS_LABELS,
+        )
+    print(f"sentences={totals.sentences} future={len(totals.triples)}")
     return EXIT_OK
 
 
@@ -228,14 +249,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: eval needs --annotations or --corpus", file=sys.stderr)
         return EXIT_ERROR
     gold = parse_file(args.gold, eval_mod.load_gold)
-    total_sentences = None  # an annotation dump does not say how many sentences it covers
     if args.annotations:
-        annotations = parse_file(args.annotations, load_annotations)
+        predicted = parse_file(args.annotations, load_annotations)
+        total_sentences = None  # an annotation dump does not say how many sentences it covers
     else:
-        analyses, annotations = _analyze_corpus(cfg, args.corpus)
-        total_sentences = sum(len(a.sentences) for a in analyses)
+        totals = _Totals()
+        for analysis in _analyze_corpus(cfg, args.corpus):
+            totals.add(analysis)
+        predicted, total_sentences = totals.triples, totals.sentences
 
-    report = eval_mod.score(annotations, gold, total_sentences=total_sentences)
+    report = eval_mod.score(predicted, gold, total_sentences=total_sentences)
     print(eval_mod.format_distribution(gold))
     print()
     print(eval_mod.format_results(report))

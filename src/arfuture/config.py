@@ -78,13 +78,19 @@ def _parse_int(value: str, key: str) -> int:
         raise ConfigError(f"bad integer for {key}: {value!r}") from None
 
 
+def _parse_path(value: str, key: str) -> Path:
+    if not value:  # Path("") would be the working directory
+        raise ConfigError(f"empty path for {key}")
+    return Path(value)
+
+
 #: config key -> parser of its text (given the text and the key)
 SETTINGS = {
     "min_run_chars": _parse_int,
     "boundaries": lambda value, key: parse_boundaries(value),
     "strict_adjacency": _parse_bool,
     "show_all_negative_fields": _parse_bool,
-    **dict.fromkeys(_PATH_KEYS, lambda value, key: Path(value)),
+    **dict.fromkeys(_PATH_KEYS, _parse_path),
 }
 
 

@@ -443,9 +443,11 @@ class Engine:
             traces=tuple(traces),
         )
 
-    def analyze_corpus(self, docs: list[Document]) -> list[DocumentAnalysis]:
-        """Analyze many documents, results ordered by document id."""
-        return sorted((self.analyze(d) for d in docs), key=lambda r: r.doc.id)
+    def analyze_corpus(self, docs: Iterable[Document]) -> Iterator[DocumentAnalysis]:
+        """Analyze the documents one at a time, in document-id order; only
+        the analysis last yielded is held."""
+        for doc in sorted(docs, key=lambda d: d.id):
+            yield self.analyze(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +513,26 @@ def dump_annotations(annotations: list[Annotation]) -> str:
     return "".join([annotation_to_json(a) + "\n" for a in annotations])
 
 
+#: characters ``_lines`` splits at a time, cut at the next "\n"
+_LINES_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.split("\\n")``, split a block of about ``_LINES_BLOCK``
+    characters at a time, so that no list of every line is built."""
+    start = 0
+    while (end := text.find("\n", start + _LINES_BLOCK)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
+
+
 def load_annotations(text: str) -> list[Annotation]:
     """Parse a JSON Lines dump, split at "\\n" only; a line of whitespace is
     skipped and a bad record fails naming its line."""
     annotations: list[Annotation] = []
     try:
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in enumerate(_lines(text), start=1):
             if line.strip():
                 annotations.append(annotation_from_json(line))
     except KeyError as exc:

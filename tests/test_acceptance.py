@@ -226,7 +226,7 @@ def test_criterion_8_throughput(engine):
         body = ". ".join(sentences) + "."
         docs.append(make_document(url=f"http://bench/{i}", title=f"doc {i}", body=body))
     started = time.perf_counter()
-    analyses = engine.analyze_corpus(docs)
+    analyses = list(engine.analyze_corpus(docs))
     for analysis in analyses:
         page = build_report_page(
             analysis.doc,

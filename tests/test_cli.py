@@ -12,8 +12,8 @@ import pytest
 
 from arfuture.cli import _merge_config, _url_list, build_parser, main
 from arfuture.config import Config, load_config, parse_config
-from arfuture.corpus import load_query_seeds
-from arfuture.engine import Annotation, annotation_to_json
+from arfuture.corpus import compile_corpus_file, load_query_seeds, make_document
+from arfuture.engine import Annotation, annotation_to_json, dump_annotations
 from arfuture.evaluate import load_gold
 from arfuture.resources import _word_list
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
@@ -145,6 +145,20 @@ class TestAnalyze:
             outs.append(blob)
         assert outs[0] == outs[1]
 
+    def test_rerun_into_the_same_out_replaces_every_file(self, mini_gold_dir, tmp_path):
+        """A rerun into the same ``--out`` at another time rewrites every
+        file: nothing of the first run is left behind."""
+        def run(out, clock):
+            argv = ["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
+                    "--clock", clock]
+            assert main(argv) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        first = run(tmp_path / "same", "2019-12-31T23:59")
+        fresh = run(tmp_path / "fresh", "2020-01-01T00:00")
+        assert first.keys() == fresh.keys() and first != fresh
+        assert run(tmp_path / "same", "2020-01-01T00:00") == fresh
+
     def test_clock_with_offset_is_written_in_utc(self, mini_gold_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
@@ -187,6 +201,39 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.corpus.txt" in err and "malformed corpus file" in err
+
+    def test_malformed_last_corpus_file_fails_before_any_output(self, tmp_path, capsys):
+        """Every corpus file is read and checked before the first document is
+        analyzed, so the file that sorts last still stops the run."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.corpus.txt").write_text(
+            "URL: http://x\nTITLE: t\n\nسوف يرتفع.\n", encoding="utf-8"
+        )
+        (corpus / "zzz.corpus.txt").write_text("no header here\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["analyze", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "zzz.corpus.txt" in err and "malformed corpus file" in err
+        assert not out.exists()
+
+    def test_outputs_follow_document_id_order_not_file_order(self, engine, tmp_path):
+        docs = [make_document(f"http://x/{i}", f"t{i}", f"سوف يرتفع {i}. قد يتحسن الوضع.")
+                for i in range(4)]
+        by_id = sorted(docs, key=lambda d: d.id)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for rank, doc in enumerate(reversed(by_id)):  # file names sort against the ids
+            (corpus / f"{rank}.corpus.txt").write_text(compile_corpus_file(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+        expected = [ann for doc in by_id for ann in engine.analyze(doc).annotations]
+        assert len({ann.doc_id for ann in expected}) == len(docs)
+        jsonl = (out / "annotations.jsonl").read_text(encoding="utf-8")
+        assert jsonl == dump_annotations(expected)
+        index = (out / "reports" / "index.html").read_text(encoding="utf-8")
+        assert re.findall(r'<a href="([0-9a-f]+)\.html">', index) == [d.id for d in by_id]
 
     def test_corpus_file_not_utf8_is_named(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -521,6 +568,24 @@ def test_flag_and_config_line_set_the_same_field(tmp_path, key, commands, flag, 
 def test_empty_boundaries_flag_keeps_the_default_triggers():
     cfg = _config_of([*COMMAND_ARGV["analyze"], "--boundaries", ""])
     assert cfg.boundaries == DEFAULT_BOUNDARIES
+
+
+@pytest.mark.parametrize(
+    "key, flag",
+    [("rules_path", "--rules"), ("variables_path", "--variables"),
+     ("semantic_map_path", "--semantic-map"), ("lexicon_dir", "--lexicon-dir")],
+)
+def test_empty_path_line_names_file_and_line(mini_gold_dir, tmp_path, capsys, key, flag):
+    """``key =`` is refused, not read as the working directory; an empty
+    flag still counts as not given."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# paths\n{key} =\n", encoding="utf-8")
+    code = main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: empty path for {key}\n"
+    assert not (tmp_path / "o").exists()
+    assert getattr(_config_of([*COMMAND_ARGV["analyze"], flag, ""]), key) is None
 
 
 @pytest.mark.parametrize(

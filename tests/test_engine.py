@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -619,6 +620,20 @@ class TestAnnotationDump:
         # leading BOM, which json.loads refuses with a message of its own
         if newline == "\n" and not bad.startswith("\ufeff"):
             assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("ab\n\r\u2028")), st.integers(0, 8))
+    def test_lines_split_like_str_split_across_blocks(self, text, block):
+        with mock.patch.object(engine_mod, "_LINES_BLOCK", block):
+            assert list(engine_mod._lines(text)) == text.split("\n")
+
+    def test_bad_line_past_the_first_block_is_named(self):
+        good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
+        lines = [good] * 2000  # about 200k characters: several blocks
+        lines[1500] = "{not json"
+        assert len("\n".join(lines[:1500])) > 2 * engine_mod._LINES_BLOCK
+        got = _outcome(load_annotations, "\n".join(lines) + "\n")
+        assert got[:2] == (AnnotationFormatError, 1501)
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,0 +1,67 @@
+"""Allocation bounds for the commands that read a whole corpus.
+
+``analyze`` and ``eval --corpus`` hold the parsed corpus and one
+document's analysis at a time (``analyze`` also a batch of rendered
+pages), so their traced allocation peak grows with the parsed corpus, not
+with its analyses.  The corpus is the
+criterion-8 one: 200 documents of 25 template sentences (seed 88), about
+0.55 MB of text.  Holding every analysis until the end peaks at about
+17 MB for ``analyze`` and 7 MB for ``eval --corpus`` on it.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from arfuture.cli import main
+from arfuture.corpus import compile_corpus_file, make_document
+
+from oracle import generate_sentence
+
+PEAK_LIMIT_MB = 5.0
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    rng = random.Random(88)
+    for i in range(200):
+        body = " ".join(generate_sentence(rng) + "." for _ in range(25))
+        doc = make_document(url=f"http://bench/{i}", title=f"doc {i}", body=body)
+        (corpus / f"{doc.id}.corpus.txt").write_text(
+            compile_corpus_file(doc), encoding="utf-8", newline="\n"
+        )
+    # every document carries a gold triple, so eval scores a full corpus
+    (root / "gold.tsv").write_text(
+        "".join(f"{p.name.split('.')[0]}\t0\tsawfa\n" for p in sorted(corpus.iterdir())),
+        encoding="utf-8",
+    )
+    return root
+
+
+def _peak_mb(argv: list[str]) -> float:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_peak_stays_below_limit(corpus_dir, tmp_path, capsys):
+    peak = _peak_mb(["analyze", "--corpus", str(corpus_dir / "corpus"),
+                     "--out", str(tmp_path / "o"), "--clock", "2020-01-01T00:00"])
+    assert "sentences=5000" in capsys.readouterr().out
+    assert peak < PEAK_LIMIT_MB, f"analyze peaked at {peak:.1f} MB"
+
+
+def test_eval_corpus_peak_stays_below_limit(corpus_dir, capsys):
+    peak = _peak_mb(["eval", "--corpus", str(corpus_dir / "corpus"),
+                     "--gold", str(corpus_dir / "gold.tsv")])
+    assert "Overall" in capsys.readouterr().out
+    assert peak < PEAK_LIMIT_MB, f"eval --corpus peaked at {peak:.1f} MB"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arfuture import report as report_mod
 from arfuture.corpus import make_document
 from arfuture.engine import Annotation, classify_sentence_results
 from arfuture.offsets import byte_length
@@ -262,6 +263,17 @@ class TestWriteReports:
         files = sorted(p.name for p in (tmp_path / "reports").iterdir())
         assert "index.html" in files
         assert len(files) == len(mini_docs) + 1
+
+    def test_batches_write_the_same_files(self, engine, mini_docs, tmp_path, monkeypatch):
+        """Pages written a batch at a time equal pages all written at the end."""
+        def tree(name):
+            out = tmp_path / name
+            write_reports(out, engine.analyze_corpus(mini_docs), generated_at=CLOCK)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        whole = tree("whole")
+        monkeypatch.setattr(report_mod, "_WRITE_BATCH_CHARS", 1)
+        assert tree("one_by_one") == whole
 
 
 # Arabic letters, harakat, tatweel, space and the characters HTML escapes
