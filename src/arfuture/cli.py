@@ -170,6 +170,15 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     return docs
 
 
+def _read_local_page(path: Path) -> corpus_mod.RawPage | None:
+    """The page at ``path``, or None after saying on stderr why it is skipped."""
+    try:
+        return corpus_mod.read_local_page(path)
+    except (OSError, corpus_mod.CorpusError) as exc:
+        print(f"skipping {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     out_dir = args.out or Path("corpus")
@@ -178,43 +187,35 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"error: input not readable: {source}", file=sys.stderr)
         return EXIT_ERROR
 
-    pages: list[corpus_mod.RawPage] = []
-    failures = 0
     if source.is_dir():
-        html_files = sorted(
-            p for p in source.iterdir() if p.suffix.lower() in (".html", ".htm")
-        )
-        for path in html_files:
-            try:
-                pages.append(corpus_mod.read_local_page(path))
-            except (OSError, corpus_mod.CorpusError) as exc:
-                print(f"skipping {path}: {exc}", file=sys.stderr)
-                failures += 1
+        paths = sorted(p for p in source.iterdir() if p.suffix.lower() in (".html", ".htm"))
+        pages_in = len(paths)
+        # read lazily: each page is extracted as soon as it is read, so only
+        # one page's HTML is held at a time
+        pages = (page for page in map(_read_local_page, paths) if page is not None)
     else:
         urls = parse_file(source, _url_list)
         fetched = corpus_mod.fetch_pages(urls, politeness_delay=args.delay / 1000.0)
-        pages = fetched.pages
         for failure in fetched.failures:
             print(f"fetch failed {failure.url}: {failure.reason}", file=sys.stderr)
-        failures = len(fetched.failures)
+        pages_in = len(fetched.pages) + len(fetched.failures)
+        pages = fetched.pages
 
     documents = []
-    rejected = failures
     for page in pages:
         try:
             documents.append(corpus_mod.extract_document(page, cfg.min_run_chars))
         except corpus_mod.CorpusError:
-            rejected += 1
-    before = len(documents)
+            pass
     documents = corpus_mod.dedupe_documents(documents)
-    rejected += before - len(documents)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc in documents:
         (out_dir / f"{doc.id}.corpus.txt").write_text(
             corpus_mod.compile_corpus_file(doc), encoding="utf-8", newline="\n"
         )
-    pages_in = len(pages) + failures
+    # a page is unreadable, rejected, a duplicate or a document
+    rejected = pages_in - len(documents)
     print(f"pages={pages_in} documents={len(documents)} rejected={rejected}")
     return EXIT_OK if documents else EXIT_EMPTY
 

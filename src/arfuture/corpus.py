@@ -14,6 +14,7 @@ import hashlib
 import re
 import time
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlparse
@@ -108,18 +109,19 @@ class _TextExtractor(HTMLParser):
 
     Adjacent tags therefore leave a blank line (a run boundary), while a
     lone inline tag only injects a single newline, which a run survives.
-    Script and style contents are skipped entirely.
+    Script and style contents are skipped entirely.  ``title_done`` makes
+    it read no title, for the rest of a page whose start held one.
     """
 
     _SKIP = {"script", "style"}
 
-    def __init__(self):
+    def __init__(self, title_done: bool = False):
         super().__init__(convert_charrefs=True)
         self.parts: list[str] = []
         self.title_parts: list[str] = []
         self._skip_depth = 0
         self._in_title = False
-        self._title_done = False
+        self._title_done = title_done
 
     def handle_starttag(self, tag, attrs):
         if tag in self._SKIP:
@@ -148,11 +150,139 @@ class _TextExtractor(HTMLParser):
         self.parts.append(data)
 
 
+# A page is read by one regex scan up to its first markup outside the
+# subset below, with the result _TextExtractor gives for that part;
+# _TextExtractor reads the page on from there, in the state it would have
+# reached there itself.  So a page outside the subset costs at most two
+# scans of its start and html.parser on the rest.  The subset leaves out
+# every construct that html.parser releases are known to read differently
+# (comment ends such as "--!>", "</script" variants, "<![CDATA[", "<?",
+# "<!x" declarations, markup inside raw-text and RCDATA elements,
+# self-closing script, style, title and raw-text elements):
+# - start, end and self-closing tags with plain attributes; no value holds
+#   "<" or ">", so a tag ends at its first ">";
+# - "<!DOCTYPE ...>", and "<!-- -->" comments without "--" inside that
+#   neither start with ">" or "->" nor end with "-";
+# - script and style elements whose body holds no "</" or "<!", title
+#   elements whose content holds no "<", and textarea, xmp, iframe,
+#   noembed and noframes elements whose content holds no "<" or "&", each
+#   closed by "</" + its name + ">" with no space (in any letter case);
+#   noscript is an ordinary element, as html.parser reads it unless made
+#   with scripting=True;
+# - a bare "<" not followed by a letter, "/", "!" or "?" (it is text);
+# - text.
+# A page holding a NUL is read by _TextExtractor from its start.  The two
+# paths were checked to agree on CPython 3.10.13, 3.11.2, 3.11.7, 3.12.1,
+# 3.13.0 and 3.13.13, and tests/test_corpus.py holds them to each other on
+# the release that runs it; a release that changed how html.parser reads
+# markup inside the subset would not change the scan.
+_TAG_WS = "[ \t\n\r\f]"
+_ATTRS = (
+    f"(?:{_TAG_WS}+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+    f"""(?:{_TAG_WS}*={_TAG_WS}*(?:"[^"<>]*"|'[^'<>]*'|[^ \t\n\r\f"'=<>`/]+))?)*"""
+    f"{_TAG_WS}*"
+)
+# elements some release reads as raw text or RCDATA
+_CONTENT_TAGS = "(?i:script|style|title|textarea|xmp|iframe|noembed|noframes|plaintext)"
+# One token per match, its kind told by the last group that matched.
+# Comment and script bodies are matched lazily up to their end and checked
+# apart, so no token keeps regex state per character.  Compiled on first
+# use (by the re module's cache), so commands that read no HTML do not pay
+# for it.
+_TOKEN = (
+    "<(?:"
+    f"(/(?i:title){_TAG_WS}*>)"  # 1: </title>
+    f"|(/[a-zA-Z][-a-zA-Z0-9]*{_TAG_WS}*>"  # 2: any other tag
+    f"|(?!{_CONTENT_TAGS}[ \t\n\r\f/>])[a-zA-Z][-a-zA-Z0-9]*{_ATTRS}/?>)"
+    f"|(!(?i:doctype)(?:{_TAG_WS}[^<>]*)?>)"  # 3: a declaration
+    "|!--((?s:.*?))-->"  # 4: a comment's content
+    f"|((?i:script|style)){_ATTRS}>((?s:.*?))</(?i:\\5)>"  # 5, 6: a script or style element
+    f"|(?i:title){_ATTRS}>([^<]*)</(?i:title)>"  # 7: a title element's content
+    f"|((?i:textarea|xmp|iframe|noembed|noframes)){_ATTRS}>([^<&]*)</(?i:\\8)>"  # 8, 9: a text element
+    "|(?![a-zA-Z/!?])"  # a bare "<"
+    "|())"  # 10: markup outside the subset
+)
+# stands for a removed comment or declaration until the text is unescaped,
+# so that the text on its two sides is unescaped apart, as html.parser does
+_GAP = "\x00"
+
+
+class _OutsideSubset(Exception):
+    """Raised by the page scan at the first markup outside the subset; its
+    argument is where that markup starts."""
+
+
+def _scan(html: str) -> tuple[str | None, str]:
+    """The title and text :class:`_TextExtractor` gives for ``html``, a page
+    with no NUL; raises _OutsideSubset at its first markup outside the subset.
+
+    Each tag becomes a newline, script and style elements two, comments and
+    declarations nothing.  The first title element's content is the title;
+    it is None when neither a title element nor a ``</title>`` was read.
+    """
+    title = None
+
+    def token(m: re.Match) -> str:
+        nonlocal title
+        kind = m.lastindex
+        if kind == 2:
+            return "\n"
+        if kind is None:
+            return "<"
+        if kind == 3:
+            return _GAP
+        if kind == 4:
+            content = m.group(4)
+            if not ("--" in content or content.startswith((">", "->")) or content.endswith("-")):
+                return _GAP
+        elif kind == 6:
+            if not ("</" in m.group(6) or "<!" in m.group(6)):
+                return "\n\n"
+        elif kind == 7:
+            if title is None:
+                title = unescape(m.group(7))
+                return "\n\n"
+            return "\n" + m.group(7) + "\n"
+        elif kind == 9:
+            return "\n" + m.group(9) + "\n"
+        elif kind == 1:  # a </title> before any title leaves the page none
+            if title is None:
+                title = ""
+            return "\n"
+        raise _OutsideSubset(m.start())
+
+    text = re.sub(_TOKEN, token, html)
+    # every chunk of text between two tokens ends at a newline, a "<", a gap
+    # or the end, none of which a character reference can span
+    return title, unescape(text).replace(_GAP, "")
+
+
+def _read_page(html: str) -> tuple[str, str]:
+    """The title and text :class:`_TextExtractor` gives for ``html``: by the
+    scan up to the first markup outside the subset, by _TextExtractor from
+    there on."""
+    title, text, cut = None, "", 0
+    if _GAP not in html:
+        try:
+            title, text = _scan(html)
+            return title or "", text
+        except _OutsideSubset as outside:
+            cut = outside.args[0]
+            # the part before the cut holds the same tokens, all in the subset
+            title, text = _scan(html[:cut])
+    parser = _TextExtractor(title_done=title is not None)
+    parser.feed(html[cut:])
+    parser.close()
+    if title is None:
+        title = "".join(parser.title_parts)
+    return title, text + "".join(parser.parts)
+
+
 def _is_run_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit() or ch.isspace() or ch in _RUN_PUNCT
 
 
-def _text_runs(text: str) -> list[str]:
+def _text_runs_by_char(text: str) -> list[str]:
     """Maximal allowed-character runs; a blank line also ends a run."""
     runs: list[str] = []
     current: list[str] = []
@@ -172,6 +302,46 @@ def _text_runs(text: str) -> list[str]:
     return runs
 
 
+# Latin-1; Arabic and Arabic Supplement; General Punctuation, Superscripts
+# and Subscripts and Currency Symbols: the blocks whose run characters
+# _RUN_SPLIT lists, found with _is_run_char when the module loads.
+# _RUN_SPLIT splits on no character outside them: a piece holding one is
+# split by the char loop.  Both patterns are compiled on first use.
+_RUN_BLOCKS = ((0x0000, 0x00FF), (0x0600, 0x077F), (0x2000, 0x20CF))
+_OUTSIDE_RANGES = "".join(
+    f"\\U{hi + 1:08x}-\\U{lo - 1:08x}"
+    for (_, hi), (lo, _) in zip(_RUN_BLOCKS, _RUN_BLOCKS[1:] + ((0x110000, None),))
+)
+_OUTSIDE_RUN_BLOCKS = f"[{_OUTSIDE_RANGES}]"
+_RUN_SPLIT = "[^" + "".join(
+    f"\\u{cp:04x}"
+    for lo, hi in _RUN_BLOCKS
+    for cp in range(lo, hi + 1)
+    if _is_run_char(chr(cp))
+) + _OUTSIDE_RANGES + "]+|\n\n"
+
+
+def _text_runs(text: str) -> list[str]:
+    """The runs of :func:`_text_runs_by_char`, by one regex split, and by
+    the char loop inside the pieces holding a character outside _RUN_BLOCKS.
+
+    A piece ends at a character that is not a run character or at a blank
+    line, where the char loop also ends its run, so only the pieces that
+    hold such a character need it.  Stripped, the runs of the two are the
+    same, but for empty ones: the split drops both newlines of a blank line,
+    the char loop keeps the first at the end of its run.
+    """
+    pieces = re.split(_RUN_SPLIT, text)
+    if not re.search(_OUTSIDE_RUN_BLOCKS, text):
+        return pieces
+    outside = map(re.compile(_OUTSIDE_RUN_BLOCKS).search, pieces)
+    return [
+        run
+        for piece, found in zip(pieces, outside)
+        for run in (_text_runs_by_char(piece) if found else (piece,))
+    ]
+
+
 def extract_main_article(
     page: RawPage, min_run_chars: int = DEFAULT_MIN_RUN_CHARS
 ) -> tuple[str, str]:
@@ -180,20 +350,20 @@ def extract_main_article(
     The body is every qualifying run, in page order, joined by newlines.
     Run length is measured in code points after trimming the ends, with
     internal whitespace included.  Raises when nothing qualifies, which is
-    how boilerplate-only pages get rejected.
+    how boilerplate-only pages get rejected, and when ``min_run_chars`` is
+    below 1.
     """
-    parser = _TextExtractor()
-    parser.feed(page.html)
-    parser.close()
-    title = re.sub(r"\s+", " ", "".join(parser.title_parts)).strip()
-    text = "".join(parser.parts)
-    kept: list[str] = []
-    for run in _text_runs(text):
-        run = run.strip()
-        if len(run) >= min_run_chars:
-            # inline tags leave stray newlines inside a run; flatten them so
-            # downstream sentence splitting only sees real line breaks
-            kept.append(re.sub(r"[ \t]*\n[ \t]*", " ", run))
+    if min_run_chars < 1:
+        raise CorpusError(f"min_run_chars must be >= 1, got {min_run_chars}")
+    title, text = _read_page(page.html)
+    title = re.sub(r"\s+", " ", title).strip()
+    # inline tags leave stray newlines inside a run; flatten them so
+    # downstream sentence splitting only sees real line breaks
+    kept = [
+        re.sub(r"[ \t]*\n[ \t]*", " ", run)
+        for run in map(str.strip, _text_runs(text))
+        if len(run) >= min_run_chars
+    ]
     if not kept:
         raise CorpusError("no main content")
     return title, "\n".join(kept)

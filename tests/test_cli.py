@@ -44,6 +44,18 @@ class TestIngest:
         assert len(list(out.glob("*.corpus.txt"))) == 2
         assert "pages=3 documents=2 rejected=1" in capsys.readouterr().out
 
+    def test_unreadable_page_is_skipped_and_counted(self, html_dir, tmp_path, capsys):
+        bad = html_dir / "d.html"
+        bad.write_bytes(b"<p>\xff\xfe</p>")
+        (html_dir / "e.html").write_text(page(LONG_PARA + " الاول"), encoding="utf-8")  # = a
+        code = main(["ingest", "--input", str(html_dir), "--out", str(tmp_path / "c")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"skipping {bad}: page is not valid UTF-8 and declares no usable charset\n"
+        )
+        assert captured.out == "pages=5 documents=2 rejected=3\n"
+
     def test_empty_dir_exits_1(self, tmp_path, capsys):
         src = tmp_path / "empty"
         src.mkdir()

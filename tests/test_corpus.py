@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arfuture import corpus
 from arfuture.corpus import (
     CorpusError,
     QuerySeed,
@@ -146,6 +148,230 @@ class TestExtraction:
             extract_main_article(RawPage(source_url="x", html=html), min_run_chars)
         except CorpusError:
             pass
+
+    @pytest.mark.parametrize("min_run_chars", [0, -1])
+    def test_min_run_chars_below_one_is_refused(self, min_run_chars):
+        page = RawPage(source_url="x", html="<p>aa#\n\n#bb</p>")
+        with pytest.raises(CorpusError, match=f"min_run_chars must be >= 1, got {min_run_chars}$"):
+            extract_main_article(page, min_run_chars)
+
+
+# fragments in the subset of markup the regex page scan reads: any string
+# made of them is in the subset
+_SUBSET_BITS = [
+    "<p>", "</p>", "<P class='c'>", "</div\n>", "<br/>", '<img src="a.png" alt=x />',
+    '<a href="/x?a=1&amp;b=2">', "</a>", "<my-el data-x=1>", "<!DOCTYPE html>",
+    "<!-- note -->", "<!---->", "<!-- a - b -->", "<!---x-->", "<script>var a = b < 3;</script>",
+    '<STYLE type="text/css">p { color: red }</style>', "<title>t &amp;\n u</title>",
+    "<title></title>", "</title>", '<noscript><img src="/px.gif"></noscript>', "<NOSCRIPT>",
+    "</noscript>", "<iframe src='/ad'></iframe>", "<textarea>t\nu</textarea>", "<xmp>x y</xmp>",
+    "<NOFRAMES>n</noframes>", "<noembed></noembed>", "< ", "<3", "<ب", ">", "&amp;", "&amp",
+    "&am", "p;", "&#1587;", "&#38", "&", ";", "#", "x", "ب", " ", "\n", "\n\n", "\t", "\r",
+    PARA_ONE,
+]
+# markup outside the subset, each at a place where html.parser releases
+# differ or where the subset stops
+_OUTSIDE_BITS = [
+    "<![CDATA[", "]]>", "</SCRIPT >", "</script >", "--!>", "<!-- a -- b -->", "<!-->",
+    "<!--->", "<!-- a --->", "<?xml ?>", "<!x>", "<p", '<a b="<">', "<a\x0bb>", "</ p>",
+    "<textarea>", "<iframe>a<b</iframe>", "<xmp>&amp;</xmp>", "<plaintext>", "<iframe/>",
+    "<title/>", "<script/>", "<script>", "<title>", "</", "<!--", "-->", "\x00",
+    "<script>if (a</b) x;</script>", "<script><!-- x --></script>",
+]
+
+
+def _by_html_parser(html: str) -> tuple[str, str]:
+    parser = corpus._TextExtractor()
+    parser.feed(html)
+    parser.close()
+    return "".join(parser.title_parts), "".join(parser.parts)
+
+
+def _cut(html: str) -> int:
+    """Where the scan hands ``html`` to html.parser; its length if nowhere."""
+    try:
+        corpus._scan(html)
+    except corpus._OutsideSubset as outside:
+        return outside.args[0]
+    return len(html)
+
+
+def _outcome(html: str, min_run_chars: int):
+    try:
+        return extract_main_article(RawPage(source_url="x", html=html), min_run_chars)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def _outcome_by_html_parser(html: str, min_run_chars: int):
+    with mock.patch.object(corpus, "_read_page", _by_html_parser):
+        return _outcome(html, min_run_chars)
+
+
+class TestPageScan:
+    """The regex page scan against the html.parser path it stands in for."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        bits=st.lists(st.one_of(
+            st.sampled_from(_SUBSET_BITS), st.sampled_from(_OUTSIDE_BITS), st.text(max_size=4)
+        )),
+        min_run_chars=st.integers(1, 150),
+    )
+    def test_page_text_equals_html_parser(self, bits, min_run_chars):
+        html = "".join(bits)
+        assert corpus._read_page(html) == _by_html_parser(html)
+        if "\x00" not in html:
+            # the scan stops between two tokens, where html.parser has read
+            # the same as from the part before alone
+            cut = _cut(html)
+            title, text = corpus._scan(html[:cut])
+            assert (title or "", text) == _by_html_parser(html[:cut])
+        assert _outcome(html, min_run_chars) == _outcome_by_html_parser(html, min_run_chars)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.sampled_from(_SUBSET_BITS)))
+    def test_subset_pages_take_the_scan(self, bits):
+        html = "".join(bits)
+        title, text = corpus._scan(html)
+        assert (title or "", text) == _by_html_parser(html)
+
+    @pytest.mark.parametrize("markup", [
+        "<![CDATA[x]]>",
+        "<script>x</SCRIPT >",
+        "<script>x</script >",
+        "<!-- x --!>",
+        "<!-- a -- b -->",
+        "<!-->",
+        "<!--->",
+        "<!-- a --->",
+        "<?php echo 1 ?>",
+        "<!x>",
+        '<a title="a<b">',
+        "<a href=/x>",
+        "<a\x0bhref='x'>",
+        "</ p>",
+        "<textarea>a &amp; b</textarea>",
+        "<iframe><p>x</p></iframe>",
+        "<plaintext>",
+        "<iframe/>",
+        "<title>a<b>b</b></title>",
+        "<title/>",
+        "<script/>",
+        "<script>if (a</b) x;</script>",
+        "<script><!-- x --></script>",
+        "<p",
+    ])
+    def test_html_parser_reads_from_markup_outside_the_subset(self, markup):
+        head = f"<title>t</title><p>{PARA_ONE}</p>"
+        html = f"{head}{markup}<p>{PARA_TWO}</p>"
+        if markup == "<p":
+            html = f"{head}{markup}"
+        assert _cut(html) == len(head)
+        assert corpus._scan(head) == _by_html_parser(head)
+        assert corpus._read_page(html) == _by_html_parser(html)
+        assert _outcome(html, 5) == _outcome_by_html_parser(html, 5)
+
+    def test_page_with_nul_takes_html_parser_from_its_start(self):
+        html = f"<p>{PARA_ONE}</p>\x00<p>{PARA_TWO}</p>"
+        with mock.patch.object(corpus, "_scan") as scan:
+            assert corpus._read_page(html) == _by_html_parser(html)
+        scan.assert_not_called()
+
+    def test_title_after_the_cut_comes_from_html_parser(self):
+        html = f"<![CDATA[x]]><title>late</title><p>{PARA_ONE}</p>"
+        assert _cut(html) == 0
+        assert corpus._read_page(html) == _by_html_parser(html)
+        assert corpus._read_page(html)[0] == "late"
+
+    def test_title_before_the_cut_stays_the_only_one(self):
+        html = f"<title>first</title><?x?><title>late</title><p>{PARA_ONE}</p>"
+        assert corpus._read_page(html) == _by_html_parser(html)
+        assert corpus._read_page(html)[0] == "first"
+
+    def test_noscript_and_plain_raw_text_elements_take_the_scan(self):
+        html = (f'<body><noscript><img src="/px.gif"></noscript><p>{PARA_ONE}</p>'
+                "<iframe src='/ad'></iframe><textarea>t</textarea></body>")
+        title, text = corpus._scan(html)
+        assert (title or "", text) == _by_html_parser(html)
+
+    def test_golden_page_takes_the_scan(self):
+        assert corpus._scan(GOLDEN_HTML) == _by_html_parser(GOLDEN_HTML)
+
+    def test_reference_split_by_a_comment_or_declaration_stays_unconverted(self):
+        # html.parser unescapes the text on each side of them apart
+        html = "<p>&am<!---->p; &amp<!---->x &am<!DOCTYPE html>p;</p>"
+        assert corpus._read_page(html) == ("", "\n&amp; &x &amp;\n")
+        assert _by_html_parser(html) == ("", "\n&amp; &x &amp;\n")
+
+    def test_title_is_the_first_title_element(self):
+        html = "<title>a &lt; b</title><title>second</title>"
+        assert corpus._read_page(html) == ("a < b", "\n\n\nsecond\n")
+        assert _by_html_parser(html) == ("a < b", "\n\n\nsecond\n")
+
+    def test_end_title_before_any_title_means_none(self):
+        html = "</title><title>late</title>"
+        assert corpus._read_page(html) == ("", "\n\nlate\n")
+        assert _by_html_parser(html) == ("", "\n\nlate\n")
+
+
+def _stripped(runs: list[str]) -> list[str]:
+    return [run.strip() for run in runs if run.strip()]
+
+
+# characters where str predicates and re classes part (_, fractions,
+# superscripts, letter-like numerals), harakat and tatweel, the less common
+# whitespace, separators, and characters outside _RUN_BLOCKS (rial sign,
+# arrow, emoji, Arabic Extended-A and Presentation Forms, CJK, ideographic
+# space, a combining mark)
+_OUTSIDE_CHARS = [
+    "\ufdfc", "\u2192", "\U0001f600", "\u08a0", "\ufefb", "\ufe8d", "\u4e2d", "\u3000",
+    "\u20d0",
+]
+_RUN_TEXT = st.lists(st.one_of(
+    st.sampled_from([
+        "_", "\u00bd", "\u00b2", "\u216b", "\u3007", "\u064e", "\u0651", "\u0670", "\u0640",
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\xa0", "\u200c", " ", "\t", "\r",
+        "\u0628", "a", "7", "\u0663", ".", "-", "\u2013", "\u060c", "&", "#", "<", "\u00a9",
+        "\u20ac", "\u0750", "\u2070",
+        *_OUTSIDE_CHARS,
+    ]),
+    st.integers(1, 5).map(lambda n: "\n" * n),
+    st.text(max_size=3),
+)).map("".join)
+
+
+class TestTextRuns:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_RUN_TEXT)
+    def test_runs_equal_the_char_loop(self, text):
+        assert _stripped(corpus._text_runs(text)) == _stripped(corpus._text_runs_by_char(text))
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_RUN_TEXT)
+    def test_split_equals_the_char_loop_inside_the_blocks(self, text):
+        text = re.sub(corpus._OUTSIDE_RUN_BLOCKS, "", text)
+        assert _stripped(re.split(corpus._RUN_SPLIT, text)) == _stripped(
+            corpus._text_runs_by_char(text))
+
+    def test_split_class_is_is_run_char(self):
+        for lo, hi in corpus._RUN_BLOCKS:
+            for cp in range(lo, hi + 1):
+                ch = chr(cp)
+                assert (re.split(corpus._RUN_SPLIT, ch) == [ch]) == corpus._is_run_char(ch), hex(cp)
+
+    def test_split_keeps_characters_outside_the_blocks(self):
+        for ch in _OUTSIDE_CHARS + ["\u0100", "\u05ff", "\u0780", "\u1fff", "\u20d0"]:
+            assert re.split(corpus._RUN_SPLIT, ch) == [ch]
+
+    def test_char_loop_reads_only_the_pieces_outside_the_blocks(self):
+        text = f"{PARA_ONE}\n\nسعر 5 \ufdfc للسهم، {PARA_TWO}\n\n{PARA_ONE}"
+        with mock.patch.object(
+            corpus, "_text_runs_by_char", wraps=corpus._text_runs_by_char
+        ) as by_char:
+            runs = corpus._text_runs(text)
+        by_char.assert_called_once_with(f"سعر 5 \ufdfc للسهم، {PARA_TWO}")
+        assert _stripped(runs) == _stripped(corpus._text_runs_by_char(text))
 
 
 WORDS = ["نص", "لبنان", "اقتصاد", "تقرير", "نمو", "العام"]

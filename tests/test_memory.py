@@ -1,4 +1,4 @@
-"""Allocation bounds for the commands that read a whole corpus.
+"""Allocation bounds for the commands that read a whole corpus or page set.
 
 ``analyze`` and ``eval --corpus`` hold the parsed corpus and one
 document's analysis at a time (``analyze`` also a batch of rendered
@@ -7,6 +7,11 @@ with its analyses.  The corpus is the
 criterion-8 one: 200 documents of 25 template sentences (seed 88), about
 0.55 MB of text.  Holding every analysis until the end peaks at about
 17 MB for ``analyze`` and 7 MB for ``eval --corpus`` on it.
+
+``ingest`` holds one page's HTML at a time and the extracted documents.
+Its pages here are 200 chrome-heavy ones of about 31,000 characters
+(40 KB) each; holding every page's HTML until the corpus files are written
+peaks at about 13 MB on them, one page at a time at under 1 MB.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from arfuture.corpus import compile_corpus_file, make_document
 from oracle import generate_sentence
 
 PEAK_LIMIT_MB = 5.0
+INGEST_PEAK_LIMIT_MB = 2.0
+WORDS = ["لبنان", "اقتصاد", "تقرير", "نمو", "العام", "الموازنة", "الدين", "المصارف"]
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +72,24 @@ def test_eval_corpus_peak_stays_below_limit(corpus_dir, capsys):
                      "--gold", str(corpus_dir / "gold.tsv")])
     assert "Overall" in capsys.readouterr().out
     assert peak < PEAK_LIMIT_MB, f"eval --corpus peaked at {peak:.1f} MB"
+
+
+@pytest.fixture(scope="module")
+def pages_dir(tmp_path_factory):
+    pages = tmp_path_factory.mktemp("pages")
+    rng = random.Random(88)
+    menu = "".join(f'<li><a href="/section/{n}">قسم الاخبار {n}</a></li>\n' for n in range(600))
+    for i in range(200):
+        article = f"تقرير رقم {i} " + " ".join(rng.choice(WORDS) for _ in range(60))
+        (pages / f"p{i:03d}.html").write_text(
+            f"<html><head><title>صفحة {i}</title></head><body><ul>\n{menu}</ul>"
+            f"<p>{article}</p></body></html>",
+            encoding="utf-8",
+        )
+    return pages
+
+
+def test_ingest_peak_stays_below_limit(pages_dir, tmp_path, capsys):
+    peak = _peak_mb(["ingest", "--input", str(pages_dir), "--out", str(tmp_path / "c")])
+    assert "pages=200 documents=200 rejected=0" in capsys.readouterr().out
+    assert peak < INGEST_PEAK_LIMIT_MB, f"ingest peaked at {peak:.1f} MB"
