@@ -377,11 +377,15 @@ def extract_document(
 
 
 def dedupe_documents(docs: list[Document]) -> list[Document]:
-    """Drop later documents whose whitespace-normalized body already occurred."""
-    seen: set[str] = set()
+    """Drop later documents whose whitespace-normalized body already occurred.
+
+    A body is keyed by the sha256 digest of its words joined by single
+    spaces, so no second copy of it is kept."""
+    seen: set[bytes] = set()
     unique: list[Document] = []
     for doc in docs:
-        key = re.sub(r"\s+", " ", doc.body).strip()
+        words = " ".join(doc.body.split())
+        key = hashlib.sha256(words.encode("utf-8", "surrogatepass")).digest()
         if key in seen:
             continue
         seen.add(key)

@@ -38,11 +38,20 @@ f-string, quoting its strings with ``json``'s C escaper, and gives what
 accepts exactly the lines ``json.loads`` accepts; ``doc_id`` and
 ``class_label`` must be strings, ``sentence_index`` an integer (not a
 boolean), and each span a list of two integers.
+
+``load_annotations`` gives only the (document, sentence, class) triples
+that scoring reads.  A canonical line, exactly as ``annotation_to_json``
+writes it with strings that hold no ``"``, ``\\`` or control character
+(and perhaps a "\\r" before its "\\n"), is read by one regex pass over
+the whole dump; every other line goes through ``annotation_from_json``,
+so each line is accepted or refused, with the same message and line
+number, as if every line were decoded.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -517,26 +526,60 @@ def dump_annotations(annotations: list[Annotation]) -> str:
 _LINES_BLOCK = 1 << 16
 
 
-def _lines(text: str) -> Iterator[str]:
-    """``text.split("\\n")``, split a block of about ``_LINES_BLOCK``
-    characters at a time, so that no list of every line is built."""
-    start = 0
-    while (end := text.find("\n", start + _LINES_BLOCK)) >= 0:
-        yield from text[start:end].split("\n")
-        start = end + 1
-    yield from text[start:].split("\n")
+def _lines(text: str, start: int, end: int) -> Iterator[str]:
+    """``text[start:end].split("\\n")``, split a block of about
+    ``_LINES_BLOCK`` characters at a time, so that no list of every line is
+    built."""
+    while (cut := text.find("\n", start + _LINES_BLOCK, end)) >= 0:
+        yield from text[start:cut].split("\n")
+        start = cut + 1
+    yield from text[start:end].split("\n")
 
 
-def load_annotations(text: str) -> list[Annotation]:
-    """Parse a JSON Lines dump, split at "\\n" only; a line of whitespace is
-    skipped and a bad record fails naming its line."""
-    annotations: list[Annotation] = []
+# A line exactly as ``annotation_to_json`` writes it, with strings that the
+# decoder reads as written (no '"', '\\' or control character) and integers
+# of at most 100 digits (longer ones meet Python's int-digit limit in the
+# decoder), ended by "\n", "\r\n" or the end of the text; groups: doc_id,
+# sentence_index, class_label.  Digits are [0-9], since \d also takes
+# digits that JSON refuses.  A line the pattern misses costs a failed match
+# at each of its characters, so a "\r\n" dump would cost more than the
+# decoder alone.  Compiled on first use (by the re module's cache).
+_TEXT = r'[^"\\\x00-\x1f]*'
+_INT = r"-?(?:0|[1-9][0-9]{0,99})"
+_SPAN = rf"\[{_INT}, {_INT}\]"
+_CANONICAL_LINE = (
+    rf'(?m)^\{{"doc_id": "({_TEXT})", "sentence_index": ({_INT}), '
+    rf'"rule_id": "{_TEXT}", "category": "{_TEXT}", "class_label": "({_TEXT})", '
+    rf'"positive_marker_spans": \[(?:{_SPAN}(?:, {_SPAN})*)?\], '
+    rf'"excerpt_span": (?:{_SPAN}|null)\}}\r?(?:\n|\Z)'
+)
+
+
+def _decode_lines(text: str, start: int, end: int, triples: set) -> None:
+    """Add the triples of the whole lines in ``text[start:end]``, decoding
+    each with ``annotation_from_json``; a line of whitespace is skipped."""
     try:
-        for lineno, line in enumerate(_lines(text), start=1):
+        for offset, line in enumerate(_lines(text, start, end)):
             if line.strip():
-                annotations.append(annotation_from_json(line))
-    except KeyError as exc:
-        raise AnnotationFormatError(f"line {lineno}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise AnnotationFormatError(f"line {lineno}: {exc}") from None
-    return annotations
+                ann = annotation_from_json(line)
+                triples.add((ann.doc_id, ann.sentence_index, ann.class_label))
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        lineno = text.count("\n", 0, start) + offset + 1
+        raise AnnotationFormatError(f"line {lineno}: {problem}") from None
+
+
+def load_annotations(text: str) -> set[tuple[str, int, str]]:
+    """The (doc_id, sentence_index, class_label) triples of a JSON Lines
+    dump, split at "\\n" only; a line of whitespace is skipped and a bad
+    record fails naming its line."""
+    triples: set[tuple[str, int, str]] = set()
+    done = 0
+    for m in re.finditer(_CANONICAL_LINE, text):
+        if m.start() != done:
+            _decode_lines(text, done, m.start(), triples)
+        doc_id, index, label = m.groups()
+        triples.add((doc_id, int(index), label))
+        done = m.end()
+    _decode_lines(text, done, len(text), triples)
+    return triples

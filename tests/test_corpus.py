@@ -465,12 +465,43 @@ class TestCorpusFileFormat:
         assert a.id == b.id
 
 
+#: text mostly of whitespace, every kind of it, and of look-alikes that are
+#: not, with a lone surrogate, which a body decoded from a page may hold
+_SPACED_TEXT = st.text(
+    st.sampled_from(
+        [c for c in map(chr, range(0x3001)) if c.isspace()]
+        + ["\u200b", "\ufeff", "\ud800", "ن", "a"]
+    )
+    | st.characters(),
+    max_size=10,
+)
+
+
 class TestDedupe:
     def test_whitespace_normalized_duplicates_dropped(self):
         a = make_document(url="http://a", title="", body="نص  واحد")
         b = make_document(url="http://b", title="", body="نص واحد")
         c = make_document(url="http://c", title="", body="نص اخر")
         assert dedupe_documents([a, b, c]) == [a, c]
+
+    def test_str_split_and_regex_agree_on_whitespace(self):
+        text = "".join(map(chr, range(0x110000)))
+        assert [m.start() for m in re.finditer(r"\s", text)] == [
+            i for i, c in enumerate(text) if c.isspace()
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SPACED_TEXT, max_size=8))
+    def test_keeps_the_documents_the_regex_key_kept(self, bodies):
+        docs = [make_document(url=f"http://{i}", title="", body=b) for i, b in enumerate(bodies)]
+        seen: set[str] = set()
+        expected = []
+        for doc in docs:  # the key the regex gave
+            key = re.sub(r"\s+", " ", doc.body).strip()
+            if key not in seen:
+                seen.add(key)
+                expected.append(doc)
+        assert dedupe_documents(docs) == expected
 
 
 class TestFetchPages:

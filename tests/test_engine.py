@@ -473,12 +473,36 @@ def _record(ann: Annotation) -> dict:
 
 
 def _outcome(load, text: str):
-    """The records, or the error's type, line number and message."""
+    """The records or triples, or the error's type, line number and message."""
     try:
         return load(text)
     except AnnotationFormatError as exc:
         lineno, message = str(exc).split(": ", 1)
         return type(exc), int(lineno.removeprefix("line ")), message
+
+
+def _triples(outcome):
+    """The (doc, sentence, class) triples of a list of records; an error
+    outcome as it is."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return {(a.doc_id, a.sentence_index, a.class_label) for a in outcome}
+
+
+def _decode_each_line(text: str) -> list[Annotation]:
+    """Every record of a dump split at "\\n", each line decoded with
+    ``annotation_from_json``, failing as ``load_annotations`` does."""
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(annotation_from_json(line))
+        except KeyError as exc:
+            raise AnnotationFormatError(f"line {lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise AnnotationFormatError(f"line {lineno}: {exc}") from None
+    return records
 
 
 _SPAN = st.tuples(st.integers(), st.integers())
@@ -530,7 +554,8 @@ class TestAnnotationDump:
     def test_jsonl_round_trip(self, engine, mini_docs):
         anns = [a for d in mini_docs for a in engine.analyze(d).annotations]
         text = dump_annotations(anns)
-        assert load_annotations(text) == anns
+        assert _decode_each_line(text) == anns
+        assert load_annotations(text) == _triples(anns)
         assert text.count("\n") == len(anns)
 
     @settings(max_examples=200, deadline=None)
@@ -579,12 +604,14 @@ class TestAnnotationDump:
     @given(st.lists(annotations(_BREAKING_TEXT), max_size=4))
     def test_load_reads_back_every_dump(self, anns):
         text = dump_annotations(anns)
-        assert load_annotations(text) == anns
-        assert load_annotations(text.replace("\n", "\r\n")) == anns
+        crlf = text.replace("\n", "\r\n")
+        assert _decode_each_line(text) == _decode_each_line(crlf) == anns
+        assert load_annotations(text) == load_annotations(crlf) == _triples(anns)
 
     def test_line_separators_stay_inside_records(self):
         ann = Annotation("d\u2028x\u2029y\x85z", 0, "qad", "c", "qad", ((0, 4),), None)
-        assert load_annotations(dump_annotations([ann])) == [ann]
+        assert _decode_each_line(dump_annotations([ann])) == [ann]
+        assert load_annotations(dump_annotations([ann])) == _triples([ann])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -598,8 +625,9 @@ class TestAnnotationDump:
         for blank in blanks:
             lines.insert(rng.randint(0, len(lines)), blank)
         text = newline.join(lines) + rng.choice(["", newline])
-        assert load_annotations(text) == codec_ref.load_annotations(text)
-        assert load_annotations(text) == [ann for ann, _, _ in padded]
+        records = codec_ref.load_annotations(text)
+        assert _decode_each_line(text) == records == [ann for ann, _, _ in padded]
+        assert load_annotations(text) == _triples(records)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -614,18 +642,28 @@ class TestAnnotationDump:
         lines.insert(data.draw(st.integers(0, len(lines))), bad)
         text = newline.join(lines) + newline
         expected = _outcome(codec_ref.load_annotations, text)
-        got = _outcome(load_annotations, text)
-        assert got[:2] == expected[:2]
-        # the messages differ only in a column past a kept "\r", and for a
-        # leading BOM, which json.loads refuses with a message of its own
-        if newline == "\n" and not bad.startswith("\ufeff"):
-            assert got == expected
+        for got, want in [
+            (_outcome(_decode_each_line, text), expected),
+            (_outcome(load_annotations, text), _triples(expected)),
+        ]:
+            if isinstance(want, tuple):  # an error
+                assert got[:2] == want[:2]
+                # the messages differ only in a column past a kept "\r", and
+                # for a leading BOM, which json.loads refuses with a message
+                # of its own
+                if newline == "\n" and not bad.startswith("\ufeff"):
+                    assert got == want
+            else:
+                assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(st.sampled_from("ab\n\r\u2028")), st.integers(0, 8))
     def test_lines_split_like_str_split_across_blocks(self, text, block):
         with mock.patch.object(engine_mod, "_LINES_BLOCK", block):
-            assert list(engine_mod._lines(text)) == text.split("\n")
+            assert list(engine_mod._lines(text, 0, len(text))) == text.split("\n")
+            for start in range(len(text) + 1):
+                end = start + block
+                assert list(engine_mod._lines(text, start, end)) == text[start:end].split("\n")
 
     def test_bad_line_past_the_first_block_is_named(self):
         good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
@@ -651,6 +689,156 @@ class TestAnnotationDump:
         text = f"\n  \t\n{bad}\r\n"
         got = _outcome(load_annotations, text)
         assert got[1] == 3 and got == _outcome(codec_ref.load_annotations, text)
+
+
+#: text a canonical line holds as written: Arabic and ASCII with no '"' or '\'
+_PLAIN_TEXT = st.text(st.sampled_from("سوف قد لن يتحسن az09:,{}[]-\x7f"), max_size=8)
+#: integers around the 100 digits the pattern takes, and small ones
+_INTS = st.integers(-3, 30) | st.integers() | st.sampled_from(
+    [10**99, 10**100, -(10**99), -(10**100), 10**100 - 1]
+)
+_PLAIN_SPAN = st.tuples(_INTS, _INTS)
+
+
+def _dump_lines(text, spans=_PLAIN_SPAN):
+    return st.builds(
+        Annotation, text, _INTS, text, text, text,
+        st.lists(spans, max_size=3).map(tuple), st.none() | spans,
+    ).map(annotation_to_json)
+
+
+_PLAIN_LINE = _dump_lines(_PLAIN_TEXT)
+#: a line of the reader's other path: escaped strings, padding or blank
+_OTHER_LINE = st.one_of(
+    _dump_lines(_LINE_TEXT, _SPAN),
+    st.tuples(_PADDING, _PLAIN_LINE, _PADDING).map("".join),
+    _BLANK_LINE,
+)
+_DUMP_LINE = st.tuples(
+    st.one_of(_PLAIN_LINE, _PLAIN_LINE, _PLAIN_LINE, _OTHER_LINE),
+    st.sampled_from(["\n", "\n", "\r\n"]),
+).map("".join)
+
+#: one edit to a canonical line: Unicode digits, JSON the writer never
+#: gives, escapes, raw control characters, long integers, and a "\r" at its
+#: end, which the pattern also takes
+_EDITS = [
+    ('"sentence_index": 0', '"sentence_index": ٣'),
+    ('"sentence_index": 0', '"sentence_index": 1٣'),
+    ('"sentence_index": 0', '"sentence_index": ０'),
+    ('"sentence_index": 0', '"sentence_index": 00'),
+    ('"sentence_index": 0', '"sentence_index": -0'),
+    ('"sentence_index": 0', '"sentence_index": +1'),
+    ('"sentence_index": 0', '"sentence_index": -'),
+    ('"sentence_index": 0', '"sentence_index": 1.0'),
+    ('"sentence_index": 0', '"sentence_index": 1e2'),
+    ('"sentence_index": 0', '"sentence_index": ' + "7" * 101),
+    ('"sentence_index": 0', '"sentence_index": ' + "7" * 5000),
+    ("[[0, 4]]", "[[٠, 4]]"),
+    ("[[0, 4]]", "[[0, 4٠]]"),
+    ("[[0, 4]]", "[[0, 4], ]"),
+    ("[[0, 4]]", "[[0,4]]"),
+    ("[[0, 4]]", "[[0, 4, 5]]"),
+    ("[[0, 4]]", "[[0, -" + "9" * 120 + "]]"),
+    ("[[0, 4]]", "[[0, " + "9" * 5000 + "]]"),
+    ('"excerpt_span": [0, 9]', '"excerpt_span": []'),
+    ('"excerpt_span": [0, 9]', '"excerpt_span": NaN'),
+    ('"doc_id": "d"', '"doc_id": "d\\u0041"'),
+    ('"doc_id": "d"', '"doc_id": "d\\/"'),
+    ('"doc_id": "d"', '"doc_id": "d\\x"'),
+    ('"doc_id": "d"', '"doc_id": "d\\"'),
+    ('"doc_id": "d"', '"doc_id": "d\x01"'),
+    ('"doc_id": "d"', '"doc_id": "d\t"'),
+    ('"class_label": "qad"', '"class_label": "q\\"ad"'),
+    ('"class_label": "qad"', '"class_label":"qad"'),
+    ('"rule_id": "r"', '"rule_id": "r\\\\"'),
+    ('"rule_id": "r"', '"rule_id": 5'),
+    ("}", "}\r"),
+    ("}", "} "),
+    ("{", " {"),
+]
+
+
+def _near_canonical(good: str):
+    return st.sampled_from(_EDITS).map(lambda edit: good.replace(*edit, 1))
+
+
+class TestTripleReader:
+    """``load_annotations`` reads canonical lines with one pattern and
+    decodes every other line; either way it gives the reference's triples
+    and fails on the reference's line with the reference's message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_DUMP_LINE, max_size=10), st.booleans())
+    def test_triples_match_reference_on_valid_dumps(self, lines, final_newline):
+        text = "".join(lines)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        assert load_annotations(text) == _triples(codec_ref.load_annotations(text))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(_PLAIN_LINE, max_size=6),
+        st.lists(_PLAIN_LINE, max_size=2),
+        st.data(),
+        st.sampled_from(["", "\n"]),
+    )
+    def test_bad_line_after_canonical_lines_fails_like_reference(
+        self, before, after, data, end
+    ):
+        good = annotation_to_json(Annotation("d", 0, "r", "c", "qad", ((0, 4),), (0, 9)))
+        bad = data.draw(_near_canonical(good) | _bad_line(good))
+        text = "\n".join([*before, bad, *after]) + end
+        expected = _triples(_outcome(codec_ref.load_annotations, text))
+        got = _outcome(load_annotations, text)
+        if bad.startswith("\ufeff"):  # json.loads words this one its own way
+            assert got[:2] == expected[:2]
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("edit", _EDITS, ids=lambda edit: repr(edit[1][-12:]))
+    def test_each_edit_fails_or_reads_like_reference(self, edit):
+        good = annotation_to_json(Annotation("d", 0, "r", "c", "qad", ((0, 4),), (0, 9)))
+        lines = [annotation_to_json(Annotation("e", i, "r", "c", "sin", (), None))
+                 for i in range(3)]
+        text = "\n".join([*lines, good.replace(*edit, 1), *lines]) + "\n"
+        assert _outcome(load_annotations, text) == _triples(
+            _outcome(codec_ref.load_annotations, text)
+        )
+
+    @pytest.mark.parametrize("canonical_head", [0, 700])
+    def test_bad_line_deep_in_a_long_run_of_other_lines_is_named(self, canonical_head):
+        good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
+        lines = [good] * 3000
+        for i in range(canonical_head, len(lines)):
+            lines[i] = " " + lines[i]  # off the pattern: decoded line by line
+        lines[2500] = "{not json"
+        assert len("\n".join(lines[canonical_head:2500])) > 2 * engine_mod._LINES_BLOCK
+        text = "\n".join(lines) + "\n"
+        got = _outcome(load_annotations, text)
+        assert got[:2] == (AnnotationFormatError, 2501)
+        assert got == _outcome(codec_ref.load_annotations, text)
+
+    def test_canonical_lines_take_the_pattern(self, mini_gold_dir, tmp_path, monkeypatch):
+        from arfuture.cli import main
+
+        out = tmp_path / "o"
+        argv = ["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
+                "--clock", "2020-01-01T00:00"]
+        assert main(argv) == 0
+        text = (out / "annotations.jsonl").read_text(encoding="utf-8")
+        expected = _triples(codec_ref.load_annotations(text))
+        assert len(expected) > 10
+
+        def refuse(line):
+            raise AssertionError(f"decoded {line!r}")
+
+        monkeypatch.setattr(engine_mod, "annotation_from_json", refuse)
+        assert load_annotations(text) == expected
+        assert load_annotations(text.removesuffix("\n")) == expected
+        assert load_annotations(text.replace("\n", "\r\n")) == expected
+        with pytest.raises(AssertionError):
+            load_annotations(" " + text)
 
 
 RECORDS = [
