@@ -92,10 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = _command(sub, "eval", cmd_eval, "score predictions against gold annotations")
     _resource_flags(p_eval)
-    p_eval.add_argument("--corpus", type=Path, help="corpus directory to analyze")
-    p_eval.add_argument(
-        "--annotations", type=Path, help="existing annotations.jsonl to score instead"
-    )
+    source = p_eval.add_mutually_exclusive_group(required=True)
+    source.add_argument("--corpus", type=Path, help="corpus directory to analyze")
+    source.add_argument("--annotations", type=Path, help="annotations.jsonl to score")
     p_eval.add_argument("--gold", required=True, type=Path, help="gold TSV file")
     p_eval.add_argument("--report", type=Path, help="also write the report as JSON")
     return parser
@@ -238,7 +237,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _dumped(analyses, jsonl, totals),
             generated_at=clock,
             show_all_negative_fields=cfg.show_all_negative_fields,
-            class_order=eval_mod.CLASS_LABELS,
         )
     print(f"sentences={totals.sentences} future={len(totals.triples)}")
     return EXIT_OK
@@ -246,9 +244,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    if not args.annotations and not args.corpus:
-        print("error: eval needs --annotations or --corpus", file=sys.stderr)
-        return EXIT_ERROR
     gold = parse_file(args.gold, eval_mod.load_gold)
     if args.annotations:
         predicted = parse_file(args.annotations, load_annotations)

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .corpus import Document
 from .engine import Annotation, DocumentAnalysis, RejectionTrace
+from .evaluate import CLASS_LABELS
 from .segment import Sentence
 
 
@@ -155,10 +156,7 @@ def _sentence_block(
 
 
 def build_report_page(
-    doc: Document,
-    annotations: list[Annotation],
-    traces: list[RejectionTrace],
-    sentences: list[Sentence],
+    analysis: DocumentAnalysis,
     *,
     generated_at: datetime | None = None,
     show_all_negative_fields: bool = False,
@@ -168,81 +166,80 @@ def build_report_page(
     A sentence shades the negative fields of the rules that annotated it,
     or, with ``show_all_negative_fields``, of every trace on it.
     """
-    by_index = {s.index: s for s in sentences}
+    by_index = {s.index: s for s in analysis.sentences}
     when = generated_at or datetime.now(timezone.utc)
     if when.tzinfo is not None:  # a naive time is taken as UTC already
         when = when.astimezone(timezone.utc)
-    page = ReportPage(doc=doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
+    page = ReportPage(doc=analysis.doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
 
     annotated_rules: dict[int, set[str]] = {}
-    per_cat_sentences: dict[str, set[int]] = {}
-    per_sentence_anns: dict[tuple[str, int], list[Annotation]] = {}
-    for ann in annotations:
+    per_category: dict[str, dict[int, list[Annotation]]] = {}
+    for ann in analysis.annotations:
         annotated_rules.setdefault(ann.sentence_index, set()).add(ann.rule_id)
         page.class_counts[ann.class_label] = page.class_counts.get(ann.class_label, 0) + 1
-        per_cat_sentences.setdefault(ann.category, set()).add(ann.sentence_index)
-        per_sentence_anns.setdefault((ann.category, ann.sentence_index), []).append(ann)
+        per_category.setdefault(ann.category, {}).setdefault(ann.sentence_index, []).append(ann)
 
     field_traces: dict[int, list[RejectionTrace]] = {}
-    for t in traces:
+    for t in analysis.traces:
         if show_all_negative_fields or t.rule_id in annotated_rules.get(t.sentence_index, ()):
             field_traces.setdefault(t.sentence_index, []).append(t)
 
-    for category, indices in per_cat_sentences.items():
+    for category, per_sentence in per_category.items():
         blocks: list[str] = []
-        for idx in sorted(indices):
+        for idx in sorted(per_sentence):
             sentence = by_index.get(idx)
             if sentence is None:
                 raise RenderError(f"annotation references unknown sentence {idx}")
             blocks.append(
-                _sentence_block(
-                    sentence, per_sentence_anns[(category, idx)], field_traces.get(idx, [])
-                )
+                _sentence_block(sentence, per_sentence[idx], field_traces.get(idx, []))
             )
         page.groups[category] = blocks
     return page
 
 
-def render_page(page: ReportPage) -> str:
-    doc = page.doc
-    title = html.escape(doc.title or doc.url)
-    url = html.escape(doc.url, quote=True)
-    parts = [
+def _html_page(html_attrs: str, title: str, body: list[str], generated_at: str) -> str:
+    """A whole page: doctype, head with ``title`` (escaped already) and the
+    style sheet, then ``body``'s lines and the footer."""
+    return "\n".join([
         "<!DOCTYPE html>",
-        '<html lang="ar" dir="rtl">',
+        f"<html {html_attrs}>",
         "<head>",
         '<meta charset="utf-8">',
         f"<title>{title}</title>",
         f"<style>{_PAGE_CSS}</style>",
         "</head>",
         "<body>",
+        *body,
+        f"<footer>generated {html.escape(generated_at)}</footer>",
+        "</body>",
+        "</html>",
+    ]) + "\n"
+
+
+def render_page(page: ReportPage) -> str:
+    doc = page.doc
+    title = html.escape(doc.title or doc.url)
+    body = [
         "<header>",
-        f'<h1><a href="{url}">{title}</a></h1>',
+        f'<h1><a href="{html.escape(doc.url, quote=True)}">{title}</a></h1>',
         f'<p class="meta">document {html.escape(doc.id)}</p>',
         "</header>",
     ]
     if not page.groups:
-        parts.append('<p class="empty">no matches</p>')
+        body.append('<p class="empty">no matches</p>')
     for category, blocks in page.groups.items():
-        parts.append('<section class="category">')
-        parts.append(f"<h2>{html.escape(category)}</h2>")
-        parts.append('<ol class="sentences">')
-        parts.extend(blocks)
-        parts.append("</ol>")
-        parts.append("</section>")
-    parts.append(f"<footer>generated {html.escape(page.generated_at)}</footer>")
-    parts.append("</body>")
-    parts.append("</html>")
-    return "\n".join(parts) + "\n"
+        body += ['<section class="category">', f"<h2>{html.escape(category)}</h2>",
+                 '<ol class="sentences">', *blocks, "</ol>", "</section>"]
+    return _html_page('lang="ar" dir="rtl"', title, body, page.generated_at)
 
 
-def render_index(pages: list[ReportPage], class_order: tuple[str, ...] = ()) -> str:
-    """Overview page linking every per-document report with class counts."""
-    labels = list(class_order)
-    for page in pages:
-        for label in page.class_counts:
-            if label not in labels:
-                labels.append(label)
+def render_index(pages: list[ReportPage]) -> str:
+    """Overview page linking every per-document report with class counts.
+
+    The class columns are ``CLASS_LABELS``, in the order ``eval`` reports
+    them, then any other label in the order it is first seen.
+    """
+    labels = dict.fromkeys([*CLASS_LABELS, *(l for p in pages for l in p.class_counts)])
     head_cells = "".join(f"<th>{html.escape(l)}</th>" for l in labels)
     rows = []
     for page in sorted(pages, key=lambda p: p.doc.id):
@@ -254,26 +251,15 @@ def render_index(pages: list[ReportPage], class_order: tuple[str, ...] = ()) -> 
         rows.append(
             f"<tr><td>{link}</td><td>{title}</td>{cells}<td>{page.total_annotations}</td></tr>"
         )
-    generated = pages[0].generated_at if pages else ""
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en">',
-        "<head>",
-        '<meta charset="utf-8">',
-        "<title>analysis index</title>",
-        f"<style>{_PAGE_CSS}</style>",
-        "</head>",
-        "<body>",
+    body = [
         "<h1>Analyzed documents</h1>",
         '<table class="index">',
         f"<tr><th>document</th><th>title</th>{head_cells}<th>total</th></tr>",
         *rows,
         "</table>",
-        f"<footer>generated {html.escape(generated)}</footer>",
-        "</body>",
-        "</html>",
     ]
-    return "\n".join(parts) + "\n"
+    return _html_page('lang="en"', "analysis index", body,
+                      pages[0].generated_at if pages else "")
 
 
 #: characters of rendered pages ``write_reports`` holds before it writes
@@ -296,7 +282,6 @@ def write_reports(
     *,
     generated_at: datetime | None = None,
     show_all_negative_fields: bool = False,
-    class_order: tuple[str, ...] = (),
 ) -> None:
     """Write ``<doc_id>.html`` per document plus ``index.html``.
 
@@ -312,12 +297,7 @@ def write_reports(
     held_chars = 0
     for analysis in analyses:
         page = build_report_page(
-            analysis.doc,
-            list(analysis.annotations),
-            list(analysis.traces),
-            list(analysis.sentences),
-            generated_at=when,
-            show_all_negative_fields=show_all_negative_fields,
+            analysis, generated_at=when, show_all_negative_fields=show_all_negative_fields
         )
         text = render_page(page)
         held.append((out_dir / f"{analysis.doc.id}.html", text))
@@ -326,5 +306,5 @@ def write_reports(
             _write_texts(held)
             held, held_chars = [], 0
         pages.append(replace(page, groups={}))
-    held.append((out_dir / "index.html", render_index(pages, class_order)))
+    held.append((out_dir / "index.html", render_index(pages)))
     _write_texts(held)

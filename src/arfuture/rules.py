@@ -78,12 +78,6 @@ class PatternSeq:
 
 
 @dataclass(frozen=True)
-class SemanticCategory:
-    name: str
-    parent: str | None = None
-
-
-@dataclass(frozen=True)
 class LinguisticForm:
     """One form of a rule; ``pattern`` must be variable-free."""
 
@@ -283,29 +277,25 @@ def parse_variable_defs(text: str) -> dict[str, PatternSeq]:
     return expanded
 
 
-def parse_semantic_map(text: str) -> list[SemanticCategory]:
-    """Parse the indentation outline (2 spaces per nesting level)."""
-    categories: list[SemanticCategory] = []
-    seen: set[str] = set()
-    stack: list[str] = []
+def parse_semantic_map(text: str) -> list[str]:
+    """The category names of an indentation outline (2 spaces per nesting
+    level); the nesting is checked, not kept."""
+    names: list[str] = []
+    depth = 0  # the deepest level the next line may take: one below the last
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
         indent = len(stripped) - len(stripped.lstrip(" "))
         name = stripped.strip()
-        level = indent // 2
         with _at_line(lineno):
-            if indent % 2 != 0 or level > len(stack):
+            if indent % 2 != 0 or indent // 2 > depth:
                 raise RuleParseError("inconsistent indentation")
-            if name in seen:
+            if name in names:
                 raise RuleParseError(f"duplicate category {name}")
-        parent = stack[level - 1] if level > 0 else None
-        categories.append(SemanticCategory(name=name, parent=parent))
-        seen.add(name)
-        del stack[level:]
-        stack.append(name)
-    return categories
+        names.append(name)
+        depth = indent // 2 + 1
+    return names
 
 
 _RULE_ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_-]*):\s+")
@@ -322,7 +312,7 @@ _DIRECTIVES: dict[str, tuple[str, ...] | None] = {
 def parse_rules(
     text: str,
     variables: Mapping[str, PatternSeq],
-    semantic_map: list[SemanticCategory] | None = None,
+    semantic_map: list[str] | None = None,
 ) -> list[LinguisticRule]:
     """Parse a rule file; one rule per non-empty, non-comment line.
 
@@ -331,7 +321,6 @@ def parse_rules(
     categories are checked against it.  A line without an ``id:`` gets the
     id ``rule<N>``, N counting the rules so far; an id seen twice is refused.
     """
-    known_categories = {c.name for c in semantic_map} if semantic_map is not None else None
     rules: list[LinguisticRule] = []
     ids: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -376,7 +365,7 @@ def parse_rules(
             category = category.strip()
             if not category:
                 raise RuleParseError("missing category")
-            if known_categories is not None and category not in known_categories:
+            if semantic_map is not None and category not in semantic_map:
                 raise RuleParseError(f"category not in semantic map: {category}")
             forms: list[LinguisticForm] = []
             for chunk in lhs.split(">"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import http.server
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from arfuture.resources import _word_list
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import DEFAULT_BOUNDARIES
 
+#: sha256 of each file ``analyze --clock 2020-01-01T00:00`` writes on mini_gold
+MINI_GOLD_DIGESTS = Path(__file__).parent / "golden" / "analyze_mini_gold.sha256"
 LONG_PARA = ("النمو الاقتصادي في لبنان سوف يتحسن " * 4).strip()  # 139 chars
 
 
@@ -139,6 +143,18 @@ class TestAnalyze:
         assert "sentences=8 future=12" in capsys.readouterr().out
         assert (out / "annotations.jsonl").exists()
         assert (out / "reports" / "index.html").exists()
+
+    def test_mini_gold_outputs_match_the_digest_table(self, mini_gold_dir, tmp_path):
+        """Every file ``analyze`` writes on mini_gold, byte for byte: the
+        table lists one ``<sha256>  <path>`` line per file, as sha256sum
+        prints them."""
+        out = tmp_path / "out"
+        assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out),
+                     "--clock", "2020-01-01T00:00"]) == 0
+        got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+        lines = MINI_GOLD_DIGESTS.read_text(encoding="utf-8").splitlines()
+        assert got == {name: digest for digest, name in (line.split("  ") for line in lines)}
 
     def test_reruns_are_byte_identical(self, mini_gold_dir, tmp_path):
         outs = []
@@ -521,9 +537,27 @@ class TestEval:
             capsys.readouterr().err
         )
 
-    def test_needs_some_input(self, mini_gold_dir):
-        code = main(["eval", "--gold", str(mini_gold_dir / "gold.tsv")])
-        assert code == 2
+    def test_needs_some_input(self, mini_gold_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gold", str(mini_gold_dir / "gold.tsv")])
+        assert exc.value.code == 2
+        assert "one of the arguments --corpus --annotations is required" in (
+            capsys.readouterr().err
+        )
+
+    def test_corpus_and_annotations_together_refused(self, mini_gold_dir, tmp_path, capsys):
+        """Both inputs given is a usage error, not a silent choice of one."""
+        out = tmp_path / "out"
+        assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--corpus", str(mini_gold_dir),
+                  "--annotations", str(out / "annotations.jsonl"),
+                  "--gold", str(mini_gold_dir / "gold.tsv"), "--report", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --annotations: not allowed with argument --corpus" in captured.err
+        assert captured.out == "" and not (tmp_path / "r").exists()
 
 
 
@@ -546,7 +580,7 @@ SETTING_ROWS = [
 COMMAND_ARGV = {
     "ingest": ["ingest", "--input", "pages"],
     "analyze": ["analyze", "--corpus", "corpus"],
-    "eval": ["eval", "--gold", "gold.tsv"],
+    "eval": ["eval", "--corpus", "corpus", "--gold", "gold.tsv"],
 }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import html as html_mod
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from arfuture import report as report_mod
 from arfuture.corpus import make_document
-from arfuture.engine import Annotation, classify_sentence_results
+from arfuture.engine import Annotation, DocumentAnalysis, classify_sentence_results
+from arfuture.evaluate import CLASS_LABELS
 from arfuture.offsets import byte_length
 from arfuture.report import (
     RenderError,
+    ReportPage,
     _Decoration,
     _render_decorated,
     build_report_page,
@@ -36,6 +39,16 @@ def analyze(engine, doc):
     return engine.analyze(doc)
 
 
+def analysis_of(doc, sentences, anns, traces) -> DocumentAnalysis:
+    return DocumentAnalysis(doc, tuple(sentences), tuple(anns), tuple(traces))
+
+
+def index_columns(index_html: str) -> list[str]:
+    """The class labels of the index's header row."""
+    header = re.search(r"<tr><th>document</th><th>title</th>(.*)<th>total</th></tr>", index_html)
+    return re.findall(r"<th>([^<]*)</th>", header.group(1))
+
+
 def strip_markup(fragment: str) -> str:
     return html_mod.unescape(re.sub(r"<[^>]+>", "", fragment))
 
@@ -52,9 +65,7 @@ class TestRenderHtml:
             body="اشار التقرير الى ان الخطر قد يترتب على ذلك. لا جديد في الملف.",
         )
         a = analyze(engine, doc)
-        page = render_page(build_report_page(
-            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
-        ))
+        page = render_page(build_report_page(a, generated_at=CLOCK))
         paragraph = sentence_paragraphs(page)[0]
         assert paragraph.count('<mark class="pos">') == 2
 
@@ -65,17 +76,13 @@ class TestRenderHtml:
             body="اشار التقرير الى ان الخطر قد يترتب على ذلك. لا جديد في الملف.",
         )
         a = analyze(engine, doc)
-        page = render_page(build_report_page(
-            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
-        ))
+        page = render_page(build_report_page(a, generated_at=CLOCK))
         assert page == GOLDEN.read_text(encoding="utf-8")
 
     def test_no_matches_page(self, engine):
         doc = make_document(url="http://x", title="فارغ", body="كتاب على الطاولة.")
         a = analyze(engine, doc)
-        page = render_page(build_report_page(
-            doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
-        ))
+        page = render_page(build_report_page(a, generated_at=CLOCK))
         assert "no matches" in page
         assert '<section class="category">' not in page
 
@@ -83,17 +90,13 @@ class TestRenderHtml:
         doc = make_document(url="http://src.example/a?b=1&c=2", title="عنوان",
                             body="سوف يتحسن الوضع.")
         a = analyze(engine, doc)
-        page = render_page(
-            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
-        )
+        page = render_page(build_report_page(a))
         assert '<a href="http://src.example/a?b=1&amp;c=2">' in page
 
     def test_rtl_declared(self, engine):
         doc = make_document(url="http://x", title="t", body="سوف يتحسن الوضع.")
         a = analyze(engine, doc)
-        page = render_page(
-            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
-        )
+        page = render_page(build_report_page(a))
         assert '<html lang="ar" dir="rtl">' in page
 
     def test_script_in_body_escaped(self, engine):
@@ -102,18 +105,14 @@ class TestRenderHtml:
             body='سوف يتحسن <script>alert("x")</script> الوضع.',
         )
         a = analyze(engine, doc)
-        page = render_page(
-            build_report_page(doc, list(a.annotations), list(a.traces), list(a.sentences))
-        )
+        page = render_page(build_report_page(a))
         skeleton_scripts = page.count("<script")
         assert skeleton_scripts == 0
 
     def test_span_fidelity(self, engine, mini_docs):
         for doc in mini_docs:
             a = analyze(engine, doc)
-            page = render_page(build_report_page(
-                doc, list(a.annotations), list(a.traces), list(a.sentences), generated_at=CLOCK
-            ))
+            page = render_page(build_report_page(a, generated_at=CLOCK))
             rendered = sentence_paragraphs(page)
             annotated = sorted({ann.sentence_index for ann in a.annotations})
             assert len(rendered) == len(annotated)
@@ -123,9 +122,8 @@ class TestRenderHtml:
     def test_determinism(self, engine, mini_docs):
         doc = mini_docs[0]
         a = analyze(engine, doc)
-        args = (doc, list(a.annotations), list(a.traces), list(a.sentences))
-        first = render_page(build_report_page(*args, generated_at=CLOCK))
-        assert first == render_page(build_report_page(*args, generated_at=CLOCK))
+        first = render_page(build_report_page(a, generated_at=CLOCK))
+        assert first == render_page(build_report_page(a, generated_at=CLOCK))
 
     def test_out_of_bounds_span_fails_fast(self, engine):
         doc = make_document(url="http://x", title="t", body="سوف يتحسن الوضع.")
@@ -135,7 +133,7 @@ class TestRenderHtml:
             class_label="sawfa", positive_marker_spans=((0, 10_000),),
         )
         with pytest.raises(RenderError):
-            render_page(build_report_page(doc, [bad], [], list(a.sentences)))
+            render_page(build_report_page(replace(a, annotations=(bad,), traces=())))
 
     def test_excerpt_underlined(self, lexicons):
         rules = parse_rules(
@@ -148,7 +146,8 @@ class TestRenderHtml:
         )
         assert anns[0].excerpt_span is not None
         assert anns[0].excerpt_span[1] == byte_length(sentences[0].text)
-        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
+        analysis = analysis_of(doc, sentences, anns, traces)
+        page = render_page(build_report_page(analysis, generated_at=CLOCK))
         assert '<span class="excerpt">' in page
 
     def test_negative_field_rendered_red_with_hover(self, lexicons):
@@ -166,7 +165,8 @@ class TestRenderHtml:
         )
         assert len(anns) == 1
         assert any(t.negative_field_span for t in traces)
-        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
+        analysis = analysis_of(doc, sentences, anns, traces)
+        page = render_page(build_report_page(analysis, generated_at=CLOCK))
         assert 'class="neg-field"' in page
         assert "negative marker:" in page
 
@@ -189,7 +189,7 @@ class TestNegativeFields:
         shaded = {}
         for flag in (False, True):
             page = render_page(build_report_page(
-                doc, anns, traces, sentences,
+                analysis_of(doc, sentences, anns, traces),
                 generated_at=CLOCK, show_all_negative_fields=flag,
             ))
             shaded[flag] = re.findall(
@@ -215,7 +215,8 @@ class TestCategoryGrouping:
             a, t = classify_sentence_results(s, tokenize(s.text), rules, lexicons)
             anns.extend(a)
             traces.extend(t)
-        page = render_page(build_report_page(doc, anns, traces, sentences, generated_at=CLOCK))
+        analysis = analysis_of(doc, sentences, anns, traces)
+        page = render_page(build_report_page(analysis, generated_at=CLOCK))
         assert page.count('<section class="category">') == 2
         assert "<h2>نمو</h2>" in page and "<h2>تراجع</h2>" in page
         # each category section holds exactly its own sentence
@@ -234,11 +235,7 @@ class TestIndex:
             make_document(url="http://x/b", title="ب", body="سوف يتحسن الوضع."),
             make_document(url="http://x/a", title="أ", body="قد يترتب خطر."),
         ]
-        pages = [
-            build_report_page(d, list(a.annotations), list(a.traces), list(a.sentences),
-                              generated_at=CLOCK)
-            for d, a in ((d, analyze(engine, d)) for d in docs)
-        ]
+        pages = [build_report_page(analyze(engine, d), generated_at=CLOCK) for d in docs]
         index = render_index(pages)
         ids = re.findall(r'<a href="([0-9a-f]+)\.html">', index)
         assert ids == sorted(ids) and len(ids) == 2
@@ -249,11 +246,14 @@ class TestIndex:
         for doc in mini_docs:
             a = analyze(engine, doc)
             total += len(a.annotations)
-            pages.append(
-                build_report_page(doc, list(a.annotations), list(a.traces),
-                                  list(a.sentences), generated_at=CLOCK)
-            )
+            pages.append(build_report_page(a, generated_at=CLOCK))
         assert sum(p.total_annotations for p in pages) == total
+
+    def test_other_labels_follow_the_eval_classes_as_first_seen(self):
+        doc = make_document(url="http://x", title="t", body="ب")
+        pages = [ReportPage(doc, class_counts={"zeta": 1, "qad": 2}),
+                 ReportPage(doc, class_counts={"alpha": 1, "zeta": 3})]
+        assert index_columns(render_index(pages)) == [*CLASS_LABELS, "zeta", "alpha"]
 
 
 class TestWriteReports:
@@ -274,6 +274,13 @@ class TestWriteReports:
         whole = tree("whole")
         monkeypatch.setattr(report_mod, "_WRITE_BATCH_CHARS", 1)
         assert tree("one_by_one") == whole
+
+    def test_index_columns_start_with_the_eval_classes(self, engine, mini_docs, tmp_path):
+        """Called without a class order, as demos/score_sample_corpus.py
+        calls it, the index lists every eval class first, in eval's order."""
+        write_reports(tmp_path, engine.analyze_corpus(mini_docs), generated_at=CLOCK)
+        columns = index_columns((tmp_path / "index.html").read_text(encoding="utf-8"))
+        assert columns[:len(CLASS_LABELS)] == list(CLASS_LABELS)
 
 
 # Arabic letters, harakat, tatweel, space and the characters HTML escapes

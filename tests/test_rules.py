@@ -148,15 +148,10 @@ class TestVariableDefs:
 
 class TestSemanticMap:
     def test_single_node(self):
-        got = parse_semantic_map("مستقبل\n")
-        assert [(c.name, c.parent) for c in got] == [("مستقبل", None)]
+        assert parse_semantic_map("مستقبل\n") == ["مستقبل"]
 
     def test_one_nesting_level(self):
-        got = parse_semantic_map("اقتصاد\n  مستقبل\n")
-        assert [(c.name, c.parent) for c in got] == [
-            ("اقتصاد", None),
-            ("مستقبل", "اقتصاد"),
-        ]
+        assert parse_semantic_map("اقتصاد\n  مستقبل\n") == ["اقتصاد", "مستقبل"]
 
     def test_duplicate_name(self):
         with pytest.raises(RuleParseError, match="duplicate"):
