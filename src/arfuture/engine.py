@@ -40,18 +40,22 @@ accepts exactly the lines ``json.loads`` accepts; ``doc_id`` and
 boolean), and each span a list of two integers.
 
 ``load_annotations`` gives only the (document, sentence, class) triples
-that scoring reads.  A canonical line, exactly as ``annotation_to_json``
-writes it with strings that hold no ``"``, ``\\`` or control character
-(and perhaps a "\\r" before its "\\n"), is read by one regex pass over
-the whole dump; every other line goes through ``annotation_from_json``,
-so each line is accepted or refused, with the same message and line
-number, as if every line were decoded.
+that scoring reads.  It takes the dump as one text or, from a file, as
+blocks of whole lines, and holds one block and the triples, with one copy
+of each doc id and label.  A canonical line, exactly as
+``annotation_to_json`` writes it with strings that hold no ``"``, ``\\``
+or control character (and perhaps a "\\r" before its "\\n"), is read by
+one regex pass over each block, which costs any other line one attempt
+at most; every other line goes through ``annotation_from_json``, so each
+line is accepted or refused, with the same message and line number, as
+if every line were decoded.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -522,64 +526,68 @@ def dump_annotations(annotations: list[Annotation]) -> str:
     return "".join([annotation_to_json(a) + "\n" for a in annotations])
 
 
-#: characters ``_lines`` splits at a time, cut at the next "\n"
-_LINES_BLOCK = 1 << 16
-
-
-def _lines(text: str, start: int, end: int) -> Iterator[str]:
-    """``text[start:end].split("\\n")``, split a block of about
-    ``_LINES_BLOCK`` characters at a time, so that no list of every line is
-    built."""
-    while (cut := text.find("\n", start + _LINES_BLOCK, end)) >= 0:
-        yield from text[start:cut].split("\n")
-        start = cut + 1
-    yield from text[start:end].split("\n")
-
-
 # A line exactly as ``annotation_to_json`` writes it, with strings that the
 # decoder reads as written (no '"', '\\' or control character) and integers
 # of at most 100 digits (longer ones meet Python's int-digit limit in the
 # decoder), ended by "\n", "\r\n" or the end of the text; groups: doc_id,
 # sentence_index, class_label.  Digits are [0-9], since \d also takes
-# digits that JSON refuses.  A line the pattern misses costs a failed match
-# at each of its characters, so a "\r\n" dump would cost more than the
-# decoder alone.  Compiled on first use (by the re module's cache).
+# digits that JSON refuses.  It starts with a literal, which ``re`` searches
+# for, so a line it misses costs one attempt at its "{", not one at each of
+# its characters; a match that is not at a line start is a miss too.
+# Compiled on first use (by the re module's cache).
 _TEXT = r'[^"\\\x00-\x1f]*'
 _INT = r"-?(?:0|[1-9][0-9]{0,99})"
 _SPAN = rf"\[{_INT}, {_INT}\]"
 _CANONICAL_LINE = (
-    rf'(?m)^\{{"doc_id": "({_TEXT})", "sentence_index": ({_INT}), '
+    rf'\{{"doc_id": "({_TEXT})", "sentence_index": ({_INT}), '
     rf'"rule_id": "{_TEXT}", "category": "{_TEXT}", "class_label": "({_TEXT})", '
     rf'"positive_marker_spans": \[(?:{_SPAN}(?:, {_SPAN})*)?\], '
     rf'"excerpt_span": (?:{_SPAN}|null)\}}\r?(?:\n|\Z)'
 )
 
 
-def _decode_lines(text: str, start: int, end: int, triples: set) -> None:
+def _decode_lines(text: str, start: int, end: int, lines_before: int, triples: set) -> None:
     """Add the triples of the whole lines in ``text[start:end]``, decoding
-    each with ``annotation_from_json``; a line of whitespace is skipped."""
+    each with ``annotation_from_json``; a line of whitespace is skipped.
+    ``lines_before`` is the number of lines before ``text``."""
+    intern = sys.intern
     try:
-        for offset, line in enumerate(_lines(text, start, end)):
+        for offset, line in enumerate(text[start:end].split("\n")):
             if line.strip():
                 ann = annotation_from_json(line)
-                triples.add((ann.doc_id, ann.sentence_index, ann.class_label))
+                triples.add((intern(ann.doc_id), ann.sentence_index, intern(ann.class_label)))
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        lineno = text.count("\n", 0, start) + offset + 1
+        lineno = lines_before + text.count("\n", 0, start) + offset + 1
         raise AnnotationFormatError(f"line {lineno}: {problem}") from None
 
 
-def load_annotations(text: str) -> set[tuple[str, int, str]]:
+def load_annotations(blocks: str | Iterable[str]) -> set[tuple[str, int, str]]:
     """The (doc_id, sentence_index, class_label) triples of a JSON Lines
     dump, split at "\\n" only; a line of whitespace is skipped and a bad
-    record fails naming its line."""
+    record fails naming its line.
+
+    The dump is its text, or its blocks of whole lines as
+    ``resources.parse_blocks`` gives them.  Each doc id and label is kept
+    once (``sys.intern``), so triples share them with the gold ones.
+    """
+    if isinstance(blocks, str):
+        blocks = (blocks,)
+    finditer = re.compile(_CANONICAL_LINE).finditer
+    intern = sys.intern
     triples: set[tuple[str, int, str]] = set()
-    done = 0
-    for m in re.finditer(_CANONICAL_LINE, text):
-        if m.start() != done:
-            _decode_lines(text, done, m.start(), triples)
-        doc_id, index, label = m.groups()
-        triples.add((doc_id, int(index), label))
-        done = m.end()
-    _decode_lines(text, done, len(text), triples)
+    lines_before = 0
+    for block in blocks:
+        done = 0
+        for m in finditer(block):
+            start = m.start()
+            if start != done:
+                if block[start - 1] != "\n":
+                    continue  # inside a line: decoded with the lines around it
+                _decode_lines(block, done, start, lines_before, triples)
+            doc_id, index, label = m.groups()
+            triples.add((intern(doc_id), int(index), intern(label)))
+            done = m.end()
+        _decode_lines(block, done, len(block), lines_before, triples)
+        lines_before += block.count("\n")
     return triples

@@ -7,9 +7,11 @@ decimals, which is how exact fractions like 64/68 come out as 94.11.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .engine import Annotation
 
@@ -26,6 +28,8 @@ CLASS_LABELS = (
 
 Triple = tuple[str, int, str]
 
+_label = itemgetter(2)
+
 
 class GoldFormatError(ValueError):
     """Malformed gold annotation file."""
@@ -40,15 +44,27 @@ class GoldAnnotation(NamedTuple):
     class_label: str
 
 
-def load_gold(text: str) -> list[GoldAnnotation]:
+def _numbered_lines(blocks: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line of a text, or of its blocks of whole lines, with its number."""
+    first = 1
+    for block in (blocks,) if isinstance(blocks, str) else blocks:
+        lines = block.split("\n")
+        yield from enumerate(lines, start=first)
+        first += len(lines) - 1  # a block ends just after a "\n"
+
+
+def load_gold(blocks: str | Iterable[str]) -> list[GoldAnnotation]:
     """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``.
 
     ``#`` starts a comment; blank lines, and whitespace around the line and
-    around each field, are ignored.
+    around each field, are ignored.  The file is its text, or its blocks of
+    whole lines as ``resources.parse_blocks`` gives them; each doc id and
+    label is kept once (``sys.intern``), shared with the predicted triples.
     """
+    intern = sys.intern
     gold: list[GoldAnnotation] = []
     seen: set[GoldAnnotation] = set()
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in _numbered_lines(blocks):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()
@@ -68,7 +84,7 @@ def load_gold(text: str) -> list[GoldAnnotation]:
             raise GoldFormatError(f"line {lineno}: bad sentence index {index_str!r}") from None
         if label not in CLASS_LABELS:
             raise GoldFormatError(f"line {lineno}: unknown class label {label!r}")
-        ann = GoldAnnotation(doc_id, index, label)
+        ann = GoldAnnotation(intern(doc_id), index, intern(label))
         if ann in seen:
             raise GoldFormatError(f"line {lineno}: duplicate gold annotation")
         seen.add(ann)
@@ -130,17 +146,17 @@ def score(
         pred_triples = predictions_to_triples(predicted)
     gold_triples = set(gold)
 
-    tp: Counter[str] = Counter()
-    fp: Counter[str] = Counter()
-    for t in pred_triples:
-        (tp if t in gold_triples else fp)[t[2]] += 1
-    fn = Counter(t[2] for t in gold_triples if t not in pred_triples)
+    tp = Counter(map(_label, pred_triples & gold_triples))
+    fp = Counter(map(_label, pred_triples - gold_triples))
+    fn = Counter(map(_label, gold_triples - pred_triples))
 
-    # labels outside CLASS_LABELS follow, in the order of their least triple
-    unknown = sorted(
-        t for ts in (pred_triples, gold_triples) for t in ts if t[2] not in CLASS_LABELS
-    )
-    labels = dict.fromkeys([*CLASS_LABELS, *(t[2] for t in unknown)])
+    labels = dict.fromkeys(CLASS_LABELS)
+    unknown = (tp.keys() | fp.keys() | fn.keys()) - labels.keys()
+    if unknown:
+        # labels outside CLASS_LABELS follow, in the order of their least triple
+        labels.update(dict.fromkeys(t[2] for t in sorted(
+            t for ts in (pred_triples, gold_triples) for t in ts if t[2] in unknown
+        )))
 
     report = EvalReport(
         total_sentences=total_sentences,

@@ -3,14 +3,13 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import codec_ref
 import scan_ref
-from arfuture import engine as engine_mod
+from arfuture import engine as engine_mod, resources
 from arfuture.corpus import make_document
 from arfuture.engine import (
     Annotation,
@@ -28,6 +27,7 @@ from arfuture.engine import (
 from arfuture.evaluate import GoldAnnotation
 from arfuture.morpho import MorphVerdict, Verdict
 from arfuture.report import _Decoration
+from arfuture.resources import parse_blocks
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import Sentence, Token, TokenKind, segment, tokenize
 
@@ -656,21 +656,14 @@ class TestAnnotationDump:
             else:
                 assert got == want
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(st.sampled_from("ab\n\r\u2028")), st.integers(0, 8))
-    def test_lines_split_like_str_split_across_blocks(self, text, block):
-        with mock.patch.object(engine_mod, "_LINES_BLOCK", block):
-            assert list(engine_mod._lines(text, 0, len(text))) == text.split("\n")
-            for start in range(len(text) + 1):
-                end = start + block
-                assert list(engine_mod._lines(text, start, end)) == text[start:end].split("\n")
-
-    def test_bad_line_past_the_first_block_is_named(self):
+    def test_bad_line_past_the_first_block_is_named(self, tmp_path):
         good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
         lines = [good] * 2000  # about 200k characters: several blocks
         lines[1500] = "{not json"
-        assert len("\n".join(lines[:1500])) > 2 * engine_mod._LINES_BLOCK
-        got = _outcome(load_annotations, "\n".join(lines) + "\n")
+        assert len("\n".join(lines[:1500])) > 2 * resources._LINES_BLOCK
+        path = tmp_path / "a.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _outcome(load_annotations, parse_blocks(path, list))
         assert got[:2] == (AnnotationFormatError, 1501)
 
     @pytest.mark.parametrize(
@@ -807,17 +800,19 @@ class TestTripleReader:
         )
 
     @pytest.mark.parametrize("canonical_head", [0, 700])
-    def test_bad_line_deep_in_a_long_run_of_other_lines_is_named(self, canonical_head):
+    def test_bad_line_deep_in_a_long_run_of_other_lines_is_named(self, canonical_head, tmp_path):
         good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
         lines = [good] * 3000
         for i in range(canonical_head, len(lines)):
             lines[i] = " " + lines[i]  # off the pattern: decoded line by line
         lines[2500] = "{not json"
-        assert len("\n".join(lines[canonical_head:2500])) > 2 * engine_mod._LINES_BLOCK
+        assert len("\n".join(lines[canonical_head:2500])) > 2 * resources._LINES_BLOCK
         text = "\n".join(lines) + "\n"
-        got = _outcome(load_annotations, text)
+        path = tmp_path / "a.jsonl"
+        path.write_text(text, encoding="utf-8")
+        got = _outcome(load_annotations, parse_blocks(path, list))
         assert got[:2] == (AnnotationFormatError, 2501)
-        assert got == _outcome(codec_ref.load_annotations, text)
+        assert got == _outcome(load_annotations, text) == _outcome(codec_ref.load_annotations, text)
 
     def test_canonical_lines_take_the_pattern(self, mini_gold_dir, tmp_path, monkeypatch):
         from arfuture.cli import main

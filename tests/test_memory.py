@@ -1,4 +1,4 @@
-"""Allocation bounds for the commands that read a whole corpus or page set.
+"""Allocation bounds for the commands that read a whole corpus, dump or page set.
 
 ``analyze`` and ``eval --corpus`` hold the parsed corpus and one
 document's analysis at a time (``analyze`` also a batch of rendered
@@ -7,6 +7,13 @@ with its analyses.  The corpus is the
 criterion-8 one: 200 documents of 25 template sentences (seed 88), about
 0.55 MB of text.  Holding every analysis until the end peaks at about
 17 MB for ``analyze`` and 7 MB for ``eval --corpus`` on it.
+
+``eval --annotations`` holds one block of the dump's lines and the
+(document, sentence, class) triples, with one copy of each doc id and
+label.  On the dump ``analyze`` writes for that corpus (about 2.3 MB of
+UTF-8, 4.2 times the corpus) it peaks at about 2 MB, mostly the 10,000
+triples; decoding the whole dump into one string first, with a copy of
+the names for each triple, peaks at about 9 MB.
 
 ``ingest`` holds one page's HTML at a time and the extracted documents.
 Its pages here are 200 chrome-heavy ones of about 31,000 characters
@@ -72,6 +79,18 @@ def test_eval_corpus_peak_stays_below_limit(corpus_dir, capsys):
                      "--gold", str(corpus_dir / "gold.tsv")])
     assert "Overall" in capsys.readouterr().out
     assert peak < PEAK_LIMIT_MB, f"eval --corpus peaked at {peak:.1f} MB"
+
+
+def test_eval_annotations_peak_stays_below_limit(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["analyze", "--corpus", str(corpus_dir / "corpus"), "--out", str(out),
+                 "--clock", "2020-01-01T00:00"]) == 0
+    dump = out / "annotations.jsonl"
+    assert dump.stat().st_size > 2e6
+    capsys.readouterr()
+    peak = _peak_mb(["eval", "--annotations", str(dump), "--gold", str(corpus_dir / "gold.tsv")])
+    assert "Overall" in capsys.readouterr().out
+    assert peak < PEAK_LIMIT_MB, f"eval --annotations peaked at {peak:.1f} MB"
 
 
 @pytest.fixture(scope="module")
