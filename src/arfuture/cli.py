@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -127,15 +127,19 @@ def _analyze_corpus(cfg: Config, corpus_dir: Path) -> Iterator[DocumentAnalysis]
 
 @dataclass
 class _Totals:
-    """The sentence count and the distinct (doc, sentence, class) triples
-    of the analyses added so far: all ``analyze`` prints and ``eval`` scores."""
+    """The counts of sentences and of distinct (doc, sentence, class)
+    triples in the analyses added so far: all that ``analyze`` prints.
+    Document ids are unique within a corpus, so no triple is counted twice."""
 
     sentences: int = 0
-    triples: set[eval_mod.Triple] = field(default_factory=set)
+    triples: int = 0
 
-    def add(self, analysis: DocumentAnalysis) -> None:
+    def add(self, analysis: DocumentAnalysis) -> set[eval_mod.Triple]:
+        """Count in one analysis; returns its distinct triples."""
+        triples = eval_mod.predictions_to_triples(analysis.annotations)
         self.sentences += len(analysis.sentences)
-        self.triples |= eval_mod.predictions_to_triples(analysis.annotations)
+        self.triples += len(triples)
+        return triples
 
 
 def _dumped(analyses: Iterable[DocumentAnalysis], jsonl: TextIO, totals: _Totals):
@@ -238,7 +242,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             generated_at=clock,
             show_all_negative_fields=cfg.show_all_negative_fields,
         )
-    print(f"sentences={totals.sentences} future={len(totals.triples)}")
+    print(f"sentences={totals.sentences} future={totals.triples}")
     return EXIT_OK
 
 
@@ -250,9 +254,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         total_sentences = None  # an annotation dump does not say how many sentences it covers
     else:
         totals = _Totals()
+        predicted = set()
         for analysis in _analyze_corpus(cfg, args.corpus):
-            totals.add(analysis)
-        predicted, total_sentences = totals.triples, totals.sentences
+            predicted |= totals.add(analysis)
+        total_sentences = totals.sentences
 
     report = eval_mod.score(predicted, gold, total_sentences=total_sentences)
     print(eval_mod.format_distribution(gold))

@@ -22,6 +22,13 @@ none is rejected without a scan.  Negative and later positive forms try
 each token of their field in turn, up to the leftmost match; a token
 that begins no match costs one ``FormIndex`` dict lookup.
 
+One attempt of a rule is one plain loop, inside ``iter_rule_results``,
+over the rule's ``steps``: a tuple per form, built when the rule is
+parsed, of all that an attempt reads of it (its index, polarity,
+``FormIndex``, whether it is the siin form, its ``@N`` cap and the
+marker text of a negative form).  Both gates read one verdict function,
+``morpho._verdict``, which builds no ``MorphVerdict`` record.
+
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection.  The bundled rules give about ten
 per sentence, so both are ``NamedTuple``s, built positionally:
@@ -29,9 +36,11 @@ immutable and hashable like a frozen dataclass, at under a third of
 its cost to build.  ``dataclasses.fields`` and ``asdict`` do not apply to
 them; ``_fields`` and ``_asdict`` do.
 
-Annotations are dumped as JSON Lines, one record per line, split at
-``"\n"`` only: U+2028, U+2029 and U+0085, which are written raw, stay
-inside their line.  ``annotation_to_json`` writes a record with one
+Annotations are dumped as JSON Lines, one record per line.  A dump
+given as a text is split at ``"\n"`` only: U+2028, U+2029 and U+0085,
+which are written raw, stay inside their line.  A dump read from a file
+has its line ends read as ``Path.read_text`` reads them, so there a lone
+``"\r"`` ends a line too.  ``annotation_to_json`` writes a record with one
 f-string, quoting its strings with ``json``'s C escaper, and gives what
 ``json.dumps(..., ensure_ascii=False, separators=(", ", ": "))`` gives.
 ``annotation_from_json`` decodes a line with one ``raw_decode`` call and
@@ -64,9 +73,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
-from .morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
+from .morpho import PRESENT_VERB, Lexicons, _verdict, is_future_verb_with_siin, strip_clitics
 from .offsets import byte_length
-from .rules import FormIndex, LinguisticRule, PatternMatch, Polarity, format_pattern
+from .rules import LinguisticRule
 from .segment import DEFAULT_BOUNDARIES, PUNCT, WORD, Sentence, Tokens, segment, tokenize
 
 
@@ -74,6 +83,13 @@ class RejectReason(Enum):
     POSITIVE_NOT_FOUND = "PositiveNotFound"
     NEGATIVE_FOUND = "NegativeFound"
     MORPH_REJECTED = "MorphRejected"
+
+
+#: the reasons as plain names, which a hot loop reads several times faster
+#: than an ``Enum`` member
+POSITIVE_NOT_FOUND, NEGATIVE_FOUND, MORPH_REJECTED = (
+    RejectReason.POSITIVE_NOT_FOUND, RejectReason.NEGATIVE_FOUND, RejectReason.MORPH_REJECTED
+)
 
 
 class Annotation(NamedTuple):
@@ -135,144 +151,6 @@ def _next_word_index(tokens: Tokens, after: int, punct_transparent: bool) -> int
     if j < len(kinds) and kinds[j] is WORD:
         return j
     return None
-
-
-def _scan_positive(
-    index: FormIndex,
-    tokens: Tokens,
-    starts: Iterable[int],
-    field_end: int,
-    siin_gate: Lexicons | None,
-    punct_transparent: bool,
-) -> tuple[PatternMatch | None, bool]:
-    """Leftmost match of a form at one of ``starts`` (ascending) that ends
-    before ``field_end``.
-
-    With a siin gate the pattern may cover just a word prefix and the whole
-    word must verify as a siin future verb; starts failing the verb check
-    are skipped (reported via the second return value).
-    """
-    prefix = siin_gate is not None
-    saw_gate_failure = False
-    for t in starts:
-        if t >= field_end:
-            break
-        m = index.match_at(tokens, t, prefix=prefix, punct_transparent=punct_transparent)
-        if m is None or m.end_token >= field_end:
-            continue
-        if siin_gate is not None:
-            word = tokens.shadows[m.end_token]
-            if not is_future_verb_with_siin(word, siin_gate):
-                saw_gate_failure = True
-                continue
-        return m, saw_gate_failure
-    return None, saw_gate_failure
-
-
-def _attempt(
-    rule: LinguisticRule,
-    sentence: Sentence,
-    tokens: Tokens,
-    lex: Lexicons,
-    starts: Sequence[int],
-    scan_from: int,
-    punct_transparent: bool,
-):
-    """One pass over the rule's form chain; the first positive form is
-    tried at its candidate ``starts`` from ``scan_from`` on.
-
-    Returns (annotation_or_trace, first_positive_match_or_None).
-    """
-    first_positive_idx = rule.positives[0]
-    last_positive_idx = rule.positives[-1]
-    field_start = 0
-    first_match: PatternMatch | None = None
-    matches: list[PatternMatch] = []
-
-    for fi, form in enumerate(rule.forms):
-        if form.search_field_words:
-            field_end = _field_end(tokens, field_start, form.search_field_words)
-        else:
-            field_end = len(tokens)
-        if fi == first_positive_idx:  # the field starts at token 0 here
-            candidates = starts[bisect_left(starts, scan_from):]
-        else:
-            candidates = range(field_start, field_end)
-        if form.polarity is Polarity.NEGATIVE:
-            m, _ = _scan_positive(
-                form.index, tokens, candidates, field_end, None, punct_transparent
-            )
-            if m is not None:
-                trace = RejectionTrace(
-                    sentence.doc_id,
-                    sentence.index,
-                    rule.id,
-                    fi,
-                    RejectReason.NEGATIVE_FOUND,
-                    _tokens_byte_span(tokens, field_start, field_end),
-                    format_pattern(form.pattern),
-                )
-                return trace, first_match
-            continue
-        m, gate_failed = _scan_positive(
-            form.index,
-            tokens,
-            candidates,
-            field_end,
-            lex if fi == rule.siin_form else None,
-            punct_transparent,
-        )
-        if m is None:
-            reason = (
-                RejectReason.MORPH_REJECTED
-                if gate_failed
-                else RejectReason.POSITIVE_NOT_FOUND
-            )
-            trace = RejectionTrace(sentence.doc_id, sentence.index, rule.id, fi, reason)
-            return trace, first_match
-        matches.append(m)
-        if fi == first_positive_idx:
-            first_match = m
-        field_start = m.end_token + 1
-
-    marker_tokens = [ti for m in matches for ti in m.covered]
-
-    if rule.morph == "qad":
-        verb_idx = _next_word_index(tokens, matches[-1].end_token, punct_transparent)
-        rejected = True
-        if verb_idx is not None:
-            shadow = tokens.shadows[verb_idx]
-            verdict = analyze_token(shadow, lex).verdict
-            excluded = (
-                shadow in lex.qad_exclusions
-                or strip_clitics(shadow)[1] in lex.qad_exclusions
-            )
-            rejected = verdict is not Verdict.PRESENT_VERB or excluded
-        if rejected:
-            trace = RejectionTrace(
-                sentence.doc_id,
-                sentence.index,
-                rule.id,
-                last_positive_idx,
-                RejectReason.MORPH_REJECTED,
-            )
-            return trace, first_match
-        marker_tokens.append(verb_idx)
-
-    spans = tuple(map(tokens.span, marker_tokens))
-    excerpt = None
-    if rule.extract == "from-marker-to-end" and spans:
-        excerpt = (spans[0][0], byte_length(sentence.text))
-    annotation = Annotation(
-        sentence.doc_id,
-        sentence.index,
-        rule.id,
-        rule.category,
-        rule.class_label,
-        spans,
-        excerpt,
-    )
-    return annotation, first_match
 
 
 def _tokens_byte_span(tokens: Tokens, start: int, end: int) -> tuple[int, int] | None:
@@ -343,9 +221,14 @@ def iter_rule_results(
 ) -> Iterator[Annotation | RejectionTrace]:
     """All matches of one rule on one sentence, in left-to-right order.
 
-    After a full match, scanning for the next one resumes past the first
-    positive marker, so a rule can fire several times per sentence.  A
-    matched negative form cancels the rule outright.
+    Each attempt is one pass over the rule's ``steps``.  A form is tried
+    at each token of its field in turn, up to its leftmost match that ends
+    inside the field (and, for the siin form, whose word passes the siin
+    gate); the first positive form is tried only at its ``starts``, from
+    just past the first positive marker of the attempt before on.  After
+    a full match, or a rejection after the first positive form matched,
+    the next attempt begins, so a rule can fire several times per
+    sentence.  A matched negative form cancels the rule outright.
 
     ``starts`` are the ascending candidate starts of the rule's first
     positive form, as ``StartTable.starts`` gives them; by default they
@@ -354,29 +237,87 @@ def iter_rule_results(
     first = rule.positives[0]
     if starts is None:
         starts = StartTable([rule]).starts(tokens).get(0, [])
+    doc_id, index, rule_id = sentence.doc_id, sentence.index, rule.id
     if not starts and first == 0:
-        yield RejectionTrace(
-            sentence.doc_id, sentence.index, rule.id, 0, RejectReason.POSITIVE_NOT_FOUND
-        )
+        yield RejectionTrace(doc_id, index, rule_id, 0, POSITIVE_NOT_FOUND)
         return
+    shadows = tokens.shadows
+    n_tokens = len(shadows)
     scan_from = 0
     produced_any = False
     while True:
-        result, first_match = _attempt(
-            rule, sentence, tokens, lex, starts, scan_from, punct_transparent
-        )
-        if isinstance(result, RejectionTrace):
-            if result.reason is RejectReason.NEGATIVE_FOUND:
+        field_start = 0
+        first_end = -1  # the end token of this attempt's first positive match
+        marker_tokens: list[int] = []
+        for fi, negative, form, siin, cap, marker in rule.steps:
+            field_end = _field_end(tokens, field_start, cap) if cap else n_tokens
+            if fi == first:  # the field starts at token 0 here
+                candidates = starts[bisect_left(starts, scan_from):]
+            else:
+                candidates = range(field_start, field_end)
+            m = None  # the form's leftmost match in the field
+            gate_failed = False
+            for t in candidates:
+                if t >= field_end:
+                    break
+                found = form.match_at(tokens, t, prefix=siin, punct_transparent=punct_transparent)
+                if found is None or found.end_token >= field_end:
+                    continue
+                if siin and not is_future_verb_with_siin(shadows[found.end_token], lex):
+                    gate_failed = True
+                    continue
+                m = found
+                break
+            if negative:
+                if m is None:
+                    continue
+                yield RejectionTrace(
+                    doc_id, index, rule_id, fi, NEGATIVE_FOUND,
+                    _tokens_byte_span(tokens, field_start, field_end), marker,
+                )
+                return
+            if m is None:
+                reason = MORPH_REJECTED if gate_failed else POSITIVE_NOT_FOUND
+                result = RejectionTrace(doc_id, index, rule_id, fi, reason)
+                break
+            marker_tokens += m.covered
+            if fi == first:
+                first_end = m.end_token
+            field_start = m.end_token + 1
+        else:
+            result = None
+            if rule.morph == "qad":
+                # a present verb, not excluded, must follow the last positive
+                # marker, which ends just before ``field_start``
+                t = _next_word_index(tokens, field_start - 1, punct_transparent)
+                verb = None if t is None else shadows[t]
+                if (
+                    verb is None
+                    or _verdict(verb, lex) is not PRESENT_VERB
+                    or verb in lex.qad_exclusions
+                    or strip_clitics(verb)[1] in lex.qad_exclusions
+                ):
+                    result = RejectionTrace(
+                        doc_id, index, rule_id, rule.positives[-1], MORPH_REJECTED
+                    )
+                else:
+                    marker_tokens.append(t)
+            if result is None:
+                spans = tuple(map(tokens.span, marker_tokens))
+                excerpt = None
+                if rule.extract == "from-marker-to-end" and spans:
+                    excerpt = (spans[0][0], byte_length(sentence.text))
+                result = Annotation(
+                    doc_id, index, rule_id, rule.category, rule.class_label, spans, excerpt
+                )
+        if first_end < 0:
+            # the first positive form has no (further) candidate
+            if not produced_any:
                 yield result
-                return
-            if first_match is None:
-                # the first positive form has no (further) candidate
-                if not produced_any:
-                    yield result
-                return
+            return
         produced_any = True
         yield result
-        scan_from = first_match.end_token + 1
+        scan_from = first_end + 1
         if starts[-1] < scan_from:
             # no start left: a further attempt would find no first positive
             # match (the negative forms before it search the same field as in
@@ -408,9 +349,9 @@ def classify_sentence_results(
             rule, sentence, tokens, lex,
             punct_transparent=punct_transparent, starts=starts.get(r, ()),
         ):
-            if isinstance(result, Annotation):
+            if type(result) is Annotation:
                 annotations.append(result)
-            elif result.reason is RejectReason.NEGATIVE_FOUND:
+            elif result.reason is NEGATIVE_FOUND:
                 traces.append(result)
     return annotations, traces
 
@@ -564,12 +505,14 @@ def _decode_lines(text: str, start: int, end: int, lines_before: int, triples: s
 
 def load_annotations(blocks: str | Iterable[str]) -> set[tuple[str, int, str]]:
     """The (doc_id, sentence_index, class_label) triples of a JSON Lines
-    dump, split at "\\n" only; a line of whitespace is skipped and a bad
-    record fails naming its line.
+    dump; a line of whitespace is skipped and a bad record fails naming
+    its line.
 
-    The dump is its text, or its blocks of whole lines as
-    ``resources.parse_blocks`` gives them.  Each doc id and label is kept
-    once (``sys.intern``), so triples share them with the gold ones.
+    The dump is its text, split at "\\n" only, or its blocks of whole
+    lines as ``resources.parse_blocks`` gives them, with the file's line
+    ends read as ``Path.read_text`` reads them (a lone "\\r" ends a line).
+    Each doc id and label is kept once (``sys.intern``), so triples share
+    them with the gold ones.
     """
     if isinstance(blocks, str):
         blocks = (blocks,)

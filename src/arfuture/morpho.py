@@ -33,6 +33,13 @@ class Verdict(Enum):
     OTHER = "other"
 
 
+#: the verdicts as plain names, which a hot loop reads several times faster
+#: than an ``Enum`` member
+PRESENT_VERB, PAST_VERB, PROPER_NOUN, OTHER = (
+    Verdict.PRESENT_VERB, Verdict.PAST_VERB, Verdict.PROPER_NOUN, Verdict.OTHER
+)
+
+
 class MorphVerdict(NamedTuple):
     token: str
     verdict: Verdict
@@ -77,30 +84,31 @@ def strip_clitics(token: str) -> tuple[str, str]:
     return "", token
 
 
-def analyze_token(token: str, lex: Lexicons) -> MorphVerdict:
-    """Classify a (diacritic-stripped) word token.
+def _verdict(token: str, lex: Lexicons) -> Verdict:
+    """The verdict on a (diacritic-stripped) word token, which both gates
+    read without building the ``MorphVerdict`` that ``analyze_token`` gives.
 
     Order matters: the proper-noun stoplist wins over everything, then the
     closed past/present lexicons, then the imperfective-prefix heuristic.
     """
-    clitics, stem = strip_clitics(token)
+    stem = strip_clitics(token)[1]
     if token in lex.proper_nouns or stem in lex.proper_nouns:
-        verdict = Verdict.PROPER_NOUN
-    elif stem in lex.past_verbs or (
+        return PROPER_NOUN
+    if stem in lex.past_verbs or (
         len(stem) > 1 and stem.endswith(TA_SUFFIX) and stem[:-1] in lex.past_verbs
     ):
-        verdict = Verdict.PAST_VERB
-    elif stem in lex.present_verbs:
-        verdict = Verdict.PRESENT_VERB
-    elif (
-        stem
-        and stem[0] in IMPERFECTIVE_PREFIXES
-        and len(stem) - 1 >= MIN_STEM_AFTER_PREFIX
+        return PAST_VERB
+    if stem in lex.present_verbs or (
+        stem and stem[0] in IMPERFECTIVE_PREFIXES and len(stem) - 1 >= MIN_STEM_AFTER_PREFIX
     ):
-        verdict = Verdict.PRESENT_VERB
-    else:
-        verdict = Verdict.OTHER
-    return MorphVerdict(token, verdict, clitics, stem)
+        return PRESENT_VERB
+    return OTHER
+
+
+def analyze_token(token: str, lex: Lexicons) -> MorphVerdict:
+    """Classify a (diacritic-stripped) word token; see ``_verdict``."""
+    clitics, stem = strip_clitics(token)
+    return MorphVerdict(token, _verdict(token, lex), clitics, stem)
 
 
 def is_future_verb_with_siin(token: str, lex: Lexicons) -> bool:
@@ -110,14 +118,7 @@ def is_future_verb_with_siin(token: str, lex: Lexicons) -> bool:
     noun, must start with س after clitic stripping, and the remainder must
     analyze as a present verb.
     """
-    if not token:
+    stem = strip_clitics(token)[1]
+    if len(stem) < 2 or stem[0] != SIIN or token in lex.proper_nouns or stem in lex.proper_nouns:
         return False
-    _, stem = strip_clitics(token)
-    if token in lex.proper_nouns or stem in lex.proper_nouns:
-        return False
-    if not stem.startswith(SIIN):
-        return False
-    remainder = stem[1:]
-    if not remainder:
-        return False
-    return analyze_token(remainder, lex).verdict is Verdict.PRESENT_VERB
+    return _verdict(stem[1:], lex) is PRESENT_VERB

@@ -103,13 +103,27 @@ class LinguisticRule:
     #: index of the form the siin gate checks, which may match a word
     #: prefix: the last positive form under ``morph=siin``, else -1
     siin_form: int = field(init=False, repr=False, compare=False)
+    #: one ``(index, negative, FormIndex, siin, @N cap, marker)`` tuple per
+    #: form, in order: all that an attempt of the rule reads of a form;
+    #: ``siin`` is ``index == siin_form``, and ``marker`` is the written
+    #: pattern of a negative form, else ""
+    steps: tuple[tuple[int, bool, FormIndex, bool, int, str], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         positives = tuple(
             i for i, f in enumerate(self.forms) if f.polarity is Polarity.POSITIVE
         )
+        siin_form = positives[-1] if self.morph == "siin" else -1
+        steps = []
+        for i, f in enumerate(self.forms):
+            negative = f.polarity is Polarity.NEGATIVE
+            marker = format_pattern(f.pattern) if negative else ""
+            steps.append((i, negative, f.index, i == siin_form, f.search_field_words, marker))
         object.__setattr__(self, "positives", positives)
-        object.__setattr__(self, "siin_form", positives[-1] if self.morph == "siin" else -1)
+        object.__setattr__(self, "siin_form", siin_form)
+        object.__setattr__(self, "steps", tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +568,8 @@ class FormIndex:
         shadows = tokens.shadows
         shadow = shadows[start]
         for tail in self.tails.get(shadow, ()):
+            if not tail:  # a one-word form: the start token alone
+                return PatternMatch(start, (start,))
             covered = _follow(shadows, tokens.kinds, start, tail, prefix, punct_transparent)
             if covered is not None:
                 return PatternMatch(covered[-1], covered)

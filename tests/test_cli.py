@@ -15,7 +15,7 @@ import pytest
 from arfuture.cli import _merge_config, _url_list, build_parser, main
 from arfuture.config import Config, load_config, parse_config
 from arfuture.corpus import compile_corpus_file, load_query_seeds, make_document
-from arfuture.engine import Annotation, annotation_to_json, dump_annotations
+from arfuture.engine import Annotation, annotation_to_json, dump_annotations, load_annotations
 from arfuture.evaluate import load_gold
 from arfuture.resources import _word_list
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
@@ -263,6 +263,25 @@ class TestAnalyze:
         index = (out / "reports" / "index.html").read_text(encoding="utf-8")
         assert re.findall(r'<a href="([0-9a-f]+)\.html">', index) == [d.id for d in by_id]
 
+    def test_future_counts_distinct_triples_across_documents(self, tmp_path, capsys):
+        # 11 annotations: a rule firing twice in one sentence gives one
+        # triple, and so does the same sentence in two documents twice
+        bodies = [
+            "سوف يرتفع الدين وسوف يتحسن النمو. قد يتحسن الوضع. لن يتغير شيء ولن يتراجع.",
+            "سيرتفع الدين. قد يتحسن الوضع قد يتراجع النمو.",
+            "الوضع مستقر اليوم.",
+            "سوف يرتفع الدين وسوف يتحسن النمو. من المتوقع أن يتحسن الوضع.",
+        ]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, body in enumerate(bodies):
+            doc = make_document(f"http://x/{i}", f"t{i}", body)
+            (corpus / f"{i}.corpus.txt").write_text(compile_corpus_file(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert "sentences=8 future=7" in capsys.readouterr().out
+        assert len((out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()) == 11
+
     def test_corpus_file_not_utf8_is_named(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -445,6 +464,26 @@ class TestEval:
         # an annotation dump does not say how many sentences were analyzed
         data = json.loads(report_path.read_text(encoding="utf-8"))
         assert data["totals"]["sentences"] is None
+
+    def test_lone_carriage_return_in_a_dump_file_ends_a_line(self, mini_gold_dir, tmp_path):
+        # a file's line ends are read as Path.read_text reads them; a text
+        # given to load_annotations is split at "\n" only
+        out = tmp_path / "out"
+        assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out)]) == 0
+        lines = (out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        second = next(line for line in lines
+                      if json.loads(line)["class_label"] != first["class_label"])
+        dump = tmp_path / "a.jsonl"
+        dump.write_text(f"{lines[0]}\r{second}\n", encoding="utf-8", newline="")
+        report_path = tmp_path / "report.json"
+        code = main(["eval", "--annotations", str(dump),
+                     "--gold", str(mini_gold_dir / "gold.tsv"), "--report", str(report_path)])
+        assert code == 0
+        data = json.loads(report_path.read_text(encoding="utf-8"))
+        assert sum(cs["tp"] for cs in data["per_class"].values()) == 2
+        with pytest.raises(ValueError, match="line 1: Extra data"):
+            load_annotations(dump.read_bytes().decode("utf-8"))
 
     def test_gold_parse_error_exits_2(self, mini_gold_dir, tmp_path, capsys):
         bad = tmp_path / "gold.tsv"

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import morpho_ref
 from arfuture.morpho import (
+    CONJUNCTION_CLITICS,
+    IMPERFECTIVE_PREFIXES,
+    SIIN,
+    TA_SUFFIX,
     Lexicons,
     Verdict,
     analyze_token,
     is_future_verb_with_siin,
     strip_clitics,
 )
+from arfuture.resources import data_dir, load_lexicons
 
 # the bundled open verb lists (clitics and siin prefix left intact)
 SIIN_VERBS = [
@@ -126,3 +134,70 @@ class TestBundledListCoverage:
                 for suffix in ("", "ت"):
                     token = clitic + stem + suffix
                     assert analyze_token(token, lexicons).verdict is Verdict.PAST_VERB, token
+
+
+BUNDLED = load_lexicons(data_dir())
+BUNDLED_WORDS = sorted({w for f in fields(Lexicons) for w in getattr(BUNDLED, f.name)})
+_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهويأة"
+
+
+def _affixed(stems):
+    """A stem with an optional clitic, siin, imperfective prefix and final
+    letter, most often ت."""
+    return st.builds(
+        lambda *parts: "".join(parts),
+        st.sampled_from(("",) + CONJUNCTION_CLITICS),
+        st.sampled_from(("", SIIN)),
+        st.sampled_from(("",) + tuple(sorted(IMPERFECTIVE_PREFIXES))),
+        stems,
+        st.one_of(st.sampled_from(("", TA_SUFFIX)), st.sampled_from(_LETTERS)),
+    )
+
+
+WORDS = _affixed(st.one_of(st.text(_LETTERS, max_size=5), st.sampled_from(BUNDLED_WORDS)))
+
+
+@st.composite
+def _lexicons(draw):
+    """Small word lists of generated words; present verbs and proper nouns
+    stay apart, as ``Lexicons`` requires."""
+    words = st.frozensets(WORDS, max_size=4)
+    proper = draw(words)
+    return Lexicons(
+        present_verbs=draw(words) - proper,
+        past_verbs=draw(words),
+        proper_nouns=proper,
+        qad_exclusions=draw(words),
+    )
+
+
+class TestAgainstReference:
+    """The verdict function gives what the earlier ``analyze_token`` and
+    siin gate (``tests/morpho_ref.py``) gave."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(word=WORDS)
+    def test_generated_words_with_bundled_lexicons(self, word):
+        assert analyze_token(word, BUNDLED) == morpho_ref.analyze_token(word, BUNDLED)
+        assert is_future_verb_with_siin(word, BUNDLED) is morpho_ref.is_future_verb_with_siin(
+            word, BUNDLED
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(lex=_lexicons(), data=st.data())
+    def test_generated_words_with_generated_lexicons(self, lex, data):
+        entries = sorted({w for f in fields(Lexicons) for w in getattr(lex, f.name)})
+        stems = st.sampled_from(entries) if entries else st.just("")
+        for word in data.draw(st.lists(st.one_of(WORDS, _affixed(stems)), max_size=8)):
+            assert analyze_token(word, lex) == morpho_ref.analyze_token(word, lex)
+            assert is_future_verb_with_siin(word, lex) is morpho_ref.is_future_verb_with_siin(
+                word, lex
+            )
+
+    @pytest.mark.parametrize("word", BUNDLED_WORDS)
+    def test_every_bundled_entry(self, word):
+        for token in (word, SIIN + word, "و" + SIIN + word):
+            assert analyze_token(token, BUNDLED) == morpho_ref.analyze_token(token, BUNDLED)
+            assert is_future_verb_with_siin(token, BUNDLED) is (
+                morpho_ref.is_future_verb_with_siin(token, BUNDLED)
+            )
