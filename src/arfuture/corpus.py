@@ -10,12 +10,12 @@ no search-engine automation.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import re
 import time
 from dataclasses import dataclass, field
 from html import unescape
-from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -104,178 +104,133 @@ def load_query_seeds(text: str) -> list[QuerySeed]:
 # main-article extraction
 
 
-class _TextExtractor(HTMLParser):
-    """Collects text content, replacing each tag with a newline.
-
-    Adjacent tags therefore leave a blank line (a run boundary), while a
-    lone inline tag only injects a single newline, which a run survives.
-    Script and style contents are skipped entirely.  ``title_done`` makes
-    it read no title, for the rest of a page whose start held one.
-    """
-
-    _SKIP = {"script", "style"}
-
-    def __init__(self, title_done: bool = False):
-        super().__init__(convert_charrefs=True)
-        self.parts: list[str] = []
-        self.title_parts: list[str] = []
-        self._skip_depth = 0
-        self._in_title = False
-        self._title_done = title_done
-
-    def handle_starttag(self, tag, attrs):
-        if tag in self._SKIP:
-            self._skip_depth += 1
-        if tag == "title" and not self._title_done:
-            self._in_title = True
-        self.parts.append("\n")
-
-    def handle_endtag(self, tag):
-        if tag in self._SKIP and self._skip_depth > 0:
-            self._skip_depth -= 1
-        if tag == "title":
-            self._in_title = False
-            self._title_done = True
-        self.parts.append("\n")
-
-    def handle_startendtag(self, tag, attrs):
-        self.parts.append("\n")
-
-    def handle_data(self, data):
-        if self._skip_depth:
-            return
-        if self._in_title:
-            self.title_parts.append(data)
-            return
-        self.parts.append(data)
-
-
-# A page is read by one regex scan up to its first markup outside the
-# subset below, with the result _TextExtractor gives for that part;
-# _TextExtractor reads the page on from there, in the state it would have
-# reached there itself.  So a page outside the subset costs at most two
-# scans of its start and html.parser on the rest.  The subset leaves out
-# every construct that html.parser releases are known to read differently
-# (comment ends such as "--!>", "</script" variants, "<![CDATA[", "<?",
-# "<!x" declarations, markup inside raw-text and RCDATA elements,
-# self-closing script, style, title and raw-text elements):
-# - start, end and self-closing tags with plain attributes; no value holds
-#   "<" or ">", so a tag ends at its first ">";
-# - "<!DOCTYPE ...>", and "<!-- -->" comments without "--" inside that
-#   neither start with ">" or "->" nor end with "-";
-# - script and style elements whose body holds no "</" or "<!", title
-#   elements whose content holds no "<", and textarea, xmp, iframe,
-#   noembed and noframes elements whose content holds no "<" or "&", each
-#   closed by "</" + its name + ">" with no space (in any letter case);
-#   noscript is an ordinary element, as html.parser reads it unless made
-#   with scripting=True;
-# - a bare "<" not followed by a letter, "/", "!" or "?" (it is text);
-# - text.
-# A page holding a NUL is read by _TextExtractor from its start.  The two
-# paths were checked to agree on CPython 3.10.13, 3.11.2, 3.11.7, 3.12.1,
-# 3.13.0 and 3.13.13, and tests/test_corpus.py holds them to each other on
-# the release that runs it; a release that changed how html.parser reads
-# markup inside the subset would not change the scan.
-_TAG_WS = "[ \t\n\r\f]"
+# A page is read in one pass, each piece of markup as the WHATWG HTML
+# tokenizer reads it (HTML Living Standard, section 13.2.5), as far as the
+# text needs it:
+# - a tag ends at its first ">" outside a quoted attribute value; a tag
+#   still open at the end of the page is dropped;
+# - a comment ends at "-->" or "--!>", or at once as "<!-->" or "<!--->";
+#   a doctype, "<![CDATA[", "<?", any other "<!" and "</" before anything
+#   but a letter are bogus comments that end at the first ">";
+# - the content of title and textarea (RCDATA), of style, xmp, iframe,
+#   noembed and noframes (RAWTEXT) and of script (script data, with its
+#   escape states) ends at "</" + the element's name before whitespace,
+#   "/" or ">"; after "<plaintext>" all is text;
+# - "<" before anything else is text.
+# Whatever is left open runs to the end of the page.  Each construct ends
+# at its first terminator, and no pattern can fail once past its first few
+# characters, so no construct is read again from a later "<" and the time
+# is linear in the page.  A tag's attribute is the one group that repeats:
+# re keeps a few hundred bytes per repetition until the match ends, so the
+# content of an element is searched apart, by _content_end.  Of tree
+# construction only what its "in body" mode does with a NUL in text is
+# kept: it drops it.  noscript is an ordinary element, as with scripting
+# disabled.
+_WS = "\t\n\f\r "  # whitespace in markup, where the tokenizer reads "\r" as "\n"
+# a tag's attributes, up to its ">" or the end of the page; a quote starts
+# a value only after "="
 _ATTRS = (
-    f"(?:{_TAG_WS}+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
-    f"""(?:{_TAG_WS}*={_TAG_WS}*(?:"[^"<>]*"|'[^'<>]*'|[^ \t\n\r\f"'=<>`/]+))?)*"""
-    f"{_TAG_WS}*"
+    f"(?:[{_WS}/]*[^{_WS}/>][^{_WS}/>=]*"
+    f"""(?:[{_WS}]*=[{_WS}]*(?:"[^"]*"?|'[^']*'?|[^{_WS}>"'][^{_WS}>]*)?)?)*[{_WS}/]*"""
 )
-# elements some release reads as raw text or RCDATA
-_CONTENT_TAGS = "(?i:script|style|title|textarea|xmp|iframe|noembed|noframes|plaintext)"
-# One token per match, its kind told by the last group that matched.
-# Comment and script bodies are matched lazily up to their end and checked
-# apart, so no token keeps regex state per character.  Compiled on first
-# use (by the re module's cache), so commands that read no HTML do not pay
-# for it.
-_TOKEN = (
-    "<(?:"
-    f"(/(?i:title){_TAG_WS}*>)"  # 1: </title>
-    f"|(/[a-zA-Z][-a-zA-Z0-9]*{_TAG_WS}*>"  # 2: any other tag
-    f"|(?!{_CONTENT_TAGS}[ \t\n\r\f/>])[a-zA-Z][-a-zA-Z0-9]*{_ATTRS}/?>)"
-    f"|(!(?i:doctype)(?:{_TAG_WS}[^<>]*)?>)"  # 3: a declaration
-    "|!--((?s:.*?))-->"  # 4: a comment's content
-    f"|((?i:script|style)){_ATTRS}>((?s:.*?))</(?i:\\5)>"  # 5, 6: a script or style element
-    f"|(?i:title){_ATTRS}>([^<]*)</(?i:title)>"  # 7: a title element's content
-    f"|((?i:textarea|xmp|iframe|noembed|noframes)){_ATTRS}>([^<&]*)</(?i:\\8)>"  # 8, 9: a text element
-    "|(?![a-zA-Z/!?])"  # a bare "<"
-    "|())"  # 10: markup outside the subset
+# elements whose content is text to the tokenizer: RCDATA unescapes its
+# character references, RAWTEXT does not; script and style content is dropped
+_RCDATA = ("title", "textarea")
+_DROPPED = ("script", "style")
+# One piece of markup per match, its kind told by the last group matched;
+# whatever no match covers is text.  Compiled on first use (by the re
+# module's cache), so commands that read no HTML do not pay for it.
+_MARKUP = (
+    "<(?:!--(?:-?>|[^-]*(?s:.*?)(?:--!?>|\\Z))"  # a comment
+    "|[!?][^>]*>?"  # a doctype or a bogus comment
+    "|/(?=[^a-zA-Z])[^>]*>?"  # a bogus comment, or "</>", which is nothing
+    f"|/(?ai:title)(?=[{_WS}/>]){_ATTRS}(>)?"  # 1: a title end tag's ">"
+    "|((?ai:title|textarea|style|xmp|iframe|noembed|noframes|script|plaintext))"
+    f"(?=[{_WS}/>]){_ATTRS}(>)?"  # 2, 3: a start tag of an element with text content
+    f"|/?[a-zA-Z][^{_WS}/>]*{_ATTRS}(>)?"  # 4: any other tag's ">"
+    ")"
 )
-# stands for a removed comment or declaration until the text is unescaped,
-# so that the text on its two sides is unescaped apart, as html.parser does
+_END_TITLE, _TEXT_ELEMENT, _TAG = 1, 3, 4
+# Script data and its escape states: per state, the pattern of what ends
+# it, and the state that follows when no group matched, then when each
+# group did (None: the end tag).  From "<!--" on, script data is escaped,
+# and there "<script" starts a part that "</script" only ends; "-->" ends
+# either.  Each pattern starts with a literal "<" or "-", which re skips to
+# fast.
+_SCRIPT = f"(?ai:script)[{_WS}/>]"
+_SCRIPT_STATES = {
+    "data": (f"<(?:(!)(?=--)|/{_SCRIPT})", (None, "escaped")),
+    "escaped": (f"(-->)|<(?:/{_SCRIPT}|({_SCRIPT}))", (None, "data", "double")),
+    "double": (f"(-->)|</{_SCRIPT}", ("escaped", "data")),
+}
+# stands for removed markup until the text is unescaped, so that the text
+# on its two sides is unescaped apart, as the tokenizer does
 _GAP = "\x00"
 
 
-class _OutsideSubset(Exception):
-    """Raised by the page scan at the first markup outside the subset; its
-    argument is where that markup starts."""
-
-
-def _scan(html: str) -> tuple[str | None, str]:
-    """The title and text :class:`_TextExtractor` gives for ``html``, a page
-    with no NUL; raises _OutsideSubset at its first markup outside the subset.
-
-    Each tag becomes a newline, script and style elements two, comments and
-    declarations nothing.  The first title element's content is the title;
-    it is None when neither a title element nor a ``</title>`` was read.
-    """
-    title = None
-
-    def token(m: re.Match) -> str:
-        nonlocal title
-        kind = m.lastindex
-        if kind == 2:
-            return "\n"
-        if kind is None:
-            return "<"
-        if kind == 3:
-            return _GAP
-        if kind == 4:
-            content = m.group(4)
-            if not ("--" in content or content.startswith((">", "->")) or content.endswith("-")):
-                return _GAP
-        elif kind == 6:
-            if not ("</" in m.group(6) or "<!" in m.group(6)):
-                return "\n\n"
-        elif kind == 7:
-            if title is None:
-                title = unescape(m.group(7))
-                return "\n\n"
-            return "\n" + m.group(7) + "\n"
-        elif kind == 9:
-            return "\n" + m.group(9) + "\n"
-        elif kind == 1:  # a </title> before any title leaves the page none
-            if title is None:
-                title = ""
-            return "\n"
-        raise _OutsideSubset(m.start())
-
-    text = re.sub(_TOKEN, token, html)
-    # every chunk of text between two tokens ends at a newline, a "<", a gap
-    # or the end, none of which a character reference can span
-    return title, unescape(text).replace(_GAP, "")
+def _content_end(html: str, pos: int, name: str) -> int:
+    """Where the content of a ``name`` element that starts at ``pos`` ends:
+    at the start of its end tag, or at the end of the page."""
+    if name == "plaintext":
+        return len(html)
+    if name != "script":
+        m = re.compile(f"</(?ai:{name})[{_WS}/>]").search(html, pos)
+        return m.start() if m else len(html)
+    state = "data"
+    while state:
+        pattern, leads_to = _SCRIPT_STATES[state]
+        m = re.compile(pattern).search(html, pos)
+        if m is None:
+            return len(html)
+        state, pos = leads_to[m.lastindex or 0], m.end()
+    return m.start()
 
 
 def _read_page(html: str) -> tuple[str, str]:
-    """The title and text :class:`_TextExtractor` gives for ``html``: by the
-    scan up to the first markup outside the subset, by _TextExtractor from
-    there on."""
-    title, text, cut = None, "", 0
-    if _GAP not in html:
-        try:
-            title, text = _scan(html)
-            return title or "", text
-        except _OutsideSubset as outside:
-            cut = outside.args[0]
-            # the part before the cut holds the same tokens, all in the subset
-            title, text = _scan(html[:cut])
-    parser = _TextExtractor(title_done=title is not None)
-    parser.feed(html[cut:])
-    parser.close()
-    if title is None:
-        title = "".join(parser.title_parts)
-    return title, text + "".join(parser.parts)
+    """The title and the text of a page.
+
+    Each tag becomes a newline, comments and doctypes nothing.  The content
+    of script and style elements is dropped, that of other RCDATA and
+    RAWTEXT elements is text.  The first title element's content is the
+    title, with character references unescaped; a ``</title>`` before any
+    title element leaves the page none.
+    """
+    parts: list[str] = []
+    title = None
+    pos = 0
+    markup = re.compile(_MARKUP)
+    while True:
+        for m in markup.finditer(html, pos):
+            start, end = m.span()
+            parts.append(html[pos:start])
+            pos = end
+            kind = m.lastindex
+            if kind == _TAG:
+                parts.append("\n")
+            elif kind == _TEXT_ELEMENT:
+                parts.append("\n")
+                name = m.group(2).lower()
+                pos = _content_end(html, end, name)
+                content = html[end:pos].replace("\0", "\ufffd")
+                if name == "title" and title is None:
+                    title = unescape(content)
+                elif name in _RCDATA:
+                    parts.append(content)
+                elif name not in _DROPPED:  # RAWTEXT, kept from the unescaping below
+                    parts.append(content.replace("&", "&amp;"))
+                break  # read on from the element's end tag
+            elif kind == _END_TITLE:
+                parts.append("\n")
+                if title is None:
+                    title = ""
+            else:  # a comment, or markup left open at the end of the page
+                parts.append(_GAP)
+        else:
+            break
+    parts.append(html[pos:])
+    # every piece of text ends at a newline, a gap or the end, none of which
+    # a character reference can span
+    return title or "", unescape("".join(parts)).replace(_GAP, "")
 
 
 def _is_run_char(ch: str) -> bool:
@@ -447,8 +402,25 @@ def parse_corpus_file(text: str) -> Document:
 # page loading
 
 
+# byte order marks and their encodings, as the WHATWG Encoding Standard's
+# decode sniffs them
+_BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_LE, "utf-16-le"),
+         (codecs.BOM_UTF16_BE, "utf-16-be"))
+
+
 def _decode_html(raw: bytes) -> str:
-    """Decode page bytes, honouring a declared charset, normalizing to str."""
+    """Decode page bytes: by their byte order mark, which is dropped, else
+    as UTF-8, else by a declared charset.
+
+    Bytes that their byte order mark's encoding cannot decode are read as
+    if they had none.
+    """
+    for bom, encoding in _BOMS:
+        if raw.startswith(bom):
+            try:
+                return raw[len(bom):].decode(encoding)
+            except UnicodeDecodeError:
+                break
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -489,12 +461,12 @@ def fetch_pages(
 
     Plain paths and ``file://`` URLs are read locally without touching the
     network.  Remote requests are spaced by ``politeness_delay`` seconds per
-    host and carry an identifying user agent.  Failures are collected per
-    URL instead of aborting the batch.
+    host, carry an identifying user agent and follow redirects; a status of
+    400 or above fails the URL.  Failures are collected per URL instead of
+    aborting the batch.
     """
     result = FetchResult()
     last_hit: dict[str, float] = {}
-    session = None
     for url in urls:
         parsed = urlparse(url)
         if parsed.scheme in ("", "file"):
@@ -509,20 +481,18 @@ def fetch_pages(
             except (OSError, ValueError) as exc:  # CorpusError, or a path with a NUL
                 result.failures.append(FetchFailure(url=url, reason=str(exc)))
             continue
-        if session is None:
-            import requests
+        from urllib.request import Request, urlopen
 
-            session = requests.Session()
-            session.headers["User-Agent"] = USER_AGENT
         host = parsed.netloc
         wait = last_hit.get(host, 0.0) + politeness_delay - time.monotonic()
         if wait > 0:
             time.sleep(wait)
         last_hit[host] = time.monotonic()
         try:
-            resp = session.get(url, timeout=timeout)
-            resp.raise_for_status()
-            result.pages.append(RawPage(source_url=url, html=_decode_html(resp.content)))
+            request = Request(url, headers={"User-Agent": USER_AGENT})
+            # raises HTTPError unless the final status, after redirects, is 2xx
+            with urlopen(request, timeout=timeout) as response:
+                result.pages.append(RawPage(source_url=url, html=_decode_html(response.read())))
         except Exception as exc:  # noqa: BLE001 - per-URL failures are data
             result.failures.append(FetchFailure(url=url, reason=str(exc)))
     return result

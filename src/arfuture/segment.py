@@ -141,10 +141,12 @@ class Tokens(Sequence[Token]):
     ``shadows`` and ``kinds`` are what matching reads; ``starts`` and
     ``ends`` are char offsets into ``text``.  ``span(i)`` is token i's
     byte span, and ``tokens[i]`` builds its ``Token``, equal to the one a
-    list of tokens would hold.
+    list of tokens would hold.  A span is counted on from the end of the
+    one read before it, so reading spans in order takes one pass over
+    the text.
     """
 
-    __slots__ = ("text", "shadows", "kinds", "starts", "ends")
+    __slots__ = ("text", "shadows", "kinds", "starts", "ends", "_char", "_byte")
 
     def __init__(
         self, text: str, shadows: list[str], kinds: list[TokenKind],
@@ -155,6 +157,8 @@ class Tokens(Sequence[Token]):
         self.kinds = kinds
         self.starts = starts
         self.ends = ends
+        # the char offset where the last span read ended, and its byte offset
+        self._char = self._byte = 0
 
     def __len__(self) -> int:
         return len(self.shadows)
@@ -169,10 +173,12 @@ class Tokens(Sequence[Token]):
 
     def span(self, i: int) -> tuple[int, int]:
         """Token i's UTF-8 byte span in ``text``."""
-        text = self.text
-        start = self.starts[i]
-        offset = len(text[:start].encode())
-        return offset, offset + len(text[start:self.ends[i]].encode())
+        text, start, end = self.text, self.starts[i], self.ends[i]
+        if start < self._char:  # before the last span read: count from the start
+            self._char = self._byte = 0
+        first = self._byte + len(text[self._char:start].encode())
+        self._char, self._byte = end, first + len(text[start:end].encode())
+        return first, self._byte
 
 
 def tokenize(sentence_text: str) -> Tokens:

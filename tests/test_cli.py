@@ -132,6 +132,15 @@ class TestIngest:
         assert "pages=2 documents=1 rejected=1" in captured.out
 
 
+def test_cli_imports_neither_html_parser_nor_requests():
+    # pages are read by the corpus module's own scan and fetched by urllib
+    script = "import sys, arfuture.cli\nprint(sorted({'html.parser', 'requests'} & set(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.stdout == "[]\n", done.stderr
+
+
 class TestAnalyze:
     def test_mini_gold_summary(self, mini_gold_dir, tmp_path, capsys):
         out = tmp_path / "out"

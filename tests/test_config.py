@@ -96,6 +96,16 @@ class TestPageDecoding:
         with pytest.raises(CorpusError, match="not valid UTF-8"):
             read_local_page(bad)
 
+    @pytest.mark.parametrize("bom, encoding", [
+        (b"\xef\xbb\xbf", "utf-8"), (b"\xff\xfe", "utf-16-le"), (b"\xfe\xff", "utf-16-be"),
+    ])
+    def test_byte_order_mark_gives_the_encoding_and_is_dropped(self, tmp_path, bom, encoding):
+        page = tmp_path / "bom.html"
+        # the declared charset loses to the byte order mark
+        html = '<meta charset="windows-1256"><p>اقتصاد لبنان</p>'
+        page.write_bytes(bom + html.encode(encoding))
+        assert read_local_page(page).html == html
+
 
 class TestLexiconExtensions:
     def _labels(self, engine, text):

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import http.server
 import random
 import re
+import socket
+import threading
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import html_ref
+import tokenizer_ref
 from arfuture import corpus
 from arfuture.corpus import (
     CorpusError,
     QuerySeed,
     RawPage,
+    USER_AGENT,
     build_query_list,
     compile_corpus_file,
     dedupe_documents,
@@ -156,8 +163,9 @@ class TestExtraction:
             extract_main_article(page, min_run_chars)
 
 
-# fragments in the subset of markup the regex page scan reads: any string
-# made of them is in the subset
+# fragments in the subset of markup the page scan once read alone, with
+# html.parser reading the rest: on any string made of them, the scan and
+# html.parser agree
 _SUBSET_BITS = [
     "<p>", "</p>", "<P class='c'>", "</div\n>", "<br/>", '<img src="a.png" alt=x />',
     '<a href="/x?a=1&amp;b=2">', "</a>", "<my-el data-x=1>", "<!DOCTYPE html>",
@@ -169,8 +177,8 @@ _SUBSET_BITS = [
     "&am", "p;", "&#1587;", "&#38", "&", ";", "#", "x", "ب", " ", "\n", "\n\n", "\t", "\r",
     PARA_ONE,
 ]
-# markup outside the subset, each at a place where html.parser releases
-# differ or where the subset stops
+# markup outside that subset, each at a place where html.parser releases
+# differ or where the subset stopped
 _OUTSIDE_BITS = [
     "<![CDATA[", "]]>", "</SCRIPT >", "</script >", "--!>", "<!-- a -- b -->", "<!-->",
     "<!--->", "<!-- a --->", "<?xml ?>", "<!x>", "<p", '<a b="<">', "<a\x0bb>", "</ p>",
@@ -179,21 +187,12 @@ _OUTSIDE_BITS = [
     "<script>if (a</b) x;</script>", "<script><!-- x --></script>",
 ]
 
-
-def _by_html_parser(html: str) -> tuple[str, str]:
-    parser = corpus._TextExtractor()
-    parser.feed(html)
-    parser.close()
-    return "".join(parser.title_parts), "".join(parser.parts)
-
-
-def _cut(html: str) -> int:
-    """Where the scan hands ``html`` to html.parser; its length if nowhere."""
-    try:
-        corpus._scan(html)
-    except corpus._OutsideSubset as outside:
-        return outside.args[0]
-    return len(html)
+# markup that drives the tokenizer through its less common states
+_STATE_BITS = [
+    "<!--", "-->", "--!>", "<!-", "-", "<script>", "</script>", "<script ", "</script\t",
+    "<SCRIPT/", "</title>", "</textarea ", "<xmp>", "</", "<a", "<b c=", "=", '"', "'", "/",
+    "<", ">", "!", "?", " ",
+]
 
 
 def _outcome(html: str, min_run_chars: int):
@@ -203,13 +202,42 @@ def _outcome(html: str, min_run_chars: int):
         return str(exc)
 
 
-def _outcome_by_html_parser(html: str, min_run_chars: int):
-    with mock.patch.object(corpus, "_read_page", _by_html_parser):
-        return _outcome(html, min_run_chars)
+_TAIL = f"<p>{PARA_TWO}</p>"
+_TAIL_TEXT = f"\n{PARA_TWO}\n"
+# the text of each markup, then the tail after it, as the WHATWG tokenizer
+# reads them
+_SPEC_READING = {
+    "<![CDATA[x]]>": _TAIL_TEXT,  # a bogus comment up to the first ">"
+    "<script>x</SCRIPT >": "\n\n" + _TAIL_TEXT,
+    "<script>x</script >": "\n\n" + _TAIL_TEXT,
+    "<!-- x --!>": _TAIL_TEXT,
+    "<!-- a -- b -->": _TAIL_TEXT,
+    "<!-->": _TAIL_TEXT,
+    "<!--->": _TAIL_TEXT,
+    "<!-- a --->": _TAIL_TEXT,
+    "<?php echo 1 ?>": _TAIL_TEXT,
+    "<!x>": _TAIL_TEXT,
+    '<a title="a<b">': "\n" + _TAIL_TEXT,
+    "<a href=/x>": "\n" + _TAIL_TEXT,
+    "<a\x0bhref='x'>": "\n" + _TAIL_TEXT,  # a tag named "a\x0bhref='x'"
+    "</ p>": _TAIL_TEXT,
+    "<textarea>a &amp; b</textarea>": "\na & b\n" + _TAIL_TEXT,
+    "<iframe><p>x</p></iframe>": "\n<p>x</p>\n" + _TAIL_TEXT,
+    "<plaintext>": "\n" + _TAIL,
+    "<iframe/>": "\n" + _TAIL,  # the slash does not close it
+    "<title>a<b>b</b></title>": "\na<b>b</b>\n" + _TAIL_TEXT,  # a second title is text
+    "<title/>": "\n" + _TAIL,
+    "<script/>": "\n",
+    "<script>if (a</b) x;</script>": "\n\n" + _TAIL_TEXT,
+    "<script><!-- x --></script>": "\n\n" + _TAIL_TEXT,
+    "<p": "",  # a tag open at the end of the page is dropped, the tail with it
+}
 
 
 class TestPageScan:
-    """The regex page scan against the html.parser path it stands in for."""
+    """The page scan: against html.parser inside the subset it once read
+    alone, and against the WHATWG tokenizer everywhere, by hand-written
+    cases and by the reference in tokenizer_ref."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -218,101 +246,142 @@ class TestPageScan:
         )),
         min_run_chars=st.integers(1, 150),
     )
-    def test_page_text_equals_html_parser(self, bits, min_run_chars):
+    def test_any_page_reads_the_same_twice_and_fails_only_as_corpus_error(
+        self, bits, min_run_chars
+    ):
         html = "".join(bits)
-        assert corpus._read_page(html) == _by_html_parser(html)
-        if "\x00" not in html:
-            # the scan stops between two tokens, where html.parser has read
-            # the same as from the part before alone
-            cut = _cut(html)
-            title, text = corpus._scan(html[:cut])
-            assert (title or "", text) == _by_html_parser(html[:cut])
-        assert _outcome(html, min_run_chars) == _outcome_by_html_parser(html, min_run_chars)
+        assert corpus._read_page(html) == corpus._read_page(html)
+        assert _outcome(html, min_run_chars) == _outcome(html, min_run_chars)
 
     @settings(max_examples=300, deadline=None)
     @given(bits=st.lists(st.sampled_from(_SUBSET_BITS)))
     def test_subset_pages_take_the_scan(self, bits):
         html = "".join(bits)
-        title, text = corpus._scan(html)
-        assert (title or "", text) == _by_html_parser(html)
+        assert corpus._read_page(html) == html_ref.read_page(html)
 
-    @pytest.mark.parametrize("markup", [
-        "<![CDATA[x]]>",
-        "<script>x</SCRIPT >",
-        "<script>x</script >",
-        "<!-- x --!>",
-        "<!-- a -- b -->",
-        "<!-->",
-        "<!--->",
-        "<!-- a --->",
-        "<?php echo 1 ?>",
-        "<!x>",
-        '<a title="a<b">',
-        "<a href=/x>",
-        "<a\x0bhref='x'>",
-        "</ p>",
-        "<textarea>a &amp; b</textarea>",
-        "<iframe><p>x</p></iframe>",
-        "<plaintext>",
-        "<iframe/>",
-        "<title>a<b>b</b></title>",
-        "<title/>",
-        "<script/>",
-        "<script>if (a</b) x;</script>",
-        "<script><!-- x --></script>",
-        "<p",
-    ])
+    @settings(max_examples=1000, deadline=None)
+    @given(bits=st.lists(st.one_of(
+        st.sampled_from(_SUBSET_BITS), st.sampled_from(_OUTSIDE_BITS),
+        st.sampled_from(_STATE_BITS), st.text(max_size=4),
+    )))
+    def test_page_reads_as_the_reference_tokenizer(self, bits):
+        html = "".join(bits)
+        assert corpus._read_page(html) == tokenizer_ref.read_page(html)
+
+    @pytest.mark.parametrize("markup", list(_SPEC_READING))
     def test_html_parser_reads_from_markup_outside_the_subset(self, markup):
+        """Each kind of markup html.parser once read after the subset."""
         head = f"<title>t</title><p>{PARA_ONE}</p>"
-        html = f"{head}{markup}<p>{PARA_TWO}</p>"
-        if markup == "<p":
-            html = f"{head}{markup}"
-        assert _cut(html) == len(head)
-        assert corpus._scan(head) == _by_html_parser(head)
-        assert corpus._read_page(html) == _by_html_parser(html)
-        assert _outcome(html, 5) == _outcome_by_html_parser(html, 5)
+        html = f"{head}{markup}{_TAIL}" if markup != "<p" else f"{head}{markup}"
+        expected = ("t", f"\n\n\n{PARA_ONE}\n" + _SPEC_READING[markup])
+        assert corpus._read_page(html) == expected
+        assert tokenizer_ref.read_page(html) == expected
 
-    def test_page_with_nul_takes_html_parser_from_its_start(self):
-        html = f"<p>{PARA_ONE}</p>\x00<p>{PARA_TWO}</p>"
-        with mock.patch.object(corpus, "_scan") as scan:
-            assert corpus._read_page(html) == _by_html_parser(html)
-        scan.assert_not_called()
+    @pytest.mark.parametrize("html, title, text", [
+        # bogus comments, ended by the first ">" or by the end of the page
+        ("a<?x>b<?x y", "", "ab"),
+        ("a<!x>b<![CDATA[ <p>x</p> ]]>c<!DOCTYPE html>d<!x", "", "abx\n ]]>cd"),
+        ("a</ x>b</>c</1>d</", "", "abcd</"),
+        # comments
+        ("a<!-- <p> -- -> --!>b<!-->c<!--->d<!---->e<!-- x", "", "abcde"),
+        ("a<!--<!-- x -->b<!--- x --->c", "", "abc"),
+        # a quote opens a value only after "=", and holds "<" and ">"
+        ("<a title='a>b' alt=\"<\">x", "", "\nx"),
+        ('<a b = "x>y">z', "", "\nz"),
+        ('<a ="x>y">z', "", '\ny">z'),
+        ('<a "b>c">', "", '\nc">'),
+        ('<a b=c"d>e">', "", '\ne">'),
+        ('<a b=="x>y">z', "", '\ny">z'),
+        ('<a b="c"d="e>f">g', "", "\ng"),
+        ('x<a b="c>', "", "x"),
+        # RCDATA: ended only by its own end tag, in any case, before
+        # whitespace, "/" or ">"; references unescaped, a NUL replaced
+        ("<title>a</titlex></b></TITLE >b", "a</titlex></b>", "\n\nb"),
+        ("<title>a &amp; b\x00</title/>", "a & b\ufffd", "\n\n"),
+        ("<title>a</title", "a</title", "\n"),
+        ("<textarea>&lt;p&gt;</textarea x=1>", "", "\n<p>\n"),
+        # RAWTEXT: references kept as written
+        ("<xmp>&amp;<p>\x00</xmp>", "", "\n&amp;<p>\ufffd\n"),
+        ("<noembed>&lt;</noembed>x<noframes>&lt;", "", "\n&lt;\nx\n&lt;"),
+        ("<style>p{}</style x>a<style>b", "", "\n\na\n"),
+        # script data and its escape states
+        ("<script>a<!--b--></script>c", "", "\n\nc"),
+        ("<script><!--<script></script>x</script>y", "", "\n\ny"),
+        ("<script><!--<script></script><script></script>x</script>y", "", "\n\ny"),
+        ("<script><!--<script>--></script>y", "", "\n\ny"),
+        ("<script><!--<SCRIPT/></SCRIPT\t>--></script>y", "", "\n\ny"),
+        ("<script><!-- </script>y", "", "\n\ny"),
+        ("<script><!--<scripts></script>y", "", "\n\ny"),
+        ("<script><!--<script></scriptx>--></script>y", "", "\n\ny"),
+        ("<script><!--<script>x</script>y", "", "\n"),
+        ("<script><!---->x</script>y", "", "\n\ny"),
+        # plaintext: all the rest is text, as written
+        ("a<plaintext x>&amp;</plaintext>\x00", "", "a\n&amp;</plaintext>\ufffd"),
+        # "<" before anything else is text; a NUL in text is dropped
+        ("a < b <3 <ب <", "", "a < b <3 <ب <"),
+        ("a\x00b<p>c\x00", "", "ab\nc"),
+        # no reference spans a removed construct or a NUL
+        ("&am<?x>p; &am<!x>p; &am</ x>p; &am\x00p;", "", "&amp; &amp; &amp; &amp;"),
+    ])
+    def test_markup_reads_as_the_whatwg_tokenizer(self, html, title, text):
+        assert corpus._read_page(html) == (title, text)
+        assert tokenizer_ref.read_page(html) == (title, text)
 
-    def test_title_after_the_cut_comes_from_html_parser(self):
-        html = f"<![CDATA[x]]><title>late</title><p>{PARA_ONE}</p>"
-        assert _cut(html) == 0
-        assert corpus._read_page(html) == _by_html_parser(html)
-        assert corpus._read_page(html)[0] == "late"
-
-    def test_title_before_the_cut_stays_the_only_one(self):
-        html = f"<title>first</title><?x?><title>late</title><p>{PARA_ONE}</p>"
-        assert corpus._read_page(html) == _by_html_parser(html)
-        assert corpus._read_page(html)[0] == "first"
+    def test_golden_page_takes_the_scan(self):
+        assert corpus._read_page(GOLDEN_HTML) == html_ref.read_page(GOLDEN_HTML)
 
     def test_noscript_and_plain_raw_text_elements_take_the_scan(self):
         html = (f'<body><noscript><img src="/px.gif"></noscript><p>{PARA_ONE}</p>'
                 "<iframe src='/ad'></iframe><textarea>t</textarea></body>")
-        title, text = corpus._scan(html)
-        assert (title or "", text) == _by_html_parser(html)
+        assert corpus._read_page(html) == html_ref.read_page(html)
 
-    def test_golden_page_takes_the_scan(self):
-        assert corpus._scan(GOLDEN_HTML) == _by_html_parser(GOLDEN_HTML)
+    def test_nul_in_text_is_dropped_and_in_title_replaced(self):
+        html = f"<title>a\x00b</title><p>{PARA_ONE}\x00</p>\x00<p>{PARA_TWO}</p>"
+        assert corpus._read_page(html) == ("a\ufffdb", f"\n\n\n{PARA_ONE}\n\n{PARA_TWO}\n")
+
+    def test_title_after_a_bogus_comment_is_the_title(self):
+        html = f"<![CDATA[x]]><title>late</title><p>{PARA_ONE}</p>"
+        assert corpus._read_page(html) == ("late", f"\n\n\n{PARA_ONE}\n")
+
+    def test_title_before_the_cut_stays_the_only_one(self):
+        html = f"<title>first</title><?x?><title>late</title><p>{PARA_ONE}</p>"
+        assert corpus._read_page(html) == ("first", f"\n\n\nlate\n\n{PARA_ONE}\n")
 
     def test_reference_split_by_a_comment_or_declaration_stays_unconverted(self):
-        # html.parser unescapes the text on each side of them apart
+        # the tokenizer unescapes the text on each side of them apart
         html = "<p>&am<!---->p; &amp<!---->x &am<!DOCTYPE html>p;</p>"
         assert corpus._read_page(html) == ("", "\n&amp; &x &amp;\n")
-        assert _by_html_parser(html) == ("", "\n&amp; &x &amp;\n")
+        assert html_ref.read_page(html) == ("", "\n&amp; &x &amp;\n")
 
     def test_title_is_the_first_title_element(self):
         html = "<title>a &lt; b</title><title>second</title>"
         assert corpus._read_page(html) == ("a < b", "\n\n\nsecond\n")
-        assert _by_html_parser(html) == ("a < b", "\n\n\nsecond\n")
+        assert html_ref.read_page(html) == ("a < b", "\n\n\nsecond\n")
 
     def test_end_title_before_any_title_means_none(self):
         html = "</title><title>late</title>"
         assert corpus._read_page(html) == ("", "\n\nlate\n")
-        assert _by_html_parser(html) == ("", "\n\nlate\n")
+        assert html_ref.read_page(html) == ("", "\n\nlate\n")
+
+    # about 210 KB of each, repeated
+    @pytest.mark.parametrize("unit", [
+        "<!-- x ", "<a", "<![CDATA[", "<?x ", "</ ", "<script>", "<title>", "<textarea>",
+    ])
+    def test_hostile_page_reads_in_linear_time(self, unit):
+        def seconds(n: int) -> float:
+            page = RawPage(source_url="x", html=unit * n)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(CorpusError):
+                    extract_main_article(page)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        n = 210_000 // len(unit)
+        once = seconds(n)
+        assert once < 0.1
+        assert seconds(4 * n) <= 5 * max(once, 0.002)
 
 
 def _stripped(runs: list[str]) -> list[str]:
@@ -504,6 +573,64 @@ class TestDedupe:
         assert dedupe_documents(docs) == expected
 
 
+_CP1256_PAGE = '<html><head><meta charset="windows-1256"></head><body>اقتصاد</body></html>'
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Serves /page (windows-1256), /moved (a redirect to it), /slow (held
+    until the test ends) and a 404 for anything else; logs every hit."""
+
+    def do_GET(self):
+        self.server.hits.append((self.path, self.headers["User-Agent"], time.monotonic()))
+        if self.path == "/moved":
+            self.send_response(302)
+            self.send_header("Location", "/page")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if self.path == "/slow":
+            self.server.release.wait(10)
+        elif self.path != "/page":
+            self.send_error(404)
+            return
+        body = _CP1256_PAGE.encode("windows-1256")
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:  # the client of /slow has gone
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def server():
+    """A base URL on 127.0.0.1, and the hits the server logs."""
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    httpd.hits = []
+    httpd.release = threading.Event()
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", httpd.hits
+    finally:
+        httpd.release.set()
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 class TestFetchPages:
     def test_empty_list(self):
         result = fetch_pages([])
@@ -540,3 +667,51 @@ class TestFetchPages:
         f.write_bytes(content.encode("windows-1256"))
         page = read_local_page(f)
         assert "اقتصاد" in page.html
+
+    def test_remote_page_in_windows_1256(self, server):
+        base, hits = server
+        result = fetch_pages([f"{base}/page"], politeness_delay=0)
+        assert result.failures == []
+        assert result.pages == [RawPage(source_url=f"{base}/page", html=_CP1256_PAGE)]
+        assert [(path, agent) for path, agent, _ in hits] == [("/page", USER_AGENT)]
+
+    def test_not_found_is_a_failure(self, server):
+        base, _ = server
+        result = fetch_pages([f"{base}/missing"], politeness_delay=0)
+        assert result.pages == []
+        assert [f.url for f in result.failures] == [f"{base}/missing"]
+        assert "404" in result.failures[0].reason
+
+    def test_redirect_is_followed(self, server):
+        base, hits = server
+        result = fetch_pages([f"{base}/moved"], politeness_delay=0)
+        assert result.failures == []
+        assert result.pages == [RawPage(source_url=f"{base}/moved", html=_CP1256_PAGE)]
+        assert [path for path, _, _ in hits] == ["/moved", "/page"]
+
+    def test_server_slower_than_the_timeout_is_a_failure(self, server):
+        base, _ = server
+        start = time.monotonic()
+        result = fetch_pages([f"{base}/slow", f"{base}/page"], politeness_delay=0, timeout=0.2)
+        assert time.monotonic() - start < 5
+        assert [f.url for f in result.failures] == [f"{base}/slow"]
+        assert [p.source_url for p in result.pages] == [f"{base}/page"]
+
+    def test_politeness_delay_spaces_the_hits_on_one_host(self, server):
+        base, hits = server
+        other_host = base.replace("127.0.0.1", "localhost")
+        start = time.monotonic()
+        result = fetch_pages([f"{base}/page", f"{other_host}/page", f"{base}/page"],
+                             politeness_delay=0.5)
+        assert len(result.pages) == 3
+        (_, _, first), (_, _, other), (_, _, again) = hits
+        assert other - first < 0.5  # another host is not kept waiting
+        assert again - start >= 0.5
+
+    def test_failure_leaves_the_rest_of_the_batch(self, server):
+        base, _ = server
+        refused = f"http://127.0.0.1:{_closed_port()}/page"
+        urls = [f"{base}/page", f"{base}/missing", refused, f"{base}/moved"]
+        result = fetch_pages(urls, politeness_delay=0)
+        assert [p.source_url for p in result.pages] == [urls[0], urls[3]]
+        assert [f.url for f in result.failures] == [urls[1], urls[2]]

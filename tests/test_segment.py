@@ -19,6 +19,17 @@ from arfuture.segment import (
 )
 
 
+class _CountedSlices(str):
+    """A str that adds up the lengths of the slices taken of it."""
+
+    sliced = 0
+
+    def __getitem__(self, key):
+        piece = super().__getitem__(key)
+        self.sliced += len(piece)
+        return piece
+
+
 def texts(sentences: list[Sentence]) -> list[str]:
     return [s.text for s in sentences]
 
@@ -211,6 +222,20 @@ class TestTokenize:
         toks = tokenize(text)
         assert time.perf_counter() - started < 1.0
         assert [t.shadow for t in toks] == ["قد", "يترتب"]
+
+    def test_spans_read_in_order_take_one_pass(self):
+        text = _CountedSlices("لن يتغير  الدين، " * 1000)
+        toks = tokenize(text)
+        assert len(toks) == 4000
+        text.sliced = 0
+        spans = [toks.span(i) for i in range(len(toks))]
+        # each span is counted on from the one before, not from the start
+        assert text.sliced <= len(text)
+        assert spans == [
+            (len(text[:start].encode()), len(text[:end].encode()))
+            for start, end in zip(toks.starts, toks.ends)
+        ]
+        assert [toks.span(i) for i in reversed(range(100))] == spans[99::-1]
 
     def test_diacritized_word_span_covers_written_word(self):
         text = "مُتَوَقَّعاً تقرير"
