@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from html import unescape
 from pathlib import Path
-from urllib.parse import urlparse
+from urllib.parse import quote, urlparse, urlsplit, urlunsplit
 
 DEFAULT_MIN_RUN_CHARS = 130
 USER_AGENT = "arfuture-corpus/0.1 (+research corpus builder)"
@@ -120,19 +120,25 @@ def load_query_seeds(text: str) -> list[QuerySeed]:
 # Whatever is left open runs to the end of the page.  Each construct ends
 # at its first terminator, and no pattern can fail once past its first few
 # characters, so no construct is read again from a later "<" and the time
-# is linear in the page.  A tag's attribute is the one group that repeats:
-# re keeps a few hundred bytes per repetition until the match ends, so the
-# content of an element is searched apart, by _content_end.  Of tree
-# construction only what its "in body" mode does with a NUL in text is
-# kept: it drops it.  noscript is an ordinary element, as with scripting
+# is linear in the page.  A tag's attribute is the one group that repeats,
+# and re keeps a few hundred bytes per repetition until the match ends, so
+# one match reads at most _MAX_ATTRS attributes and _tag_end reads on from
+# there; the content of an element is searched apart, by _content_end.  Of
+# tree construction only what its "in body" mode does with a NUL in text
+# is kept: it drops it.  noscript is an ordinary element, as with scripting
 # disabled.
 _WS = "\t\n\f\r "  # whitespace in markup, where the tokenizer reads "\r" as "\n"
-# a tag's attributes, up to its ">" or the end of the page; a quote starts
-# a value only after "="
+# a tag's attributes, up to its ">" or the end of the page, or up to its
+# _MAX_ATTRS-th; a quote starts a value only after "="
+_MAX_ATTRS = 64
 _ATTRS = (
     f"(?:[{_WS}/]*[^{_WS}/>][^{_WS}/>=]*"
-    f"""(?:[{_WS}]*=[{_WS}]*(?:"[^"]*"?|'[^']*'?|[^{_WS}>"'][^{_WS}>]*)?)?)*[{_WS}/]*"""
+    f"""(?:[{_WS}]*=[{_WS}]*(?:"[^"]*"?|'[^']*'?|[^{_WS}>"'][^{_WS}>]*)?)?){{0,{_MAX_ATTRS}}}"""
+    f"[{_WS}/]*"
 )
+# after them, a tag's ">", or an empty group when it has more attributes;
+# neither at the end of the page
+_TAG_END = "(?:(>)|(?=[^>])())?"
 # elements whose content is text to the tokenizer: RCDATA unescapes its
 # character references, RAWTEXT does not; script and style content is dropped
 _RCDATA = ("title", "textarea")
@@ -144,13 +150,17 @@ _MARKUP = (
     "<(?:!--(?:-?>|[^-]*(?s:.*?)(?:--!?>|\\Z))"  # a comment
     "|[!?][^>]*>?"  # a doctype or a bogus comment
     "|/(?=[^a-zA-Z])[^>]*>?"  # a bogus comment, or "</>", which is nothing
-    f"|/(?ai:title)(?=[{_WS}/>]){_ATTRS}(>)?"  # 1: a title end tag's ">"
-    "|((?ai:title|textarea|style|xmp|iframe|noembed|noframes|script|plaintext))"
-    f"(?=[{_WS}/>]){_ATTRS}(>)?"  # 2, 3: a start tag of an element with text content
-    f"|/?[a-zA-Z][^{_WS}/>]*{_ATTRS}(>)?"  # 4: any other tag's ">"
+    f"|/(?ai:title)(?=[{_WS}/>]){_ATTRS}{_TAG_END}"  # 1, 2: a title end tag
+    # 3, 4, 5: a start tag of an element with text content; the lookahead on
+    # the names' first letters spares most tags trying each name
+    "|(?=[iInNpPsStTxX])((?ai:title|textarea|style|xmp|iframe|noembed|noframes|script|plaintext))"
+    f"(?=[{_WS}/>]){_ATTRS}{_TAG_END}"
+    f"|/?[a-zA-Z][^{_WS}/>]*{_ATTRS}{_TAG_END}"  # 6, 7: any other tag
     ")"
 )
-_END_TITLE, _TEXT_ELEMENT, _TAG = 1, 3, 4
+_END_TITLE, _TEXT_NAME, _TEXT_ELEMENT, _TAG = 1, 3, 4, 6
+# the kind of a tag that goes on past its _MAX_ATTRS-th attribute
+_CUT = {2: _END_TITLE, 5: _TEXT_ELEMENT, 7: _TAG}
 # Script data and its escape states: per state, the pattern of what ends
 # it, and the state that follows when no group matched, then when each
 # group did (None: the end tag).  From "<!--" on, script data is escaped,
@@ -166,6 +176,18 @@ _SCRIPT_STATES = {
 # stands for removed markup until the text is unescaped, so that the text
 # on its two sides is unescaped apart, as the tokenizer does
 _GAP = "\x00"
+
+
+def _tag_end(html: str, pos: int) -> int | None:
+    """Where a tag whose attributes go on from ``pos`` ends: just past its
+    ">", or None when it is left open at the end of the page."""
+    while True:
+        m = re.compile(_ATTRS + _TAG_END).match(html, pos)
+        if m.lastindex == 1:  # the ">"
+            return m.end()
+        if m.lastindex is None:
+            return None
+        pos = m.end()
 
 
 def _content_end(html: str, pos: int, name: str) -> int:
@@ -207,9 +229,19 @@ def _read_page(html: str) -> tuple[str, str]:
             kind = m.lastindex
             if kind == _TAG:
                 parts.append("\n")
+                continue
+            if kind in _CUT:  # read on to the tag's end, then as the tag it is
+                pos = _tag_end(html, end)
+                if pos is None:
+                    kind, pos = None, len(html)
+                else:
+                    kind, end = _CUT[kind], pos
+            if kind is None or kind == _TEXT_NAME:
+                # a comment, or markup left open at the end of the page
+                parts.append(_GAP)
             elif kind == _TEXT_ELEMENT:
                 parts.append("\n")
-                name = m.group(2).lower()
+                name = m.group(_TEXT_NAME).lower()
                 pos = _content_end(html, end, name)
                 content = html[end:pos].replace("\0", "\ufffd")
                 if name == "title" and title is None:
@@ -218,13 +250,12 @@ def _read_page(html: str) -> tuple[str, str]:
                     parts.append(content)
                 elif name not in _DROPPED:  # RAWTEXT, kept from the unescaping below
                     parts.append(content.replace("&", "&amp;"))
-                break  # read on from the element's end tag
-            elif kind == _END_TITLE:
+            else:
                 parts.append("\n")
-                if title is None:
+                if kind == _END_TITLE and title is None:
                     title = ""
-            else:  # a comment, or markup left open at the end of the page
-                parts.append(_GAP)
+            if pos != m.end():
+                break  # read on from the end of the tag, or of its element
         else:
             break
     parts.append(html[pos:])
@@ -440,6 +471,20 @@ def read_local_page(path: str | Path) -> RawPage:
     return RawPage(source_url=str(p), html=_decode_html(p.read_bytes()))
 
 
+# what a request line carries as it is: the reserved characters, "%" (an
+# escape already in the URL stays) and "~"
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def _request_url(url: str) -> str:
+    """``url`` with every other character of its path and query, such as a
+    space or an Arabic letter, percent-encoded as UTF-8, as browsers and
+    the ``requests`` library send it; an empty path becomes "/"."""
+    parts = urlsplit(url)
+    return urlunsplit(parts._replace(path=quote(parts.path or "/", safe=_URL_SAFE),
+                                     query=quote(parts.query, safe=_URL_SAFE)))
+
+
 @dataclass
 class FetchFailure:
     url: str
@@ -461,9 +506,9 @@ def fetch_pages(
 
     Plain paths and ``file://`` URLs are read locally without touching the
     network.  Remote requests are spaced by ``politeness_delay`` seconds per
-    host, carry an identifying user agent and follow redirects; a status of
-    400 or above fails the URL.  Failures are collected per URL instead of
-    aborting the batch.
+    host, carry an identifying user agent and a percent-encoded path and
+    query, and follow redirects; a status of 400 or above fails the URL.
+    Failures are collected per URL instead of aborting the batch.
     """
     result = FetchResult()
     last_hit: dict[str, float] = {}
@@ -489,7 +534,7 @@ def fetch_pages(
             time.sleep(wait)
         last_hit[host] = time.monotonic()
         try:
-            request = Request(url, headers={"User-Agent": USER_AGENT})
+            request = Request(_request_url(url), headers={"User-Agent": USER_AGENT})
             # raises HTTPError unless the final status, after redirects, is 2xx
             with urlopen(request, timeout=timeout) as response:
                 result.pages.append(RawPage(source_url=url, html=_decode_html(response.read())))
