@@ -344,9 +344,12 @@ def extract_main_article(
     title, text = _read_page(page.html)
     title = re.sub(r"\s+", " ", title).strip()
     # inline tags leave stray newlines inside a run; flatten them so
-    # downstream sentence splitting only sees real line breaks
+    # downstream sentence splitting only sees real line breaks.  A stripped
+    # run has no space or tab at either end, so stripping each line drops
+    # those around a newline only (a regex for them, with no literal to
+    # skip to, tried a match at every character of every run).
     kept = [
-        re.sub(r"[ \t]*\n[ \t]*", " ", run)
+        " ".join(line.strip(" \t") for line in run.split("\n"))
         for run in map(str.strip, _text_runs(text))
         if len(run) >= min_run_chars
     ]

@@ -144,6 +144,18 @@ class TestExtraction:
         _, body = extract_main_article(page)
         assert all(len(line) >= 130 for line in body.split("\n"))
 
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(alphabet=" \t\n\r\x0bab.ب", max_size=200),
+           min_run_chars=st.integers(1, 6))
+    def test_runs_flatten_as_the_newline_regex_flattens_them(self, text, min_run_chars):
+        kept = [
+            re.sub(r"[ \t]*\n[ \t]*", " ", run)
+            for run in map(str.strip, corpus._text_runs(text))
+            if len(run) >= min_run_chars
+        ]
+        expected = ("", "\n".join(kept)) if kept else "no main content"
+        assert _outcome(text, min_run_chars) == expected
+
     @settings(max_examples=300, deadline=None)
     @given(
         html=st.one_of(
