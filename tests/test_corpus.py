@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.server
+import math
 import random
 import re
 import socket
@@ -396,7 +397,7 @@ class TestPageScan:
         # enough reads per timing that each takes 5 ms or more, so that timer
         # noise does not decide the ratio, and the two sizes in turn, so that
         # a slow spell of the machine slows both
-        reads = -int(-0.005 // once)
+        reads = math.ceil(0.005 / once)
         times = [(seconds(page, reads), seconds(large, reads)) for _ in range(7)]
         assert min(t for _, t in times) <= 5 * min(t for t, _ in times)
 
