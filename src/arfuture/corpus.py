@@ -480,9 +480,9 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 def _request_url(url: str) -> str:
-    """``url`` with every other character of its path and query, such as a
-    space or an Arabic letter, percent-encoded as UTF-8, as browsers and
-    the ``requests`` library send it; an empty path becomes "/"."""
+    """``url`` with every character of its path and query that a request
+    line does not carry as it is, such as a space or an Arabic letter,
+    percent-encoded as UTF-8; an empty path becomes "/"."""
     parts = urlsplit(url)
     return urlunsplit(parts._replace(path=quote(parts.path or "/", safe=_URL_SAFE),
                                      query=quote(parts.query, safe=_URL_SAFE)))
@@ -508,7 +508,7 @@ def fetch_pages(
     """Fetch pages for an explicit URL list.
 
     Plain paths and ``file://`` URLs are read locally without touching the
-    network.  Remote requests are spaced by ``politeness_delay`` seconds per
+    network.  Remote fetches are spaced by ``politeness_delay`` seconds per
     host, carry an identifying user agent and a percent-encoded path and
     query, and follow redirects; a status of 400 or above fails the URL.
     Failures are collected per URL instead of aborting the batch.
