@@ -16,6 +16,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from html import unescape
+from itertools import groupby
 from pathlib import Path
 from urllib.parse import quote, urlparse, urlsplit, urlunsplit
 
@@ -268,64 +269,51 @@ def _is_run_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit() or ch.isspace() or ch in _RUN_PUNCT
 
 
-def _text_runs_by_char(text: str) -> list[str]:
-    """Maximal allowed-character runs; a blank line also ends a run."""
-    runs: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if not _is_run_char(ch):
-            if current:
-                runs.append("".join(current))
-                current = []
-            continue
-        if ch == "\n" and current and current[-1] == "\n":
-            runs.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    if current:
-        runs.append("".join(current))
-    return runs
-
-
 # Latin-1; Arabic and Arabic Supplement; General Punctuation, Superscripts
-# and Subscripts and Currency Symbols: the blocks whose run characters
-# _RUN_SPLIT lists, found with _is_run_char when the module loads.
-# _RUN_SPLIT splits on no character outside them: a piece holding one is
-# split by the char loop.  Both patterns are compiled on first use.
+# and Subscripts and Currency Symbols: the blocks whose characters that end
+# a run _RUN_SPLIT lists, as ranges found with _is_run_char when the module
+# loads.  Both patterns are compiled on first use.
 _RUN_BLOCKS = ((0x0000, 0x00FF), (0x0600, 0x077F), (0x2000, 0x20CF))
-_OUTSIDE_RANGES = "".join(
-    f"\\U{hi + 1:08x}-\\U{lo - 1:08x}"
-    for (_, hi), (lo, _) in zip(_RUN_BLOCKS, _RUN_BLOCKS[1:] + ((0x110000, None),))
-)
-_OUTSIDE_RUN_BLOCKS = f"[{_OUTSIDE_RANGES}]"
-_RUN_SPLIT = "[^" + "".join(
-    f"\\u{cp:04x}"
-    for lo, hi in _RUN_BLOCKS
-    for cp in range(lo, hi + 1)
-    if _is_run_char(chr(cp))
-) + _OUTSIDE_RANGES + "]+|\n\n"
+# a run of characters outside the blocks, written as a class and then its
+# repetition, since re skips fast to a match only when the pattern starts
+# with a class ("+" would hide it)
+_OUTSIDE_RUN_BLOCKS = "[^{0}][^{0}]*".format(
+    "".join(f"\\u{lo:04x}-\\u{hi:04x}" for lo, hi in _RUN_BLOCKS))
+
+
+def _run_ends() -> str:
+    """The characters inside _RUN_BLOCKS that end a run, as ranges."""
+    ranges = []
+    for lo, hi in _RUN_BLOCKS:
+        for ends, group in groupby(range(lo, hi + 1), lambda cp: not _is_run_char(chr(cp))):
+            if ends:
+                cps = list(group)
+                ranges.append(f"\\u{cps[0]:04x}-\\u{cps[-1]:04x}")
+    return "".join(ranges)
+
+
+_RUN_SPLIT = f"[{_run_ends()}]+|\n\n"
+
+
+def _nul_for_run_ends(m: re.Match[str]) -> str:
+    piece = m[0]
+    if piece.isalpha():  # most often a word of another script
+        return piece
+    return "".join([ch if _is_run_char(ch) else "\0" for ch in piece])
 
 
 def _text_runs(text: str) -> list[str]:
-    """The runs of :func:`_text_runs_by_char`, by one regex split, and by
-    the char loop inside the pieces holding a character outside _RUN_BLOCKS.
+    """Maximal runs of run characters, also ended by a blank line.
 
-    A piece ends at a character that is not a run character or at a blank
-    line, where the char loop also ends its run, so only the pieces that
-    hold such a character need it.  Stripped, the runs of the two are the
-    same, but for empty ones: the split drops both newlines of a blank line,
-    the char loop keeps the first at the end of its run.
+    One regex split finds them.  In a text holding characters outside
+    _RUN_BLOCKS, each of those that is not a run character is first
+    replaced by a NUL, which ends a run as it does.  Stripped, the runs
+    are those of a loop that ends its run at each character that is not
+    a run character and at the second newline of a blank line, but for
+    empty ones: the split drops both newlines of a blank line, the loop
+    keeps the first.
     """
-    pieces = re.split(_RUN_SPLIT, text)
-    if not re.search(_OUTSIDE_RUN_BLOCKS, text):
-        return pieces
-    outside = map(re.compile(_OUTSIDE_RUN_BLOCKS).search, pieces)
-    return [
-        run
-        for piece, found in zip(pieces, outside)
-        for run in (_text_runs_by_char(piece) if found else (piece,))
-    ]
+    return re.split(_RUN_SPLIT, re.sub(_OUTSIDE_RUN_BLOCKS, _nul_for_run_ends, text))
 
 
 def extract_main_article(

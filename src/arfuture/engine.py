@@ -43,9 +43,8 @@ has its line ends read as ``Path.read_text`` reads them, so there a lone
 ``"\r"`` ends a line too.  ``annotation_to_json`` writes a record with one
 f-string, quoting its strings with ``json``'s C escaper, and gives what
 ``json.dumps(..., ensure_ascii=False, separators=(", ", ": "))`` gives.
-``annotation_from_json`` decodes a line with one ``raw_decode`` call and
-accepts exactly the lines ``json.loads`` accepts; ``doc_id`` and
-``class_label`` must be strings, ``sentence_index`` an integer (not a
+``annotation_from_json`` decodes a line with ``json.loads``; ``doc_id``
+and ``class_label`` must be strings, ``sentence_index`` an integer (not a
 boolean), and each span a list of two integers.
 
 ``load_annotations`` gives only the (document, sentence, class) triples
@@ -74,7 +73,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
 from .morpho import PRESENT_VERB, Lexicons, _verdict, is_future_verb_with_siin, strip_clitics
-from .offsets import byte_length
 from .rules import LinguisticRule
 from .segment import DEFAULT_BOUNDARIES, PUNCT, WORD, Sentence, Tokens, segment, tokenize
 
@@ -252,7 +250,11 @@ def iter_rule_results(
         for fi, negative, form, siin, cap, marker in rule.steps:
             field_end = _field_end(tokens, field_start, cap) if cap else n_tokens
             if fi == first:  # the field starts at token 0 here
-                candidates = starts[bisect_left(starts, scan_from):]
+                # walked by index after the first attempt: a slice would copy
+                # the rest of the starts on every attempt, in time quadratic
+                # in the sentence
+                left = bisect_left(starts, scan_from)
+                candidates = map(starts.__getitem__, range(left, len(starts))) if left else starts
             else:
                 candidates = range(field_start, field_end)
             m = None  # the form's leftmost match in the field
@@ -306,7 +308,7 @@ def iter_rule_results(
                 spans = tuple(map(tokens.span, marker_tokens))
                 excerpt = None
                 if rule.extract == "from-marker-to-end" and spans:
-                    excerpt = (spans[0][0], byte_length(sentence.text))
+                    excerpt = (spans[0][0], len(sentence.text.encode()))
                 result = Annotation(
                     doc_id, index, rule_id, rule.category, rule.class_label, spans, excerpt
                 )
@@ -412,8 +414,6 @@ class AnnotationFormatError(ValueError):
     """Malformed annotation dump."""
 
 
-_decode = json.JSONDecoder().raw_decode
-_skip_space = json.decoder.WHITESPACE.match
 _record_fields = itemgetter(*Annotation._fields)
 
 
@@ -442,11 +442,8 @@ def _span(value) -> tuple[int, int]:
 
 
 def annotation_from_json(line: str) -> Annotation:
-    """Parse one record; what ``json.loads`` would refuse fails the same way."""
-    record, end = _decode(line, 0 if line[:1] == "{" else _skip_space(line, 0).end())
-    if end != len(line) and line[end:].strip(" \t\n\r"):
-        raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
-    doc_id, index, rule_id, category, label, spans, excerpt = _record_fields(record)
+    """Parse one record; a line ``json.loads`` refuses fails with its error."""
+    doc_id, index, rule_id, category, label, spans, excerpt = _record_fields(json.loads(line))
     # scoring sorts (doc_id, sentence_index, class_label) triples with the gold ones
     if not (type(doc_id) is str and type(index) is int and type(label) is str):
         raise ValueError("doc_id and class_label must be strings, sentence_index an integer")

@@ -8,9 +8,10 @@ period-plus-space heuristic.  It walks the body once and keeps a running
 UTF-8 byte offset, so each sentence span is a byte span.
 
 Tokenization is one regex scan per sentence into parallel columns: each
-token's shadow, kind and char start and end.  A token's UTF-8 byte span
-is worked out only when something reads it, which is only for the marker
-and field tokens an output shows.
+token's shadow, kind and char start and end (a sentence holding a char
+the scan has no class for is scanned again, with stand-ins for such
+chars).  A token's UTF-8 byte span is worked out only when something
+reads it, which is only for the marker and field tokens an output shows.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class Token(NamedTuple):
     shadow: str
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalpha() or ch in HARAKAT
-
-
 @functools.lru_cache(maxsize=16)  # one entry per subset of the four triggers
 def _cut_pattern(boundaries: frozenset[str]) -> re.Pattern[str]:
     """Cuts between sentences: an empty match after each enabled trigger
@@ -131,8 +128,10 @@ _TOKEN = re.compile(
     r"|([\u0620-\u0652A-Za-z]+)"  # word with tatweel or harakat
     r"|([0-9\u0660-\u0669]+)"  # digits
     r"|([^\w\s\u064b-\u0652])"  # punctuation: no letter, digit, space or haraka
-    r"|(\S))"  # anything else: the char loop decides
+    r"|(\S))"  # anything else: a stand-in decides
 )
+# the chars of that last group: word chars (\w) outside the classes above
+_FOREIGN = re.compile(r"[^\W\u0620-\u0652A-Za-z0-9\u0660-\u0669]")
 
 
 class Tokens(Sequence[Token]):
@@ -191,19 +190,35 @@ def tokenize(sentence_text: str) -> Tokens:
     One regex scan finds the runs.  Each of its classes holds only chars
     of the kind it gives them, since ``re``'s ``\\w`` and ``\\d`` are not
     ``str.isalpha`` and ``str.isdigit`` (they differ on "_", "²", "½",
-    "Ⅻ").  A char outside all of them, such as a letter or digit of
-    another script, sends the sentence to ``_tokenize_chars``, which
-    tests every char with the ``str`` predicates.
+    "Ⅻ").  A sentence holding a char outside all of them, such as a
+    letter or digit of another script, is scanned again as a copy in
+    which each such char is a stand-in of its kind by the ``str``
+    predicates: "a" for a letter, "0" for a digit, "!" for anything
+    else.  The copy has the sentence's char offsets, so the shadows are
+    read from the sentence at the copy's token offsets.
     """
+    # trailing whitespace is cut first: the scan would take it for a gap
+    # with no token after it and retry from each of its chars, in time
+    # quadratic in its length
+    text = sentence_text.rstrip()
+    columns = _scan(text)
+    if columns is None:
+        _, kinds, starts, ends = _scan(_FOREIGN.sub(_stand_in, text))
+        shadows = [text[s:e].translate(_SHADOW_DROP) for s, e in zip(starts, ends)]
+    else:
+        shadows, kinds, starts, ends = columns
+    return Tokens(sentence_text, shadows, kinds, starts, ends)
+
+
+def _scan(text: str) -> tuple[list[str], list[TokenKind], list[int], list[int]] | None:
+    """The token columns of ``text``, which ends in no whitespace, or None
+    when it holds a char outside the classes of ``_TOKEN``."""
     shadows: list[str] = []
     kinds: list[TokenKind] = []
     starts: list[int] = []
     ends: list[int] = []
     end = 0
-    # trailing whitespace is cut first: the scan would take it for a gap
-    # with no token after it and retry from each of its chars, in time
-    # quadratic in its length
-    for gap, bare, marked, digits, punct, _ in _TOKEN.findall(sentence_text.rstrip()):
+    for gap, bare, marked, digits, punct, _ in _TOKEN.findall(text):
         if bare:
             run, kind = bare, WORD
         elif marked:
@@ -213,37 +228,16 @@ def tokenize(sentence_text: str) -> Tokens:
         elif punct:
             run, kind = punct, PUNCT
         else:
-            return _tokenize_chars(sentence_text)
+            return None
         start = end + len(gap)
         end = start + len(run)
         shadows.append(marked.translate(_SHADOW_DROP) if marked else run)
         kinds.append(kind)
         starts.append(start)
         ends.append(end)
-    return Tokens(sentence_text, shadows, kinds, starts, ends)
+    return shadows, kinds, starts, ends
 
 
-def _tokenize_chars(text: str) -> Tokens:
-    """``tokenize`` by ``str`` predicates, one char at a time."""
-    tokens = Tokens(text, [], [], [], [])
-    n = len(text)
-    j = 0
-    for i, ch in enumerate(text):
-        if i < j or ch.isspace():
-            continue
-        j = i + 1
-        if _is_word_char(ch):
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            kind, shadow = WORD, text[i:j].translate(_SHADOW_DROP)
-        elif ch.isdigit():
-            while j < n and text[j].isdigit():
-                j += 1
-            kind, shadow = DIGIT, text[i:j]
-        else:
-            kind, shadow = PUNCT, ch
-        tokens.shadows.append(shadow)
-        tokens.kinds.append(kind)
-        tokens.starts.append(i)
-        tokens.ends.append(j)
-    return tokens
+def _stand_in(m: re.Match[str]) -> str:
+    ch = m[0]
+    return "a" if ch.isalpha() else "0" if ch.isdigit() else "!"

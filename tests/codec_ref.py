@@ -1,12 +1,12 @@
 """Reference readers: the earlier ``annotations.jsonl`` and gold TSV loaders.
 
 ``arfuture.engine`` splits a dump at ``"\\n"`` only, reads the lines
-``annotation_to_json`` writes with one pattern, decodes every other line
-with one ``JSONDecoder.raw_decode`` call, and gives only the (document,
-sentence, class) triples; ``arfuture.evaluate.load_gold`` strips each line
-once and then only the padding left inside it.  This module keeps the
-earlier versions, which decode every line into a full ``Annotation`` with
-``json.loads`` and strip every gold field in a generator, so tests can
+``annotation_to_json`` writes with one pattern, decodes only the lines
+the pattern misses, and gives only the (document, sentence, class)
+triples; ``arfuture.evaluate.load_gold`` strips each line once and then
+only the padding left inside it.  This module keeps the earlier versions,
+which decode every line into a full ``Annotation`` with ``json.loads``
+and strip every gold field in a generator, so tests can
 hold the two to the same records (or their triples) and the same errors
 on the same lines.  The annotation reader splits with ``str.splitlines``,
 as it did; the gold reader splits at ``"\n"`` only, as ``load_gold`` does.

@@ -24,7 +24,6 @@ from arfuture.engine import (
     _tokens_byte_span,
 )
 from arfuture.morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
-from arfuture.offsets import byte_length
 from arfuture.rules import FormIndex, LinguisticRule, PatternMatch, Polarity, format_pattern
 from arfuture.segment import Sentence, Token
 
@@ -159,7 +158,7 @@ def _attempt(
     spans = tuple(tokens[ti].span for ti in marker_tokens)
     excerpt = None
     if rule.extract == "from-marker-to-end" and spans:
-        excerpt = (spans[0][0], byte_length(sentence.text))
+        excerpt = (spans[0][0], len(sentence.text.encode()))
     annotation = Annotation(
         sentence.doc_id,
         sentence.index,

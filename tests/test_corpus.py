@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import http.server
-import math
 import random
 import re
 import socket
@@ -14,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import html_ref
+import runs_ref
 import tokenizer_ref
+from timing import assert_linear
 from arfuture import corpus
 from arfuture.corpus import (
     CorpusError,
@@ -377,29 +378,26 @@ class TestPageScan:
         assert corpus._read_page(html) == ("", "\n\nlate\n")
         assert html_ref.read_page(html) == ("", "\n\nlate\n")
 
-    # about 210 KB of each unit, repeated after the head
+    # about 210 KB of each unit, repeated after the head: markup, and text
+    # with characters outside the blocks that the run split's class lists
+    # (Hebrew words, Arabic with emoji)
     @pytest.mark.parametrize("head, unit", [
         ("", "<!-- x "), ("", "<a"), ("", "<![CDATA["), ("", "<?x "), ("", "</ "),
         ("", "<script>"), ("", "<title>"), ("", "<textarea>"), ("", "<a b='"), ("<a", " b"),
+        ("", "שלום עולם כלכלה "), ("", "سعر \U0001f600 النفط \u2192 ارتفع \U0001f4c8 "),
     ])
     def test_hostile_page_reads_in_linear_time(self, head, unit):
-        def seconds(page: RawPage, reads: int) -> float:
-            start = time.perf_counter()
-            for _ in range(reads):
-                with pytest.raises(CorpusError):
-                    extract_main_article(page)
-            return (time.perf_counter() - start) / reads
-
         n = 210_000 // len(unit)
-        page, large = (RawPage(source_url="x", html=head + unit * k) for k in (n, 4 * n))
-        once = min(seconds(page, 1) for _ in range(3))
-        assert once < 0.1
-        # enough reads per timing that each takes 5 ms or more, so that timer
-        # noise does not decide the ratio, and the two sizes in turn, so that
-        # a slow spell of the machine slows both
-        reads = math.ceil(0.005 / once)
-        times = [(seconds(page, reads), seconds(large, reads)) for _ in range(7)]
-        assert min(t for _, t in times) <= 5 * min(t for t, _ in times)
+        small, large = (RawPage(source_url="x", html=head + unit * k) for k in (n, 4 * n))
+        assert_linear(_extract_or_none, small, large)
+
+    def test_page_of_distinct_code_points_reads_in_linear_time(self):
+        # from U+30000 up: letters, then unassigned and private-use code points
+        small, large = (
+            RawPage(source_url="x", html="".join(map(chr, range(0x30000, 0x30000 + k))))
+            for k in (210_000, 840_000)
+        )
+        assert_linear(_extract_or_none, small, large)
 
     def test_tag_with_many_attributes_reads_in_little_memory(self):
         html = "<a" + " b" * 105_000 + f">{PARA_ONE}"
@@ -424,6 +422,13 @@ class TestPageScan:
         assert corpus._read_page(html) == tokenizer_ref.read_page(html)
         if name == "p":
             assert corpus._read_page(html)[1].endswith("\nx\ny")
+
+
+def _extract_or_none(page: RawPage) -> tuple[str, str] | None:
+    try:
+        return extract_main_article(page)
+    except CorpusError:
+        return None
 
 
 def _stripped(runs: list[str]) -> list[str]:
@@ -456,14 +461,14 @@ class TestTextRuns:
     @settings(max_examples=500, deadline=None)
     @given(text=_RUN_TEXT)
     def test_runs_equal_the_char_loop(self, text):
-        assert _stripped(corpus._text_runs(text)) == _stripped(corpus._text_runs_by_char(text))
+        assert _stripped(corpus._text_runs(text)) == _stripped(runs_ref.text_runs(text))
 
     @settings(max_examples=500, deadline=None)
     @given(text=_RUN_TEXT)
     def test_split_equals_the_char_loop_inside_the_blocks(self, text):
         text = re.sub(corpus._OUTSIDE_RUN_BLOCKS, "", text)
         assert _stripped(re.split(corpus._RUN_SPLIT, text)) == _stripped(
-            corpus._text_runs_by_char(text))
+            runs_ref.text_runs(text))
 
     def test_split_class_is_is_run_char(self):
         for lo, hi in corpus._RUN_BLOCKS:
@@ -475,14 +480,14 @@ class TestTextRuns:
         for ch in _OUTSIDE_CHARS + ["\u0100", "\u05ff", "\u0780", "\u1fff", "\u20d0"]:
             assert re.split(corpus._RUN_SPLIT, ch) == [ch]
 
-    def test_char_loop_reads_only_the_pieces_outside_the_blocks(self):
-        text = f"{PARA_ONE}\n\nسعر 5 \ufdfc للسهم، {PARA_TWO}\n\n{PARA_ONE}"
-        with mock.patch.object(
-            corpus, "_text_runs_by_char", wraps=corpus._text_runs_by_char
-        ) as by_char:
-            runs = corpus._text_runs(text)
-        by_char.assert_called_once_with(f"سعر 5 \ufdfc للسهم، {PARA_TWO}")
-        assert _stripped(runs) == _stripped(corpus._text_runs_by_char(text))
+    def test_page_mixing_blocks_gives_the_reference_runs(self):
+        text = f"{PARA_ONE}\n\nسعر 5 \ufdfc للسهم \U0001f600، {PARA_TWO}\u2192\n\n{PARA_ONE}"
+        runs = corpus._text_runs(text)
+        assert _stripped(runs) == _stripped(runs_ref.text_runs(text))
+        assert not any("\0" in run for run in runs)
+        assert extract_main_article(RawPage(source_url="x", html=f"<p>{text}</p>"))[1] == (
+            f"{PARA_ONE}\n، {PARA_TWO}\n{PARA_ONE}"
+        )
 
 
 WORDS = ["نص", "لبنان", "اقتصاد", "تقرير", "نمو", "العام"]

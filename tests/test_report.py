@@ -13,7 +13,6 @@ from arfuture import report as report_mod
 from arfuture.corpus import make_document
 from arfuture.engine import Annotation, DocumentAnalysis, classify_sentence_results
 from arfuture.evaluate import CLASS_LABELS
-from arfuture.offsets import byte_length
 from arfuture.report import (
     RenderError,
     ReportPage,
@@ -145,7 +144,7 @@ class TestRenderHtml:
             sentences[0], tokenize(sentences[0].text), rules, lexicons
         )
         assert anns[0].excerpt_span is not None
-        assert anns[0].excerpt_span[1] == byte_length(sentences[0].text)
+        assert anns[0].excerpt_span[1] == len(sentences[0].text.encode())
         analysis = analysis_of(doc, sentences, anns, traces)
         page = render_page(build_report_page(analysis, generated_at=CLOCK))
         assert '<span class="excerpt">' in page

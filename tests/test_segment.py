@@ -5,10 +5,12 @@ import random
 import re
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import segment_ref
 from spans import byte_slice
+from timing import assert_linear
 from arfuture.segment import (
     BOUNDARY_DOT,
     DEFAULT_BOUNDARIES,
@@ -222,6 +224,22 @@ class TestTokenize:
         toks = tokenize(text)
         assert time.perf_counter() - started < 1.0
         assert [t.shadow for t in toks] == ["قد", "يترتب"]
+
+    # letters outside the scan's classes: distinct ones, about 52k in the
+    # larger sentence, and Persian words, whose پ, ی, ک and گ are among them
+    _FOREIGN_LETTERS = "".join(itertools.islice(
+        (ch for ch in map(chr, range(0x110000))
+         if ch.isalpha() and not re.match(r"[\u0620-\u0652A-Za-z]", ch)),
+        52_000,
+    ))
+
+    @pytest.mark.parametrize("small, large", [
+        (_FOREIGN_LETTERS[:13_000], _FOREIGN_LETTERS),
+        ("پیش بینی گزارش یک " * 750, "پیش بینی گزارش یک " * 3000),
+    ], ids=["distinct-letters", "persian"])
+    def test_text_outside_the_classes_costs_linear_time(self, small, large):
+        assert_linear(tokenize, small, large)
+        assert list(tokenize(large)) == segment_ref.tokenize(large)
 
     def test_spans_read_in_order_take_one_pass(self):
         text = _CountedSlices("لن يتغير  الدين، " * 1000)
