@@ -19,7 +19,7 @@ from . import evaluate as eval_mod
 from .config import SETTINGS, Config, load_config
 from .engine import DocumentAnalysis, dump_annotations, load_annotations
 from .report import write_reports
-from .resources import load_engine, parse_blocks, parse_file
+from .resources import load_engine, parse_file, parse_lines
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -248,9 +248,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    gold = parse_blocks(args.gold, eval_mod.load_gold)
+    gold = parse_lines(args.gold, eval_mod.load_gold)
     if args.annotations:
-        predicted = parse_blocks(args.annotations, load_annotations)
+        predicted = parse_lines(args.annotations, load_annotations)
         total_sentences = None  # an annotation dump does not say how many sentences it covers
     else:
         totals = _Totals()

@@ -15,15 +15,8 @@ from pathlib import Path
 
 from .corpus import DEFAULT_MIN_RUN_CHARS
 from .resources import parse_file
-from .segment import (
-    BOUNDARY_DOT,
-    BOUNDARY_EXCLAM,
-    BOUNDARY_NEWLINE,
-    BOUNDARY_QMARK,
-    DEFAULT_BOUNDARIES,
-)
+from .segment import DEFAULT_BOUNDARIES
 
-_VALID_BOUNDARIES = {BOUNDARY_DOT, BOUNDARY_QMARK, BOUNDARY_EXCLAM, BOUNDARY_NEWLINE}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 _PATH_KEYS = ("lexicon_dir", "rules_path", "variables_path", "semantic_map_path")
@@ -56,7 +49,7 @@ class Config:
 
 def parse_boundaries(spec: str) -> frozenset[str]:
     names = frozenset(n.strip() for n in spec.split(",") if n.strip())
-    bad = names - _VALID_BOUNDARIES
+    bad = names - DEFAULT_BOUNDARIES
     if bad:
         raise ConfigError(f"unknown boundary trigger(s): {', '.join(sorted(bad))}")
     return names

@@ -49,14 +49,13 @@ boolean), and each span a list of two integers.
 
 ``load_annotations`` gives only the (document, sentence, class) triples
 that scoring reads.  It takes the dump as one text or, from a file, as
-blocks of whole lines, and holds one block and the triples, with one copy
-of each doc id and label.  A canonical line, exactly as
-``annotation_to_json`` writes it with strings that hold no ``"``, ``\\``
-or control character (and perhaps a "\\r" before its "\\n"), is read by
-one regex pass over each block, which costs any other line one attempt
-at most; every other line goes through ``annotation_from_json``, so each
-line is accepted or refused, with the same message and line number, as
-if every line were decoded.
+its lines, and holds one line and the triples, with one copy of each doc
+id and label.  A canonical line, exactly as ``annotation_to_json`` writes
+it with strings that hold no ``"``, ``\\`` or control character (and
+perhaps a "\\r" before its end), is read by one anchored regex match;
+every other line goes through ``annotation_from_json``, so each line is
+accepted or refused, with the same message and line number, as if every
+line were decoded.
 """
 
 from __future__ import annotations
@@ -257,18 +256,18 @@ def iter_rule_results(
                 candidates = map(starts.__getitem__, range(left, len(starts))) if left else starts
             else:
                 candidates = range(field_start, field_end)
-            m = None  # the form's leftmost match in the field
+            m = None  # the tokens of the form's leftmost match in the field
             gate_failed = False
             for t in candidates:
                 if t >= field_end:
                     break
-                found = form.match_at(tokens, t, prefix=siin, punct_transparent=punct_transparent)
-                if found is None or found.end_token >= field_end:
+                covered = form.match_at(tokens, t, prefix=siin, punct_transparent=punct_transparent)
+                if covered is None or covered[-1] >= field_end:
                     continue
-                if siin and not is_future_verb_with_siin(shadows[found.end_token], lex):
+                if siin and not is_future_verb_with_siin(shadows[covered[-1]], lex):
                     gate_failed = True
                     continue
-                m = found
+                m = covered
                 break
             if negative:
                 if m is None:
@@ -282,10 +281,10 @@ def iter_rule_results(
                 reason = MORPH_REJECTED if gate_failed else POSITIVE_NOT_FOUND
                 result = RejectionTrace(doc_id, index, rule_id, fi, reason)
                 break
-            marker_tokens += m.covered
+            marker_tokens += m
             if fi == first:
-                first_end = m.end_token
-            field_start = m.end_token + 1
+                first_end = m[-1]
+            field_start = m[-1] + 1
         else:
             result = None
             if rule.morph == "qad":
@@ -467,12 +466,9 @@ def dump_annotations(annotations: list[Annotation]) -> str:
 # A line exactly as ``annotation_to_json`` writes it, with strings that the
 # decoder reads as written (no '"', '\\' or control character) and integers
 # of at most 100 digits (longer ones meet Python's int-digit limit in the
-# decoder), ended by "\n", "\r\n" or the end of the text; groups: doc_id,
+# decoder), perhaps followed by "\r", "\n" or "\r\n"; groups: doc_id,
 # sentence_index, class_label.  Digits are [0-9], since \d also takes
-# digits that JSON refuses.  It starts with a literal, which ``re`` searches
-# for, so a line it misses costs one attempt at its "{", not one at each of
-# its characters; a match that is not at a line start is a miss too.
-# Compiled on first use (by the re module's cache).
+# digits that JSON refuses.  Compiled on first use (by the re module's cache).
 _TEXT = r'[^"\\\x00-\x1f]*'
 _INT = r"-?(?:0|[1-9][0-9]{0,99})"
 _SPAN = rf"\[{_INT}, {_INT}\]"
@@ -480,54 +476,38 @@ _CANONICAL_LINE = (
     rf'\{{"doc_id": "({_TEXT})", "sentence_index": ({_INT}), '
     rf'"rule_id": "{_TEXT}", "category": "{_TEXT}", "class_label": "({_TEXT})", '
     rf'"positive_marker_spans": \[(?:{_SPAN}(?:, {_SPAN})*)?\], '
-    rf'"excerpt_span": (?:{_SPAN}|null)\}}\r?(?:\n|\Z)'
+    rf'"excerpt_span": (?:{_SPAN}|null)\}}\r?\n?\Z'
 )
 
 
-def _decode_lines(text: str, start: int, end: int, lines_before: int, triples: set) -> None:
-    """Add the triples of the whole lines in ``text[start:end]``, decoding
-    each with ``annotation_from_json``; a line of whitespace is skipped.
-    ``lines_before`` is the number of lines before ``text``."""
-    intern = sys.intern
-    try:
-        for offset, line in enumerate(text[start:end].split("\n")):
-            if line.strip():
-                ann = annotation_from_json(line)
-                triples.add((intern(ann.doc_id), ann.sentence_index, intern(ann.class_label)))
-    except (KeyError, TypeError, ValueError) as exc:
-        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        lineno = lines_before + text.count("\n", 0, start) + offset + 1
-        raise AnnotationFormatError(f"line {lineno}: {problem}") from None
-
-
-def load_annotations(blocks: str | Iterable[str]) -> set[tuple[str, int, str]]:
+def load_annotations(lines: str | Iterable[str]) -> set[tuple[str, int, str]]:
     """The (doc_id, sentence_index, class_label) triples of a JSON Lines
     dump; a line of whitespace is skipped and a bad record fails naming
     its line.
 
-    The dump is its text, split at "\\n" only, or its blocks of whole
-    lines as ``resources.parse_blocks`` gives them, with the file's line
+    The dump is its text, split at "\\n" only, or its lines, as a file
+    opened by ``resources.parse_lines`` gives them, with the file's line
     ends read as ``Path.read_text`` reads them (a lone "\\r" ends a line).
     Each doc id and label is kept once (``sys.intern``), so triples share
     them with the gold ones.
     """
-    if isinstance(blocks, str):
-        blocks = (blocks,)
-    finditer = re.compile(_CANONICAL_LINE).finditer
+    if isinstance(lines, str):
+        lines = lines.split("\n")
+    match = re.compile(_CANONICAL_LINE).match
     intern = sys.intern
     triples: set[tuple[str, int, str]] = set()
-    lines_before = 0
-    for block in blocks:
-        done = 0
-        for m in finditer(block):
-            start = m.start()
-            if start != done:
-                if block[start - 1] != "\n":
-                    continue  # inside a line: decoded with the lines around it
-                _decode_lines(block, done, start, lines_before, triples)
+    for lineno, line in enumerate(lines, 1):
+        m = match(line)
+        if m is not None:
             doc_id, index, label = m.groups()
-            triples.add((intern(doc_id), int(index), intern(label)))
-            done = m.end()
-        _decode_lines(block, done, len(block), lines_before, triples)
-        lines_before += block.count("\n")
+        elif not line.strip():
+            continue
+        else:
+            try:
+                ann = annotation_from_json(line.removesuffix("\n"))
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise AnnotationFormatError(f"line {lineno}: {problem}") from None
+            doc_id, index, label = ann.doc_id, ann.sentence_index, ann.class_label
+        triples.add((intern(doc_id), int(index), intern(label)))
     return triples

@@ -3,6 +3,7 @@
 Matching granularity is the (document, sentence, class) triple; per-class
 and overall precision/recall are reported as percentages truncated to two
 decimals, which is how exact fractions like 64/68 come out as 94.11.
+``load_gold`` reads a gold file one numbered line at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .engine import Annotation
 
@@ -44,27 +45,21 @@ class GoldAnnotation(NamedTuple):
     class_label: str
 
 
-def _numbered_lines(blocks: str | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Each line of a text, or of its blocks of whole lines, with its number."""
-    first = 1
-    for block in (blocks,) if isinstance(blocks, str) else blocks:
-        lines = block.split("\n")
-        yield from enumerate(lines, start=first)
-        first += len(lines) - 1  # a block ends just after a "\n"
-
-
-def load_gold(blocks: str | Iterable[str]) -> list[GoldAnnotation]:
+def load_gold(lines: str | Iterable[str]) -> list[GoldAnnotation]:
     """Parse gold TSV lines ``doc_id<TAB>sentence_index<TAB>class_label``.
 
     ``#`` starts a comment; blank lines, and whitespace around the line and
-    around each field, are ignored.  The file is its text, or its blocks of
-    whole lines as ``resources.parse_blocks`` gives them; each doc id and
-    label is kept once (``sys.intern``), shared with the predicted triples.
+    around each field, are ignored.  The file is its text, split at "\\n"
+    only, or its lines, as a file opened by ``resources.parse_lines`` gives
+    them; each doc id and label is kept once (``sys.intern``), shared with
+    the predicted triples.
     """
+    if isinstance(lines, str):
+        lines = lines.split("\n")
     intern = sys.intern
     gold: list[GoldAnnotation] = []
     seen: set[GoldAnnotation] = set()
-    for lineno, line in _numbered_lines(blocks):
+    for lineno, line in enumerate(lines, 1):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()

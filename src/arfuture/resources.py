@@ -3,9 +3,9 @@
 ``parse_file`` is the one place a file is read: every input (corpus files,
 URL lists, config, rules, variables, semantic map and lexicon word lists)
 is decoded as UTF-8 there, and each error it lets through names the file,
-plus the line when the fault has one.  ``parse_blocks`` reads the inputs
-that grow with the corpus (gold and annotation dumps) a block of lines at
-a time, and fails as ``parse_file`` does.
+plus the line when the fault has one.  ``parse_lines`` reads the inputs
+that grow with the corpus (gold and annotation dumps) a line at a time,
+and fails as ``parse_file`` does.
 
 The ``SLCSAS_DATA_DIR`` environment variable points the whole toolchain at
 an alternative data directory (same file names) without code changes.
@@ -17,7 +17,7 @@ import os
 from dataclasses import fields
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar
+from typing import Callable, TextIO, TypeVar
 
 from .engine import Engine
 from .morpho import Lexicons
@@ -31,9 +31,6 @@ VARIABLES_FILE = "variables_ar.txt"
 SEMANTIC_MAP_FILE = "semantic_map.txt"
 
 T = TypeVar("T")
-
-#: characters ``parse_blocks`` reads at a time, before it completes the line
-_LINES_BLOCK = 1 << 16
 
 
 def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
@@ -54,27 +51,18 @@ def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _line_blocks(file: TextIO) -> Iterator[str]:
-    while block := file.read(_LINES_BLOCK):
-        if block[-1] != "\n":
-            block += file.readline()
-        yield block
+def parse_lines(path: str | Path, parse: Callable[[TextIO], T]) -> T:
+    """``parse`` applied to a UTF-8 file opened in text mode, whose lines
+    end as ``Path.read_text`` ends them ("\\n", "\\r\\n" or a lone "\\r",
+    each read as "\\n"), so that it can hold one line at a time.
 
-
-def parse_blocks(path: str | Path, parse: Callable[[Iterator[str]], T]) -> T:
-    """``parse`` applied to the text of a UTF-8 file given as blocks of whole
-    lines, each about ``_LINES_BLOCK`` characters and cut just after a
-    "\\n" (the last block may end without one), so that one block is held
-    at a time.
-
-    The text and the errors are those of ``parse_file``: line ends are
-    read as ``Path.read_text`` reads them, and on any ``ValueError`` the
-    file is decoded whole once more, so that a byte that is not UTF-8,
-    anywhere in it, fails first and names its line.
+    The errors are those of ``parse_file``: on any ``ValueError`` the file
+    is decoded whole once more, so that a byte that is not UTF-8, anywhere
+    in it, fails first and names its line.
     """
     try:
         with open(path, encoding="utf-8") as file:
-            return parse(_line_blocks(file))
+            return parse(file)
     except ValueError as exc:
         parse_file(path, len)
         raise type(exc)(f"{path}: {exc}") from None

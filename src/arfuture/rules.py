@@ -27,7 +27,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, Union
 
 from .segment import PUNCT, WORD, TokenKind, Tokens
 
@@ -525,14 +525,6 @@ def _combine(
     return a[:-1] + (a[-1] + b[0],) + b[1:]
 
 
-class PatternMatch(NamedTuple):
-    """A match ending at ``end_token``; ``covered`` lists the token of each
-    matched written word, in order (the first is the start token)."""
-
-    end_token: int
-    covered: tuple[int, ...]
-
-
 class FormIndex:
     """A variable-free pattern compiled to its surface forms.
 
@@ -544,6 +536,8 @@ class FormIndex:
     word need only begin its token, and ``prefix_lengths`` lists the
     lengths of the one-word forms that may begin a longer start token.
     The longest match wins: the one ending at the furthest token.
+    ``match_at`` gives the token of each matched written word, in order
+    (the first is the start token, the last ends the match), or None.
     """
 
     __slots__ = ("tails", "prefix_lengths")
@@ -564,19 +558,19 @@ class FormIndex:
         *,
         prefix: bool = False,
         punct_transparent: bool = True,
-    ) -> PatternMatch | None:
+    ) -> tuple[int, ...] | None:
         shadows = tokens.shadows
         shadow = shadows[start]
         for tail in self.tails.get(shadow, ()):
             if not tail:  # a one-word form: the start token alone
-                return PatternMatch(start, (start,))
+                return (start,)
             covered = _follow(shadows, tokens.kinds, start, tail, prefix, punct_transparent)
             if covered is not None:
-                return PatternMatch(covered[-1], covered)
+                return covered
         if prefix:
             for n in self.prefix_lengths:
                 if () in self.tails.get(shadow[:n], ()):
-                    return PatternMatch(start, (start,))
+                    return (start,)
         return None
 
 

@@ -24,7 +24,7 @@ from arfuture.engine import (
     _tokens_byte_span,
 )
 from arfuture.morpho import Lexicons, Verdict, analyze_token, is_future_verb_with_siin, strip_clitics
-from arfuture.rules import FormIndex, LinguisticRule, PatternMatch, Polarity, format_pattern
+from arfuture.rules import FormIndex, LinguisticRule, Polarity, format_pattern
 from arfuture.segment import Sentence, Token
 
 
@@ -36,8 +36,9 @@ def _scan_positive(
     prefix_mode: bool,
     siin_gate: Lexicons | None,
     punct_transparent: bool,
-) -> tuple[PatternMatch | None, bool]:
-    """Leftmost match of a positive form inside [start_at, field_end).
+) -> tuple[tuple[int, ...] | None, bool]:
+    """Leftmost match of a positive form inside [start_at, field_end), as
+    the tokens it covers.
 
     In siin mode the pattern may cover just a word prefix and the whole
     word must verify as a siin future verb; candidates failing the verb
@@ -57,10 +58,10 @@ def _scan_positive(
         m = index.match_at(
             tokens, t, prefix=prefix_mode, punct_transparent=punct_transparent
         )
-        if m is None or m.end_token >= field_end:
+        if m is None or m[-1] >= field_end:
             continue
         if siin_gate is not None:
-            word = tokens[m.end_token].shadow
+            word = tokens[m[-1]].shadow
             if not is_future_verb_with_siin(word, siin_gate):
                 saw_gate_failure = True
                 continue
@@ -83,8 +84,8 @@ def _attempt(
     first_positive_idx = rule.positives[0]
     last_positive_idx = rule.positives[-1]
     field_start = 0
-    first_match: PatternMatch | None = None
-    matches: list[PatternMatch] = []
+    first_match: tuple[int, ...] | None = None
+    matches: list[tuple[int, ...]] = []
 
     for fi, form in enumerate(rule.forms):
         if form.search_field_words:
@@ -129,12 +130,12 @@ def _attempt(
         matches.append(m)
         if fi == first_positive_idx:
             first_match = m
-        field_start = m.end_token + 1
+        field_start = m[-1] + 1
 
-    marker_tokens = [ti for m in matches for ti in m.covered]
+    marker_tokens = [ti for m in matches for ti in m]
 
     if rule.morph == "qad":
-        verb_idx = _next_word_index(tokens, matches[-1].end_token, punct_transparent)
+        verb_idx = _next_word_index(tokens, matches[-1][-1], punct_transparent)
         rejected = True
         if verb_idx is not None:
             shadow = tokens[verb_idx].shadow
@@ -194,7 +195,7 @@ def iter_rule_results(
         if isinstance(result, Annotation):
             produced_any = True
             yield result
-            scan_from = first_match.end_token + 1
+            scan_from = first_match[-1] + 1
             continue
         if result.reason is RejectReason.NEGATIVE_FOUND:
             yield result
@@ -206,5 +207,5 @@ def iter_rule_results(
             return
         produced_any = True
         yield result
-        scan_from = first_match.end_token + 1
+        scan_from = first_match[-1] + 1
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import codec_ref
 import scan_ref
-from arfuture import engine as engine_mod, resources
+from arfuture import engine as engine_mod
 from arfuture.corpus import make_document
 from arfuture.engine import (
     Annotation,
@@ -27,7 +27,7 @@ from arfuture.engine import (
 from arfuture.evaluate import GoldAnnotation
 from arfuture.morpho import MorphVerdict, Verdict
 from arfuture.report import _Decoration
-from arfuture.resources import parse_blocks
+from arfuture.resources import parse_lines
 from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import Sentence, Token, TokenKind, segment, tokenize
 
@@ -664,14 +664,13 @@ class TestAnnotationDump:
             else:
                 assert got == want
 
-    def test_bad_line_past_the_first_block_is_named(self, tmp_path):
+    def test_bad_line_many_lines_in_is_named(self, tmp_path):
         good = annotation_to_json(Annotation("d", 0, "r", "مستقبل", "qad", ((0, 4),), (0, 9)))
-        lines = [good] * 2000  # about 200k characters: several blocks
+        lines = [good] * 2000
         lines[1500] = "{not json"
-        assert len("\n".join(lines[:1500])) > 2 * resources._LINES_BLOCK
         path = tmp_path / "a.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = _outcome(load_annotations, parse_blocks(path, list))
+        got = _outcome(load_annotations, parse_lines(path, list))
         assert got[:2] == (AnnotationFormatError, 1501)
 
     @pytest.mark.parametrize(
@@ -812,11 +811,10 @@ class TestTripleReader:
         for i in range(canonical_head, len(lines)):
             lines[i] = " " + lines[i]  # off the pattern: decoded line by line
         lines[2500] = "{not json"
-        assert len("\n".join(lines[canonical_head:2500])) > 2 * resources._LINES_BLOCK
         text = "\n".join(lines) + "\n"
         path = tmp_path / "a.jsonl"
         path.write_text(text, encoding="utf-8")
-        got = _outcome(load_annotations, parse_blocks(path, list))
+        got = _outcome(load_annotations, parse_lines(path, list))
         assert got[:2] == (AnnotationFormatError, 2501)
         assert got == _outcome(load_annotations, text) == _outcome(codec_ref.load_annotations, text)
 

@@ -8,7 +8,7 @@ criterion-8 one: 200 documents of 25 template sentences (seed 88), about
 0.55 MB of text.  Holding every analysis until the end peaks at about
 17 MB for ``analyze`` and 7 MB for ``eval --corpus`` on it.
 
-``eval --annotations`` holds one block of the dump's lines and the
+``eval --annotations`` holds one line of the dump and the
 (document, sentence, class) triples, with one copy of each doc id and
 label.  On the dump ``analyze`` writes for that corpus (about 2.3 MB of
 UTF-8, 4.2 times the corpus) it peaks at about 2 MB, mostly the 10,000

@@ -37,8 +37,14 @@ VARS = parse_variable_defs(
 
 
 def ends(m) -> tuple[int, tuple[int, ...]] | None:
-    """What the engine reads of a match: its end token and covered tokens."""
-    return None if m is None else (m.end_token, m.covered)
+    """What the engine reads of a match: its end token and covered tokens.
+    A ``FormIndex`` match is its covered tokens, the last ending it; a
+    backtracker match names both."""
+    if m is None:
+        return None
+    if isinstance(m, tuple):
+        return m[-1], m
+    return m.end_token, m.covered
 
 
 def match_words(pattern_text: str, sentence: str, start: int = 0, **kw):
@@ -382,7 +388,7 @@ class TestExpansionSoundness:
                 )
                 assert accepted == (candidate in variants), candidate
                 got = index.match_at(tokens, 0)
-                assert (got is not None and got.end_token == len(tokens) - 1) == accepted
+                assert (got is not None and got[-1] == len(tokens) - 1) == accepted
 
 
 # Small alphabets make literals collide with each other and with tokens.
