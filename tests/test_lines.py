@@ -2,9 +2,9 @@
 
 ``resources.parse_lines`` hands ``load_gold`` and ``load_annotations`` a
 file opened in text mode, whose lines end at "\\n", "\\r\\n" or a lone
-"\\r".  The readers must give the triples, gold rows and errors (type,
-line and message) that the reference readers of ``codec_ref`` give on the
-text ``parse_file`` reads whole.
+"\\r".  The readers also take the text ``parse_file`` reads whole.  Given
+either, they must give the triples, gold rows and errors (type, line and
+message) that the reference readers of ``codec_ref`` give on that text.
 """
 
 from __future__ import annotations
@@ -24,24 +24,30 @@ def _triples(records):
     return {(r.doc_id, r.sentence_index, r.class_label) for r in records}
 
 
-def _outcome(read):
-    """What ``read()`` gives, or the type and message of its error."""
+def _outcome(call):
+    """What ``call()`` gives, or the type and message of its error."""
     try:
-        return read()
+        return call()
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def _dump_both(path):
-    """The line reader's outcome on a dump, and the reference's on the
-    text read whole."""
-    got = _outcome(lambda: parse_lines(path, load_annotations))
+@pytest.fixture(params=[parse_lines, parse_file], ids=["lines", "text"])
+def read(request):
+    """How a reader gets the file: its lines, or its text read whole."""
+    return request.param
+
+
+def _dump_both(path, read):
+    """The reader's outcome on a dump, and the reference's on the text
+    read whole."""
+    got = _outcome(lambda: read(path, load_annotations))
     want = _outcome(lambda: _triples(parse_file(path, codec_ref.load_annotations)))
     return got, want
 
 
-def _gold_both(path):
-    got = _outcome(lambda: parse_lines(path, load_gold))
+def _gold_both(path, read):
+    got = _outcome(lambda: read(path, load_gold))
     return got, _outcome(lambda: parse_file(path, codec_ref.load_gold))
 
 
@@ -78,79 +84,79 @@ def test_lines_are_the_text_cut_after_line_ends(tmp_path, text):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=_FIXTURE)
 @given(st.lists(st.tuples(_LINE, _ENDS).map("".join), max_size=12), st.booleans())
-def test_dump_reads_like_reference(tmp_path, lines, last_end):
+def test_dump_reads_like_reference(tmp_path, read, lines, last_end):
     text = "".join(lines)
     if not last_end:
         text = text.rstrip("\r\n")
     path = tmp_path / "a.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    got, want = _dump_both(path)
+    got, want = _dump_both(path, read)
     assert got == want
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=_FIXTURE)
 @given(st.lists(st.tuples(_ROW, _ENDS).map("".join), max_size=12), st.booleans())
-def test_gold_reads_like_reference(tmp_path, rows, last_end):
+def test_gold_reads_like_reference(tmp_path, read, rows, last_end):
     text = "".join(rows)
     if not last_end:
         text = text.rstrip("\r\n")
     path = tmp_path / "gold.tsv"
     path.write_bytes(text.encode("utf-8"))
-    got, want = _gold_both(path)
+    got, want = _gold_both(path, read)
     assert got == want
 
 
 @pytest.mark.parametrize("newline", NEWLINES[1:])
-def test_carriage_returns_end_lines(tmp_path, newline):
+def test_carriage_returns_end_lines(tmp_path, read, newline):
     dump = tmp_path / "a.jsonl"
     dump.write_bytes("".join(_record(i) + newline for i in range(4)).encode("utf-8"))
     gold = tmp_path / "gold.tsv"
     gold.write_bytes("".join(f"d\t{i}\tqad{newline}" for i in range(4)).encode("utf-8"))
-    got, want = _dump_both(dump)
+    got, want = _dump_both(dump, read)
     assert got == want and len(got) == 4
-    got, want = _gold_both(gold)
+    got, want = _gold_both(gold, read)
     assert got == want and len(got) == 4
 
 
 @pytest.mark.parametrize("newline", NEWLINES)
-def test_bad_record_many_lines_in(tmp_path, newline):
+def test_bad_record_many_lines_in(tmp_path, read, newline):
     lines = [_record(i) for i in range(30)]
     lines[7] = " " + lines[7]
     lines[20] = ""
     lines[21] = _record(21).replace('"sentence_index": 21', '"sentence_index": "21"')
     path = tmp_path / "a.jsonl"
     path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-    got, want = _dump_both(path)
+    got, want = _dump_both(path, read)
     assert got == want and got[1].startswith(f"{path}: line 22: ")
 
 
 @pytest.mark.parametrize("newline", NEWLINES)
 @pytest.mark.parametrize("cut", [1, 12, -1])
-def test_cut_record_fails_as_reference(tmp_path, newline, cut):
+def test_cut_record_fails_as_reference(tmp_path, read, newline, cut):
     """The decoder's message names a column of the line as if it had no
     line end."""
     lines = [_record(i) for i in range(5)]
     lines[3] = lines[3][:cut]
     path = tmp_path / "a.jsonl"
     path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-    got, want = _dump_both(path)
+    got, want = _dump_both(path, read)
     assert got == want and got[1].startswith(f"{path}: line 4: ")
     assert ": line 1 column " in got[1]
 
 
 @pytest.mark.parametrize("newline", NEWLINES)
-def test_bad_gold_row_many_lines_in(tmp_path, newline):
+def test_bad_gold_row_many_lines_in(tmp_path, read, newline):
     rows = [f"d\t{i}\tqad" for i in range(30)]
     rows[20] = ""
     rows[21] = "d\t21\tfuture"
     path = tmp_path / "gold.tsv"
     path.write_bytes((newline.join(rows) + newline).encode("utf-8"))
-    got, want = _gold_both(path)
+    got, want = _gold_both(path, read)
     assert got == want and got[1] == f"{path}: line 22: unknown class label 'future'"
 
 
 @pytest.mark.parametrize("bad_row", [None, 3])
-def test_non_utf8_byte_on_a_later_line(tmp_path, bad_row):
+def test_non_utf8_byte_on_a_later_line(tmp_path, read, bad_row):
     """The byte is named as ``parse_file`` names it, even after an earlier
     bad line: the whole text decodes before it is parsed."""
     lines = [_record(i).encode("utf-8") for i in range(20)]
@@ -164,26 +170,26 @@ def test_non_utf8_byte_on_a_later_line(tmp_path, bad_row):
                              ("gold.tsv", load_gold, rows)]:
         path = tmp_path / name
         path.write_bytes(b"\n".join(data) + b"\n")
-        got = _outcome(lambda: parse_lines(path, load))
+        got = _outcome(lambda: read(path, load))
         assert got == _outcome(lambda: parse_file(path, str))
         assert got[1].startswith(f"{path}: line 16: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("text", ["", " \n\t\n\n", "\r\n \r\n", "\n\n\n", "\r \r"])
-def test_empty_and_whitespace_only_files(tmp_path, text):
+def test_empty_and_whitespace_only_files(tmp_path, read, text):
     dump, gold = tmp_path / "a.jsonl", tmp_path / "gold.tsv"
     dump.write_bytes(text.encode())
     gold.write_bytes(text.encode())
-    assert _dump_both(dump) == (set(), set())
-    assert _gold_both(gold) == ([], [])
+    assert _dump_both(dump, read) == (set(), set())
+    assert _gold_both(gold, read) == ([], [])
 
 
 @pytest.mark.parametrize("newline", NEWLINES)
-def test_last_line_without_a_line_end(tmp_path, newline):
+def test_last_line_without_a_line_end(tmp_path, read, newline):
     dump, gold = tmp_path / "a.jsonl", tmp_path / "gold.tsv"
     dump.write_bytes(f"{newline} {newline}".join(_record(i) for i in range(3)).encode("utf-8"))
     gold.write_bytes(f"d\t0\tqad{newline}{newline}d\t1\tsin".encode("utf-8"))
-    got, want = _dump_both(dump)
+    got, want = _dump_both(dump, read)
     assert got == want and len(got) == 3
-    got, want = _gold_both(gold)
+    got, want = _gold_both(gold, read)
     assert got == want and len(got) == 2
