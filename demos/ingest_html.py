@@ -4,21 +4,7 @@ main-article extractor over them, and show the resulting corpus files."""
 import tempfile
 from pathlib import Path
 
-from arfuture.corpus import (
-    build_query_list,
-    compile_corpus_file,
-    extract_document,
-    load_query_seeds,
-    read_local_page,
-)
-from arfuture.resources import data_dir
-
-# the query strings one would feed a search engine to collect real pages
-seeds = load_query_seeds((data_dir() / "keywords.tsv").read_text(encoding="utf-8"))
-print("first three search queries:")
-for query in build_query_list(seeds)[:3]:
-    print("   ", query)
-print()
+from arfuture.corpus import compile_corpus_file, extract_document, read_local_page
 
 filler = "النمو الاقتصادي في لبنان سوف يتحسن خلال العام المقبل باذن الله " * 3
 

@@ -8,9 +8,7 @@ as HTML reports, and score predictions against gold annotations.
 
 from .corpus import (
     Document,
-    QuerySeed,
     RawPage,
-    build_query_list,
     compile_corpus_file,
     dedupe_documents,
     extract_main_article,
@@ -67,7 +65,6 @@ __all__ = [
     "LinguisticForm",
     "LinguisticRule",
     "MorphVerdict",
-    "QuerySeed",
     "RawPage",
     "RejectReason",
     "RejectionTrace",
@@ -77,7 +74,6 @@ __all__ = [
     "Tokens",
     "Verdict",
     "analyze_token",
-    "build_query_list",
     "compile_corpus_file",
     "data_dir",
     "dedupe_documents",

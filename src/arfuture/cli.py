@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -125,7 +124,6 @@ def _analyze_corpus(cfg: Config, corpus_dir: Path) -> Iterator[DocumentAnalysis]
     return engine.analyze_corpus(_read_corpus_dir(corpus_dir))
 
 
-@dataclass
 class _Totals:
     """The counts of sentences and of distinct (doc, sentence, class)
     triples in the analyses added so far: all that ``analyze`` prints.

@@ -10,7 +10,6 @@ a path that does not exist names the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_MIN_RUN_CHARS
@@ -26,8 +25,9 @@ class ConfigError(ValueError):
     """Bad key, value or path in a configuration source."""
 
 
-@dataclass
 class Config:
+    """Each ``SETTINGS`` key; one not set on the instance has its class default."""
+
     min_run_chars: int = DEFAULT_MIN_RUN_CHARS
     boundaries: frozenset[str] = DEFAULT_BOUNDARIES
     strict_adjacency: bool = False
@@ -36,6 +36,10 @@ class Config:
     variables_path: Path | None = None
     semantic_map_path: Path | None = None
     show_all_negative_fields: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is Config
+        return same and all(getattr(self, key) == getattr(other, key) for key in SETTINGS)
 
     def validate(self) -> "Config":
         if self.min_run_chars < 1:

@@ -14,15 +14,14 @@ import codecs
 import hashlib
 import re
 import time
-from dataclasses import dataclass, field
 from html import unescape
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import quote, urlparse, urlsplit, urlunsplit
 
 DEFAULT_MIN_RUN_CHARS = 130
 USER_AGENT = "arfuture-corpus/0.1 (+research corpus builder)"
-QUERY_ANCHOR = "لبنان"  # لبنان
 
 # characters allowed inside a main-article run, besides letters/digits/space
 _RUN_PUNCT = set(".,،؛؟!\"'()%:–-")
@@ -32,25 +31,16 @@ class CorpusError(ValueError):
     """Malformed input at the ingestion stage."""
 
 
-@dataclass(frozen=True)
-class RawPage:
+class RawPage(NamedTuple):
     source_url: str
     html: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     id: str
     url: str
     title: str
     body: str
-
-
-@dataclass(frozen=True)
-class QuerySeed:
-    keyword_ar: str
-    keyword_en: str = ""
-    anchor: str = QUERY_ANCHOR
 
 
 def doc_id_for_url(url: str) -> str:
@@ -59,46 +49,6 @@ def doc_id_for_url(url: str) -> str:
 
 def make_document(url: str, title: str, body: str) -> Document:
     return Document(id=doc_id_for_url(url), url=url, title=title, body=body)
-
-
-# ---------------------------------------------------------------------------
-# query generation
-
-
-def build_query_list(seeds: list[QuerySeed]) -> list[str]:
-    """One search query per seed: the keyword plus the anchor word.
-
-    Multi-word keywords are quoted so engines treat them as phrases.
-    Duplicate queries collapse to the first occurrence.
-    """
-    if not seeds:
-        raise CorpusError("no seeds")
-    queries: list[str] = []
-    seen: set[str] = set()
-    for seed in seeds:
-        keyword = seed.keyword_ar.strip()
-        if not keyword:
-            raise CorpusError("empty keyword in seed list")
-        if len(keyword.split()) > 1:
-            keyword = f'"{keyword}"'
-        query = f"{keyword} {seed.anchor}"
-        if query not in seen:
-            seen.add(query)
-            queries.append(query)
-    return queries
-
-
-def load_query_seeds(text: str) -> list[QuerySeed]:
-    """Parse the keyword TSV (``keyword_ar<TAB>keyword_en`` per line)."""
-    seeds = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        seeds.append(QuerySeed(keyword_ar=parts[0].strip(),
-                               keyword_en=parts[1].strip() if len(parts) > 1 else ""))
-    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +426,15 @@ def _request_url(url: str) -> str:
                                      query=quote(parts.query, safe=_URL_SAFE)))
 
 
-@dataclass
-class FetchFailure:
+class FetchFailure(NamedTuple):
     url: str
     reason: str
 
 
-@dataclass
 class FetchResult:
-    pages: list[RawPage] = field(default_factory=list)
-    failures: list[FetchFailure] = field(default_factory=list)
+    def __init__(self):
+        self.pages: list[RawPage] = []
+        self.failures: list[FetchFailure] = []
 
 
 def fetch_pages(

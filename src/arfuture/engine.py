@@ -31,10 +31,10 @@ marker text of a negative form).  Both gates read one verdict function,
 
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection.  The bundled rules give about ten
-per sentence, so both are ``NamedTuple``s, built positionally:
-immutable and hashable like a frozen dataclass, at under a third of
-its cost to build.  ``dataclasses.fields`` and ``asdict`` do not apply to
-them; ``_fields`` and ``_asdict`` do.
+per sentence, so both are built positionally.  Both are ``NamedTuple``s,
+as the package's other immutable records are: hashable, equal to the
+plain tuple of their fields, and read through ``_fields``, ``_asdict``
+and ``_replace``.  ``import arfuture`` does not load ``dataclasses``.
 
 Annotations are dumped as JSON Lines, one record per line.  A dump
 given as a text is split at ``"\n"`` only: U+2028, U+2029 and U+0085,
@@ -64,7 +64,6 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from operator import itemgetter
@@ -111,8 +110,7 @@ class RejectionTrace(NamedTuple):
     negative_marker: str = ""
 
 
-@dataclass(frozen=True)
-class DocumentAnalysis:
+class DocumentAnalysis(NamedTuple):
     """One document's sentences and the rule results kept for its outputs.
 
     ``traces`` holds only the ``NEGATIVE_FOUND`` rejections, whose search

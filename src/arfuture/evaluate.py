@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -104,8 +103,7 @@ def pct_string(numer: int, denom: int) -> str | None:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-@dataclass
-class ClassScore:
+class ClassScore(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -119,10 +117,9 @@ class ClassScore:
         return pct_string(self.tp, self.tp + self.fn)
 
 
-@dataclass
-class EvalReport:
-    per_class: dict[str, ClassScore] = field(default_factory=dict)
-    overall: ClassScore = field(default_factory=ClassScore)
+class EvalReport(NamedTuple):
+    per_class: dict[str, ClassScore]
+    overall: ClassScore
     #: None when the predictions came without their sentences
     total_sentences: int | None = None
     predicted_future: int = 0
@@ -153,18 +150,13 @@ def score(
             t for ts in (pred_triples, gold_triples) for t in ts if t[2] in unknown
         )))
 
-    report = EvalReport(
+    return EvalReport(
+        per_class={label: ClassScore(tp[label], fp[label], fn[label]) for label in labels},
+        overall=ClassScore(tp.total(), fp.total(), fn.total()),
         total_sentences=total_sentences,
         predicted_future=len(pred_triples),
         gold_future=len(gold_triples),
     )
-    for label in labels:
-        cs = ClassScore(tp=tp[label], fp=fp[label], fn=fn[label])
-        report.per_class[label] = cs
-        report.overall.tp += cs.tp
-        report.overall.fp += cs.fp
-        report.overall.fn += cs.fn
-    return report
 
 
 def distribution(gold: list[GoldAnnotation]) -> dict[str, int]:

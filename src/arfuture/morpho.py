@@ -11,7 +11,6 @@ touching code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -47,29 +46,37 @@ class MorphVerdict(NamedTuple):
     stem: str
 
 
-@dataclass(frozen=True)
-class Lexicons:
+class _LexiconFields(NamedTuple):
+    present_verbs: frozenset[str] = frozenset()
+    past_verbs: frozenset[str] = frozenset()
+    proper_nouns: frozenset[str] = frozenset()
+    qad_exclusions: frozenset[str] = frozenset()
+
+
+class Lexicons(_LexiconFields):
     """Immutable word lists backing the verdicts.
 
     ``proper_nouns`` is the stoplist of siin-initial names that would
     otherwise look like future verbs.  ``qad_exclusions`` lists verbs that
     should not count as future after the qad particle; it is empty by
     default so the method keeps its documented over-triggering.  Each
-    field is read from the word list ``<field name>.txt``.
+    field is read from the word list ``<field name>.txt``.  A word both
+    a present verb and a proper noun is refused.
     """
 
-    present_verbs: frozenset[str] = frozenset()
-    past_verbs: frozenset[str] = frozenset()
-    proper_nouns: frozenset[str] = frozenset()
-    qad_exclusions: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         clash = self.present_verbs & self.proper_nouns
         if clash:
             raise ValueError(
                 "lexicon conflict: entries are both present_verb and proper_noun: "
                 + ", ".join(sorted(clash))
             )
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks
 
 
 def strip_clitics(token: str) -> tuple[str, str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import html
 import re
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -50,11 +49,12 @@ class _Decoration(NamedTuple):
     title: str = ""
 
 
-@dataclass
-class ReportPage:
+class ReportPage(NamedTuple):
+    """One document's report; its dicts take no default, so pages share none."""
+
     doc: Document
-    groups: dict[str, list[str]] = field(default_factory=dict)
-    class_counts: dict[str, int] = field(default_factory=dict)
+    groups: dict[str, list[str]]
+    class_counts: dict[str, int]
     generated_at: str = ""
 
     @property
@@ -170,7 +170,7 @@ def build_report_page(
     when = generated_at or datetime.now(timezone.utc)
     if when.tzinfo is not None:  # a naive time is taken as UTC already
         when = when.astimezone(timezone.utc)
-    page = ReportPage(doc=analysis.doc, generated_at=when.strftime("%Y-%m-%d %H:%M UTC"))
+    page = ReportPage(analysis.doc, {}, {}, when.strftime("%Y-%m-%d %H:%M UTC"))
 
     annotated_rules: dict[int, set[str]] = {}
     per_category: dict[str, dict[int, list[Annotation]]] = {}
@@ -305,6 +305,6 @@ def write_reports(
         if held_chars >= _WRITE_BATCH_CHARS:
             _write_texts(held)
             held, held_chars = [], 0
-        pages.append(replace(page, groups={}))
+        pages.append(page._replace(groups={}))
     held.append((out_dir / "index.html", render_index(pages)))
     _write_texts(held)

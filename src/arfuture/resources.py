@@ -14,7 +14,6 @@ an alternative data directory (same file names) without code changes.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, TextIO, TypeVar
@@ -43,7 +42,8 @@ def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        head = exc.object[:exc.start]  # "\r\n", "\r" and "\n" each end a line
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}: line {line}: {exc}") from None
     try:
         return parse(text)
@@ -89,7 +89,7 @@ def load_lexicons(*directories: str | Path) -> Lexicons:
     nothing.  A word that ends up both a present verb and a proper noun
     fails naming the directories.
     """
-    words: dict[str, set[str]] = {f.name: set() for f in fields(Lexicons)}
+    words: dict[str, set[str]] = {name: set() for name in Lexicons._fields}
     for directory in directories:
         for name, found in words.items():
             path = Path(directory) / f"{name}.txt"

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .segment import PUNCT, WORD, TokenKind, Tokens
 
@@ -46,84 +45,116 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class Literal:
+def _same_type_eq(a: tuple, b: object) -> bool:
+    """Tuple equality for pattern parts of one type only: as plain
+    ``NamedTuple``s, ``Literal("x")`` and ``VariableRef("x")`` would be equal."""
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+_BY_TYPE = (_same_type_eq, lambda a, b: not _same_type_eq(a, b), tuple.__hash__)
+
+
+class Literal(NamedTuple):
     text: str
+    __eq__, __ne__, __hash__ = _BY_TYPE
 
 
-@dataclass(frozen=True)
-class VariableRef:
+class VariableRef(NamedTuple):
     name: str
+    __eq__, __ne__, __hash__ = _BY_TYPE
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     alternatives: tuple["PatternSeq", ...]
     optional: bool = False
+    __eq__, __ne__, __hash__ = _BY_TYPE
 
 
 PatternElement = Union[Literal, VariableRef, Group]
 
 
-@dataclass(frozen=True)
-class PatternSeq:
-    """Ordered pattern elements with one adjacency flag per gap."""
-
+class _PatternFields(NamedTuple):
     items: tuple[PatternElement, ...]
     joins: tuple[Adjacency, ...] = ()
 
-    def __post_init__(self):
-        if self.items and len(self.joins) != len(self.items) - 1:
+
+class PatternSeq(_PatternFields):
+    """Ordered pattern elements with one adjacency flag per gap."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _BY_TYPE
+
+    def __new__(cls, items: tuple[PatternElement, ...], joins: tuple[Adjacency, ...] = ()):
+        if items and len(joins) != len(items) - 1:
             raise ValueError("joins must have exactly len(items)-1 entries")
+        return super().__new__(cls, items, joins)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks
 
 
-@dataclass(frozen=True)
-class LinguisticForm:
+class _Record:
+    """A record of the ``_fields`` its ``__init__`` takes and derives its other
+    slots from: equality, hash and repr read those alone; ``_replace`` rebuilds."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class LinguisticForm(_Record):
     """One form of a rule; ``pattern`` must be variable-free."""
 
-    polarity: Polarity
-    pattern: PatternSeq
-    search_field_words: int = 0  # 0 = rest of the sentence
-    index: FormIndex = field(init=False, repr=False, compare=False)
+    _fields = ("polarity", "pattern", "search_field_words")
+    __slots__ = (*_fields, "index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", FormIndex(self.pattern))
+    def __init__(self, polarity: Polarity, pattern: PatternSeq, search_field_words: int = 0):
+        self.polarity = polarity
+        self.pattern = pattern
+        self.search_field_words = search_field_words  # 0 = rest of the sentence
+        self.index = FormIndex(pattern)
 
 
-@dataclass(frozen=True)
-class LinguisticRule:
-    id: str
-    forms: tuple[LinguisticForm, ...]
-    category: str
-    class_label: str
-    morph: str | None = None  # None | "qad" | "siin"
-    extract: str | None = None  # None | "from-marker-to-end"
-    #: indices of the positive forms, in order
-    positives: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    #: index of the form the siin gate checks, which may match a word
-    #: prefix: the last positive form under ``morph=siin``, else -1
-    siin_form: int = field(init=False, repr=False, compare=False)
-    #: one ``(index, negative, FormIndex, siin, @N cap, marker)`` tuple per
-    #: form, in order: all that an attempt of the rule reads of a form;
-    #: ``siin`` is ``index == siin_form``, and ``marker`` is the written
-    #: pattern of a negative form, else ""
-    steps: tuple[tuple[int, bool, FormIndex, bool, int, str], ...] = field(
-        init=False, repr=False, compare=False
-    )
+class LinguisticRule(_Record):
+    _fields = ("id", "forms", "category", "class_label", "morph", "extract")
+    __slots__ = (*_fields, "positives", "siin_form", "steps")
 
-    def __post_init__(self):
-        positives = tuple(
-            i for i, f in enumerate(self.forms) if f.polarity is Polarity.POSITIVE
-        )
-        siin_form = positives[-1] if self.morph == "siin" else -1
+    def __init__(self, id: str, forms: tuple[LinguisticForm, ...], category: str,
+                 class_label: str, morph: str | None = None, extract: str | None = None):
+        self.id = id
+        self.forms = forms
+        self.category = category
+        self.class_label = class_label
+        self.morph = morph  # None | "qad" | "siin"
+        self.extract = extract  # None | "from-marker-to-end"
+        #: indices of the positive forms, in order
+        self.positives = tuple(i for i, f in enumerate(forms) if f.polarity is Polarity.POSITIVE)
+        #: index of the form the siin gate checks, which may match a word
+        #: prefix: the last positive form under ``morph=siin``, else -1
+        self.siin_form = self.positives[-1] if morph == "siin" else -1
+        #: one ``(index, negative, FormIndex, siin, @N cap, marker)`` tuple per
+        #: form, in order: all that an attempt of the rule reads of a form;
+        #: ``siin`` is ``index == siin_form``, and ``marker`` is the written
+        #: pattern of a negative form, else ""
         steps = []
-        for i, f in enumerate(self.forms):
+        for i, f in enumerate(forms):
             negative = f.polarity is Polarity.NEGATIVE
             marker = format_pattern(f.pattern) if negative else ""
-            steps.append((i, negative, f.index, i == siin_form, f.search_field_words, marker))
-        object.__setattr__(self, "positives", positives)
-        object.__setattr__(self, "siin_form", siin_form)
-        object.__setattr__(self, "steps", tuple(steps))
+            steps.append((i, negative, f.index, i == self.siin_form, f.search_field_words, marker))
+        self.steps: tuple[tuple[int, bool, FormIndex, bool, int, str], ...] = tuple(steps)
 
 
 # ---------------------------------------------------------------------------

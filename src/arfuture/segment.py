@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -52,8 +51,7 @@ class TokenKind(Enum):
 WORD, PUNCT, DIGIT = TokenKind.WORD, TokenKind.PUNCT, TokenKind.DIGIT
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One segmented sentence; ``span`` is a byte span into the body."""
 
     doc_id: str

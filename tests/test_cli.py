@@ -14,7 +14,7 @@ import pytest
 
 from arfuture.cli import _merge_config, _url_list, build_parser, main
 from arfuture.config import Config, load_config, parse_config
-from arfuture.corpus import compile_corpus_file, load_query_seeds, make_document
+from arfuture.corpus import compile_corpus_file, make_document
 from arfuture.engine import Annotation, annotation_to_json, dump_annotations, load_annotations
 from arfuture.evaluate import load_gold
 from arfuture.resources import _word_list
@@ -792,8 +792,6 @@ def test_comment_keeps_other_line_breaks(char, parse, line2, message):
     [
         pytest.param(_word_list, "سيدني", {"سيدني"}, id="lexicon"),
         pytest.param(_url_list, "page.html", ["page.html"], id="url-list"),
-        pytest.param(lambda text: [s.keyword_ar for s in load_query_seeds(text)],
-                     "اقتصاد\teconomy", ["اقتصاد"], id="query-seeds"),
     ],
 )
 def test_comment_of_an_item_list_keeps_other_line_breaks(char, parse, line2, parsed):

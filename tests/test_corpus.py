@@ -19,20 +19,16 @@ from timing import assert_linear
 from arfuture import corpus
 from arfuture.corpus import (
     CorpusError,
-    QuerySeed,
     RawPage,
     USER_AGENT,
-    build_query_list,
     compile_corpus_file,
     dedupe_documents,
     extract_main_article,
     fetch_pages,
-    load_query_seeds,
     make_document,
     parse_corpus_file,
     read_local_page,
 )
-from arfuture.resources import data_dir
 
 # two hand-counted filler paragraphs (the space-joined word lengths add up
 # to 139 and 143 characters respectively, both past the 130 threshold)
@@ -56,33 +52,6 @@ GOLDEN_HTML = f"""<html><head>
 # hand-extracted: only the two long paragraphs qualify, in page order
 GOLDEN_TITLE = "اقتصاد لبنان & المنطقة"
 GOLDEN_BODY = PARA_ONE + "\n" + PARA_TWO
-
-
-class TestQueries:
-    def test_multiword_keyword_is_quoted(self):
-        queries = build_query_list([QuerySeed(keyword_ar="الموازنة العامة")])
-        assert queries == ['"الموازنة العامة" لبنان']
-
-    def test_government_debt_row(self):
-        queries = build_query_list([QuerySeed(keyword_ar="الدين العام")])
-        assert queries == ['"الدين العام" لبنان']
-
-    def test_single_word_not_quoted(self):
-        assert build_query_list([QuerySeed(keyword_ar="اقتصاد")]) == ["اقتصاد لبنان"]
-
-    def test_empty_seed_list(self):
-        with pytest.raises(CorpusError, match="no seeds"):
-            build_query_list([])
-
-    def test_order_and_length_preserved(self):
-        seeds = load_query_seeds((data_dir() / "keywords.tsv").read_text(encoding="utf-8"))
-        queries = build_query_list(seeds)
-        assert len(queries) == len(seeds)
-        assert all(q.endswith(" لبنان") for q in queries)
-
-    def test_duplicate_queries_dropped(self):
-        seeds = [QuerySeed(keyword_ar="اقتصاد"), QuerySeed(keyword_ar="اقتصاد")]
-        assert build_query_list(seeds) == ["اقتصاد لبنان"]
 
 
 # fragments that steer arbitrary text into tags, entities, comments,

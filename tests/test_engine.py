@@ -151,8 +151,6 @@ class TestClassifySentence:
         assert negative_traces[0].negative_field_span is not None
 
     def test_injected_negative_cancels_every_bundled_rule(self, ruleset, lexicons):
-        import dataclasses
-
         from arfuture.rules import LinguisticForm, Polarity as Pol, parse_pattern
 
         matching_text = {
@@ -169,7 +167,7 @@ class TestClassifySentence:
             s = one_sentence(matching_text[rule.id])
             tokens = tokenize(s.text)
             assert classify_sentence_results(s, tokens, [rule], lexicons)[0], rule.id
-            poisoned = dataclasses.replace(rule, forms=(negative,) + rule.forms)
+            poisoned = rule._replace(forms=(negative,) + rule.forms)
             anns, traces = classify_sentence_results(s, tokens, [poisoned], lexicons)
             assert anns == [], rule.id
             assert any(t.reason is RejectReason.NEGATIVE_FOUND for t in traces), rule.id

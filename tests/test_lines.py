@@ -175,6 +175,19 @@ def test_non_utf8_byte_on_a_later_line(tmp_path, read, bad_row):
         assert got[1].startswith(f"{path}: line 16: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("data", [
+    b"d\t0\tqad\rd\t1\tqad\rd\t2\tqad\xff\r",
+    b"d\t0\tqad\r\nd\t1\tqad\nd\t2\tqad\xff\r\n",
+    b"d\t0\tqad\r\r\nd\t2\tqad\xff\n",
+], ids=["cr", "crlf-lf", "cr-crlf"])
+def test_non_utf8_byte_after_each_kind_of_line_end(tmp_path, read, data):
+    """"\\r\\n", a lone "\\r" and "\\n" each end one line before the byte."""
+    path = tmp_path / "gold.tsv"
+    path.write_bytes(data)
+    got = _outcome(lambda: read(path, load_gold))
+    assert got[1].startswith(f"{path}: line 3: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("text", ["", " \n\t\n\n", "\r\n \r\n", "\n\n\n", "\r \r"])
 def test_empty_and_whitespace_only_files(tmp_path, read, text):
     dump, gold = tmp_path / "a.jsonl", tmp_path / "gold.tsv"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import html as html_mod
 import re
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -132,7 +131,7 @@ class TestRenderHtml:
             class_label="sawfa", positive_marker_spans=((0, 10_000),),
         )
         with pytest.raises(RenderError):
-            render_page(build_report_page(replace(a, annotations=(bad,), traces=())))
+            render_page(build_report_page(a._replace(annotations=(bad,), traces=())))
 
     def test_excerpt_underlined(self, lexicons):
         rules = parse_rules(
@@ -250,8 +249,8 @@ class TestIndex:
 
     def test_other_labels_follow_the_eval_classes_as_first_seen(self):
         doc = make_document(url="http://x", title="t", body="ب")
-        pages = [ReportPage(doc, class_counts={"zeta": 1, "qad": 2}),
-                 ReportPage(doc, class_counts={"alpha": 1, "zeta": 3})]
+        pages = [ReportPage(doc, groups={}, class_counts={"zeta": 1, "qad": 2}),
+                 ReportPage(doc, groups={}, class_counts={"alpha": 1, "zeta": 3})]
         assert index_columns(render_index(pages)) == [*CLASS_LABELS, "zeta", "alpha"]
 
 
