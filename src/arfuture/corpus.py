@@ -11,7 +11,6 @@ no search-engine automation.
 from __future__ import annotations
 
 import codecs
-import hashlib
 import re
 import time
 from html import unescape
@@ -44,6 +43,8 @@ class Document(NamedTuple):
 
 
 def doc_id_for_url(url: str) -> str:
+    import hashlib  # imported here: it loads the OpenSSL binding, `_hashlib`
+
     return hashlib.sha256(url.encode("utf-8")).hexdigest()[:12]
 
 
@@ -308,6 +309,8 @@ def dedupe_documents(docs: list[Document]) -> list[Document]:
 
     A body is keyed by the sha256 digest of its words joined by single
     spaces, so no second copy of it is kept."""
+    import hashlib
+
     seen: set[bytes] = set()
     unique: list[Document] = []
     for doc in docs:
@@ -445,9 +448,10 @@ def fetch_pages(
     """Fetch pages for an explicit URL list.
 
     Plain paths and ``file://`` URLs are read locally without touching the
-    network.  Remote fetches are spaced by ``politeness_delay`` seconds per
-    host, carry an identifying user agent and a percent-encoded path and
-    query, and follow redirects; a status of 400 or above fails the URL.
+    network.  A remote fetch starts at least ``politeness_delay`` seconds
+    after the last one from its host ended.  Each carries an identifying
+    user agent and a percent-encoded path and query, and follows
+    redirects; a status of 400 or above fails the URL.
     Failures are collected per URL instead of aborting the batch.
     """
     result = FetchResult()
@@ -472,7 +476,6 @@ def fetch_pages(
         wait = last_hit.get(host, 0.0) + politeness_delay - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        last_hit[host] = time.monotonic()
         try:
             request = Request(_request_url(url), headers={"User-Agent": USER_AGENT})
             # raises HTTPError unless the final status, after redirects, is 2xx
@@ -480,4 +483,5 @@ def fetch_pages(
                 result.pages.append(RawPage(source_url=url, html=_decode_html(response.read())))
         except Exception as exc:  # noqa: BLE001 - per-URL failures are data
             result.failures.append(FetchFailure(url=url, reason=str(exc)))
+        last_hit[host] = time.monotonic()
     return result

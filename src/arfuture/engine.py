@@ -23,18 +23,20 @@ each token of their field in turn, up to the leftmost match; a token
 that begins no match costs one ``FormIndex`` dict lookup.
 
 One attempt of a rule is one plain loop, inside ``iter_rule_results``,
-over the rule's ``steps``: a tuple per form, built when the rule is
-parsed, of all that an attempt reads of it (its index, polarity,
-``FormIndex``, whether it is the siin form, its ``@N`` cap and the
-marker text of a negative form).  Both gates read one verdict function,
-``morpho._verdict``, which builds no ``MorphVerdict`` record.
+over the rule's ``steps``: a tuple per form, built with the rule, of all
+that an attempt reads of it (its index, polarity, ``FormIndex``, whether
+it is the siin form, its ``@N`` cap and the marker text of a negative
+form).  A rule's fields cannot be assigned, so its steps stay those of
+its forms.  Both gates read one verdict function, ``morpho._verdict``,
+which builds no ``MorphVerdict`` record.
 
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection.  The bundled rules give about ten
 per sentence, so both are built positionally.  Both are ``NamedTuple``s,
-as the package's other immutable records are: hashable, equal to the
-plain tuple of their fields, and read through ``_fields``, ``_asdict``
-and ``_replace``.  ``import arfuture`` does not load ``dataclasses``.
+as the package's other immutable records are, rules and forms among
+them: hashable, equal to the plain tuple of their fields, and read
+through ``_fields``, ``_asdict`` and ``_replace``.  ``import arfuture``
+does not load ``dataclasses``.
 
 Annotations are dumped as JSON Lines, one record per line.  A dump
 given as a text is split at ``"\n"`` only: U+2028, U+2029 and U+0085,

@@ -14,7 +14,6 @@ an alternative data directory (same file names) without code changes.
 from __future__ import annotations
 
 import os
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, TextIO, TypeVar
 
@@ -72,7 +71,7 @@ def data_dir() -> Path:
     override = os.environ.get(DATA_DIR_ENV)
     if override:
         return Path(override)
-    return Path(str(importlib_resources.files("arfuture").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def _word_list(text: str) -> set[str]:

@@ -19,6 +19,12 @@ first written word to the words that may follow it.  Matching looks a
 token's shadow up in that dict and compares the remaining words in place.
 A pattern with more than ``MAX_EXPANSIONS`` surface forms is refused at
 parse time.
+
+Forms and rules are ``NamedTuple``s of the fields they are built from.
+What each derives from them (a form's ``index``; a rule's ``positives``,
+``siin_form`` and ``steps``) is set on it when it is built.  A field
+cannot be assigned, and ``_replace`` builds anew, so nothing derived
+goes stale.
 """
 
 from __future__ import annotations
@@ -92,54 +98,37 @@ class PatternSeq(_PatternFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks
 
 
-class _Record:
-    """A record of the ``_fields`` its ``__init__`` takes and derives its other
-    slots from: equality, hash and repr read those alone; ``_replace`` rebuilds."""
-
-    __slots__ = ()
-
-    def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self._asdict() == other._asdict()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._asdict().values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
-        return f"{type(self).__name__}({fields})"
+class _FormFields(NamedTuple):
+    polarity: Polarity
+    pattern: PatternSeq
+    search_field_words: int = 0  # 0 = rest of the sentence
 
 
-class LinguisticForm(_Record):
-    """One form of a rule; ``pattern`` must be variable-free."""
+class LinguisticForm(_FormFields):
+    """One form of a rule; ``pattern`` must be variable-free.  ``index``
+    is its ``FormIndex``."""
 
-    _fields = ("polarity", "pattern", "search_field_words")
-    __slots__ = (*_fields, "index")
-
-    def __init__(self, polarity: Polarity, pattern: PatternSeq, search_field_words: int = 0):
-        self.polarity = polarity
-        self.pattern = pattern
-        self.search_field_words = search_field_words  # 0 = rest of the sentence
+    def __new__(cls, polarity: Polarity, pattern: PatternSeq, search_field_words: int = 0):
+        self = super().__new__(cls, polarity, pattern, search_field_words)
         self.index = FormIndex(pattern)
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace rebuilds
 
 
-class LinguisticRule(_Record):
-    _fields = ("id", "forms", "category", "class_label", "morph", "extract")
-    __slots__ = (*_fields, "positives", "siin_form", "steps")
+class _RuleFields(NamedTuple):
+    id: str
+    forms: tuple[LinguisticForm, ...]
+    category: str
+    class_label: str
+    morph: str | None = None  # None | "qad" | "siin"
+    extract: str | None = None  # None | "from-marker-to-end"
 
-    def __init__(self, id: str, forms: tuple[LinguisticForm, ...], category: str,
-                 class_label: str, morph: str | None = None, extract: str | None = None):
-        self.id = id
-        self.forms = forms
-        self.category = category
-        self.class_label = class_label
-        self.morph = morph  # None | "qad" | "siin"
-        self.extract = extract  # None | "from-marker-to-end"
+
+class LinguisticRule(_RuleFields):
+    def __new__(cls, id: str, forms: tuple[LinguisticForm, ...], category: str,
+                class_label: str, morph: str | None = None, extract: str | None = None):
+        self = super().__new__(cls, id, forms, category, class_label, morph, extract)
         #: indices of the positive forms, in order
         self.positives = tuple(i for i, f in enumerate(forms) if f.polarity is Polarity.POSITIVE)
         #: index of the form the siin gate checks, which may match a word
@@ -155,6 +144,9 @@ class LinguisticRule(_Record):
             marker = format_pattern(f.pattern) if negative else ""
             steps.append((i, negative, f.index, i == self.siin_form, f.search_field_words, marker))
         self.steps: tuple[tuple[int, bool, FormIndex, bool, int, str], ...] = tuple(steps)
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace rebuilds
 
 
 # ---------------------------------------------------------------------------

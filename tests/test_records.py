@@ -35,17 +35,19 @@ from arfuture.rules import (
 )
 
 
-def test_import_and_load_engine_load_no_dataclasses_or_inspect():
+def test_import_and_load_engine_load_no_dataclasses_inspect_hashlib_or_resources():
     """A fresh interpreter (without ``site``, whose path hooks may import
     anything) that imports the package, loads the engine and imports the
-    command line has not loaded ``dataclasses`` or ``inspect``."""
+    command line has not loaded ``dataclasses``, ``inspect``, the OpenSSL
+    binding ``_hashlib`` or ``importlib.resources``."""
+    unloaded = {"dataclasses", "inspect", "_hashlib", "importlib.resources"}
     code = (
         "import sys\n"
         "import arfuture\n"
         "from arfuture.resources import load_engine\n"
         "load_engine()\n"
         "import arfuture.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        f"print(sorted({unloaded!r} & sys.modules.keys()))\n"
     )
     src = str(Path(arfuture.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -105,6 +107,20 @@ class TestRulesWithDerivedFields:
         )
         assert repr(rule).startswith("LinguisticRule(id='qad', forms=(LinguisticForm(")
         assert "steps" not in repr(rule) and "index" not in repr(rule.forms[0])
+
+    def test_fields_cannot_be_assigned(self, rules_by_id):
+        """An assigned field would leave ``steps`` or ``index`` stale."""
+        rule = rules_by_id["qad"]
+        with pytest.raises(AttributeError):
+            rule.forms = ()
+        with pytest.raises(AttributeError):
+            rule.forms[0].pattern = parse_pattern("غدا")
+        assert len(rule.steps) == len(rule.forms) >= 1
+
+    def test_rules_and_forms_equal_the_tuple_of_their_fields(self, rules_by_id):
+        rule = rules_by_id["sin"]
+        assert rule == tuple(rule) and rule.forms[0] == tuple(rule.forms[0])
+        assert LinguisticRule._make(tuple(rule)).steps[0][2] is rule.steps[0][2]
 
     def test_forms_equal_with_indexes_of_their_own(self):
         a, b = (LinguisticForm(Polarity.POSITIVE, parse_pattern("قد")) for _ in range(2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 import re
@@ -19,6 +20,9 @@ from arfuture.segment import (
     segment,
     tokenize,
 )
+
+# the module itself: the package exports the function ``segment`` under its name
+segment_module = importlib.import_module("arfuture.segment")
 
 
 class _CountedSlices(str):
@@ -240,6 +244,34 @@ class TestTokenize:
     def test_text_outside_the_classes_costs_linear_time(self, small, large):
         assert_linear(tokenize, small, large)
         assert list(tokenize(large)) == segment_ref.tokenize(large)
+
+    def test_every_non_whitespace_char_is_a_stand_in_or_taken_by_a_group(self):
+        """The scan has no catch-all group: a char that neither ``_FOREIGN``
+        replaces nor a group of ``_TOKEN`` takes would be skipped by
+        ``findall``, and every offset after it would shift."""
+        text = " ".join(ch for ch in map(chr, range(0x110000)) if not ch.isspace())
+        copy = segment_module._FOREIGN.sub(segment_module._stand_in, text)
+        assert len(copy) == len(text)
+        skipped, end = [], 0
+        for m in segment_module._TOKEN.finditer(copy):
+            skipped += text[end:m.start()].split()
+            end = m.end()
+        skipped += text[end:].split()
+        assert not skipped, [f"U+{ord(ch):04X}" for ch in skipped[:10]]
+
+    def test_a_sentence_with_persian_yeh_is_scanned_once(self, monkeypatch):
+        calls = []
+
+        class CountedToken:
+            def findall(self, text):
+                calls.append(text)
+                return token.findall(text)
+
+        token = segment_module._TOKEN
+        monkeypatch.setattr(segment_module, "_TOKEN", CountedToken())
+        toks = tokenize("قد یرتفع المؤشر")
+        assert len(calls) == 1
+        assert toks.shadows == ["قد", "یرتفع", "المؤشر"] and toks.kinds == [TokenKind.WORD] * 3
 
     def test_spans_read_in_order_take_one_pass(self):
         text = _CountedSlices("لن يتغير  الدين، " * 1000)
