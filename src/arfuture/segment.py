@@ -8,11 +8,10 @@ period-plus-space heuristic.  It walks the body once and keeps a running
 UTF-8 byte offset, so each sentence span is a byte span.
 
 Tokenization is one regex scan per sentence into parallel columns: each
-token's shadow, kind and char start and end.  The scan reads a copy of
-the sentence in which each char it has no class for is a stand-in, and
-that copy is the sentence itself when it holds no such char.  A token's
-UTF-8 byte span is worked out only when something reads it, which is
-only for the marker and field tokens an output shows.
+token's shadow, kind and char start and end (a sentence holding a char
+the scan has no class for is scanned again, with stand-ins for such
+chars).  A token's UTF-8 byte span is worked out only when something
+reads it, which is only for the marker and field tokens an output shows.
 """
 
 from __future__ import annotations
@@ -126,9 +125,10 @@ _TOKEN = re.compile(
     r"([\u0620-\u063f\u0641-\u064aA-Za-z]+)(?![\u0620-\u0652A-Za-z])"  # bare word
     r"|([\u0620-\u0652A-Za-z]+)"  # word with tatweel or harakat
     r"|([0-9\u0660-\u0669]+)"  # digits
-    r"|([^\w\s\u064b-\u0652]))"  # punctuation: no letter, digit, space or haraka
+    r"|([^\w\s\u064b-\u0652])"  # punctuation: no letter, digit, space or haraka
+    r"|(\S))"  # anything else: a stand-in decides
 )
-# the chars no group of _TOKEN takes: word chars (\w) outside its classes
+# the chars of that last group: word chars (\w) outside the classes above
 _FOREIGN = re.compile(r"[^\W\u0620-\u0652A-Za-z0-9\u0660-\u0669]")
 
 
@@ -188,42 +188,52 @@ def tokenize(sentence_text: str) -> Tokens:
     One regex scan finds the runs.  Each of its classes holds only chars
     of the kind it gives them, since ``re``'s ``\\w`` and ``\\d`` are not
     ``str.isalpha`` and ``str.isdigit`` (they differ on "_", "²", "½",
-    "Ⅻ").  The scan reads a copy of the sentence in which each char
-    outside all of them, such as a letter or digit of another script, is
-    a stand-in of its kind by the ``str`` predicates: "a" for a letter,
-    "0" for a digit, "!" for anything else.  A sentence without such a
-    char is its own copy.  The copy has the sentence's char offsets, so
-    when it differs the shadows are read from the sentence at the copy's
-    token offsets.
+    "Ⅻ").  A sentence holding a char outside all of them, such as a
+    letter or digit of another script, is scanned again as a copy in
+    which each such char is a stand-in of its kind by the ``str``
+    predicates: "a" for a letter, "0" for a digit, "!" for anything
+    else.  The copy has the sentence's char offsets, so the shadows are
+    read from the sentence at the copy's token offsets.
     """
     # trailing whitespace is cut first: the scan would take it for a gap
     # with no token after it and retry from each of its chars, in time
     # quadratic in its length
     text = sentence_text.rstrip()
-    copy = _FOREIGN.sub(_stand_in, text)  # ``text`` itself when nothing is replaced
+    columns = _scan(text)
+    if columns is None:
+        _, kinds, starts, ends = _scan(_FOREIGN.sub(_stand_in, text))
+        shadows = [text[s:e].translate(_SHADOW_DROP) for s, e in zip(starts, ends)]
+    else:
+        shadows, kinds, starts, ends = columns
+    return Tokens(sentence_text, shadows, kinds, starts, ends)
+
+
+def _scan(text: str) -> tuple[list[str], list[TokenKind], list[int], list[int]] | None:
+    """The token columns of ``text``, which ends in no whitespace, or None
+    when it holds a char outside the classes of ``_TOKEN``."""
     shadows: list[str] = []
     kinds: list[TokenKind] = []
     starts: list[int] = []
     ends: list[int] = []
     end = 0
-    for gap, bare, marked, digits, punct in _TOKEN.findall(copy):
+    for gap, bare, marked, digits, punct, _ in _TOKEN.findall(text):
         if bare:
             run, kind = bare, WORD
         elif marked:
             run, kind = marked, WORD
         elif digits:
             run, kind = digits, DIGIT
-        else:
+        elif punct:
             run, kind = punct, PUNCT
+        else:
+            return None
         start = end + len(gap)
         end = start + len(run)
         shadows.append(marked.translate(_SHADOW_DROP) if marked else run)
         kinds.append(kind)
         starts.append(start)
         ends.append(end)
-    if copy is not text:
-        shadows = [text[s:e].translate(_SHADOW_DROP) for s, e in zip(starts, ends)]
-    return Tokens(sentence_text, shadows, kinds, starts, ends)
+    return shadows, kinds, starts, ends
 
 
 def _stand_in(m: re.Match[str]) -> str:
