@@ -5,6 +5,19 @@ a triggered negative marker is shaded red and names the marker in its
 hover text; chosen excerpts are underlined; sentences are grouped by
 semantic category under a header that links back to the source page.
 Styling is inline so a report is a single portable file.
+
+A sentence is cut at every span edge and each slice is wrapped on its
+own, so stripping the markup gives back the sentence.  It is rendered on
+one of two paths, chosen from what it carries.  A rule with no negative
+form and no ``extract`` directive, as every bundled rule is, highlights
+markers alone, so most annotated sentences carry marks and nothing else;
+their spans are token spans, equal or disjoint, and ``_render_marks``
+writes such a sentence in one pass over its sorted spans, with no record
+per span and no test of each slice against each span.  A sentence with an
+excerpt, a shaded negative field or overlapping marks goes to
+``_render_decorated``, which walks the sorted span edges once, keeping
+running counts of the open marks and excerpts and the open fields.  Both
+take time linear in the sentence and its spans (up to sorting them).
 """
 
 from __future__ import annotations
@@ -72,50 +85,88 @@ def _escape_bytes(data: bytes) -> bytes:
 _NEEDS_ESCAPE = re.compile(rb"[&<>\"']").search
 
 
+def _render_marks(text: str, spans: list[tuple[int, int]]) -> str:
+    """Highlight the byte ``spans`` of ``text`` as positive markers.
+
+    ``_render_decorated`` of the spans as marks, without a record per span.
+    Marker spans are token spans, which are equal or disjoint, so the
+    sentence is written in one pass over its sorted, distinct, non-empty
+    spans: the gap before each, then the span in a ``<mark>``.  Spans
+    that overlap are cut at every edge by ``_render_decorated``.
+    """
+    data = text.encode("utf-8")
+    size = len(data)
+    for span in spans:
+        a, b = span
+        if not (0 <= a <= b <= size):
+            raise RenderError(f"span {span} outside sentence of {size} bytes")
+    escape = _NEEDS_ESCAPE(data) is not None
+    out: list[bytes] = []
+    end = 0
+    for a, b in sorted(set(spans)):
+        if a < end:
+            return _render_decorated(text, [_Decoration(span, "mark") for span in spans])
+        if a == b:  # it cuts no mark, and a cut between gap bytes changes nothing
+            continue
+        gap, marker = data[end:a], data[a:b]
+        if escape:
+            gap, marker = _escape_bytes(gap), _escape_bytes(marker)
+        out.append(b'%s<mark class="pos">%s</mark>' % (gap, marker))
+        end = b
+    tail = data[end:]
+    out.append(_escape_bytes(tail) if escape else tail)
+    return b"".join(out).decode("utf-8")
+
+
 def _render_decorated(text: str, decorations: list[_Decoration]) -> str:
     """Wrap byte-span regions of ``text`` in highlight elements.
 
     Regions may overlap arbitrarily; the text is cut at every span edge and
     each slice is wrapped independently, so stripping the markup always
-    gives back the sentence verbatim.  One loop over the decorations per
-    slice sets its mark, excerpt and field flags and collects the non-empty
-    field titles in decoration order.  The slices are cut, escaped and
-    wrapped as UTF-8 bytes, escaped only if the sentence holds a character
-    that needs it, and the result is decoded once.
+    gives back the sentence verbatim.  Each decoration opens at its start
+    edge and closes at its end edge.  One walk over the sorted edges keeps
+    the number of open marks and excerpts and the titles of the open
+    fields, at most one per rule; they give each slice's wrapping, with the
+    field titles in decoration order.  The slices are cut, escaped and wrapped as
+    UTF-8 bytes, escaped only if the sentence holds a character that needs
+    it, and the result is decoded once.
     """
     data = text.encode("utf-8")
     size = len(data)
-    edges = {0, size}
-    for deco in decorations:
+    # edge: (list position, +1 or -1) of each decoration that opens or
+    # closes there, in list order, so a zero-width one opens, then closes
+    events: dict[int, list[tuple[int, int]]] = {0: [], size: []}
+    for i, deco in enumerate(decorations):
         a, b = deco.span
         if not (0 <= a <= b <= size):
             raise RenderError(f"span {deco.span} outside sentence of {size} bytes")
-        edges.update(deco.span)
-    points = sorted(edges)
+        events.setdefault(a, []).append((i, 1))
+        events.setdefault(b, []).append((i, -1))
+    points = sorted(events)
     escape = _NEEDS_ESCAPE(data) is not None
     out: list[bytes] = []
+    depth = {"mark": 0, "excerpt": 0}
+    fields: dict[int, str] = {}  # the open fields' titles by list position
     for a, b in zip(points, points[1:]):
-        mark = excerpt = shaded = False
-        titles: list[str] = []
-        for (start, end), kind, title in decorations:
-            if start <= a and b <= end:
-                if kind == "mark":
-                    mark = True
-                elif kind == "excerpt":
-                    excerpt = True
-                elif kind == "field":
-                    shaded = True
-                    if title:
-                        titles.append(title)
+        for i, step in events[a]:
+            kind = decorations[i].kind
+            if kind == "field":
+                if step > 0:
+                    fields[i] = decorations[i].title
+                else:
+                    del fields[i]
+            else:
+                depth[kind] += step
         piece = data[a:b]
         if escape:
             piece = _escape_bytes(piece)
-        if mark:
+        if depth["mark"]:
             piece = b'<mark class="pos">%s</mark>' % piece
-        if excerpt:
+        if depth["excerpt"]:
             piece = b'<span class="excerpt">%s</span>' % piece
-        if shaded:
-            title = html.escape("; ".join(titles), quote=True).encode("utf-8")
+        if fields:
+            titles = "; ".join(fields[i] for i in sorted(fields) if fields[i])
+            title = html.escape(titles, quote=True).encode("utf-8")
             piece = b'<span class="neg-field" title="%s">%s</span>' % (title, piece)
         out.append(piece)
     return b"".join(out).decode("utf-8")
@@ -126,33 +177,36 @@ def _sentence_block(
     annotations: list[Annotation],
     field_traces: list[RejectionTrace],
 ) -> str:
-    decorations: list[_Decoration] = []
-    seen_spans: set[tuple[int, int]] = set()
-    labels: list[str] = []
-    for ann in annotations:
-        if ann.class_label not in labels:
-            labels.append(ann.class_label)
-        for span in ann.positive_marker_spans:
-            if span not in seen_spans:
-                seen_spans.add(span)
-                decorations.append(_Decoration(span, "mark"))
-        if ann.excerpt_span:
-            decorations.append(_Decoration(ann.excerpt_span, "excerpt"))
-    for trace in field_traces:
-        if trace.negative_field_span:
-            decorations.append(
-                _Decoration(
-                    trace.negative_field_span,
-                    "field",
-                    f"negative marker: {trace.negative_marker}",
-                )
-            )
-    body = _render_decorated(sentence.text, decorations)
-    label_line = html.escape(", ".join(labels))
+    fields = [t for t in field_traces if t.negative_field_span]
+    if fields or any(ann.excerpt_span for ann in annotations):
+        decorations: list[_Decoration] = []
+        for ann in annotations:
+            decorations += [_Decoration(span, "mark") for span in ann.positive_marker_spans]
+            if ann.excerpt_span:
+                decorations.append(_Decoration(ann.excerpt_span, "excerpt"))
+        for trace in fields:
+            decorations.append(_Decoration(
+                trace.negative_field_span, "field", f"negative marker: {trace.negative_marker}"
+            ))
+        body = _render_decorated(sentence.text, decorations)
+    else:
+        body = _render_marks(
+            sentence.text, [span for ann in annotations for span in ann.positive_marker_spans]
+        )
+    label_line = html.escape(", ".join(dict.fromkeys(ann.class_label for ann in annotations)))
     return (
         f'<li><p class="sentence" dir="rtl" lang="ar">{body}</p>'
         f'<p class="labels">{label_line}</p></li>'
     )
+
+
+def _timestamp(when: datetime | None) -> str:
+    """``when``, or the current time, as the footers give it in UTC; a
+    naive time is taken as UTC already."""
+    when = when or datetime.now(timezone.utc)
+    if when.tzinfo is not None:
+        when = when.astimezone(timezone.utc)
+    return when.strftime("%Y-%m-%d %H:%M UTC")
 
 
 def build_report_page(
@@ -167,22 +221,19 @@ def build_report_page(
     or, with ``show_all_negative_fields``, of every trace on it.
     """
     by_index = {s.index: s for s in analysis.sentences}
-    when = generated_at or datetime.now(timezone.utc)
-    if when.tzinfo is not None:  # a naive time is taken as UTC already
-        when = when.astimezone(timezone.utc)
-    page = ReportPage(analysis.doc, {}, {}, when.strftime("%Y-%m-%d %H:%M UTC"))
+    page = ReportPage(analysis.doc, {}, {}, _timestamp(generated_at))
 
-    annotated_rules: dict[int, set[str]] = {}
     per_category: dict[str, dict[int, list[Annotation]]] = {}
     for ann in analysis.annotations:
-        annotated_rules.setdefault(ann.sentence_index, set()).add(ann.rule_id)
         page.class_counts[ann.class_label] = page.class_counts.get(ann.class_label, 0) + 1
         per_category.setdefault(ann.category, {}).setdefault(ann.sentence_index, []).append(ann)
 
     field_traces: dict[int, list[RejectionTrace]] = {}
-    for t in analysis.traces:
-        if show_all_negative_fields or t.rule_id in annotated_rules.get(t.sentence_index, ()):
-            field_traces.setdefault(t.sentence_index, []).append(t)
+    if analysis.traces:
+        annotated = {(ann.sentence_index, ann.rule_id) for ann in analysis.annotations}
+        for t in analysis.traces:
+            if show_all_negative_fields or (t.sentence_index, t.rule_id) in annotated:
+                field_traces.setdefault(t.sentence_index, []).append(t)
 
     for category, per_sentence in per_category.items():
         blocks: list[str] = []
@@ -233,11 +284,13 @@ def render_page(page: ReportPage) -> str:
     return _html_page('lang="ar" dir="rtl"', title, body, page.generated_at)
 
 
-def render_index(pages: list[ReportPage]) -> str:
+def render_index(pages: list[ReportPage], *, generated_at: datetime | None = None) -> str:
     """Overview page linking every per-document report with class counts.
 
     The class columns are ``CLASS_LABELS``, in the order ``eval`` reports
-    them, then any other label in the order it is first seen.
+    them, then any other label in the order it is first seen.  The footer
+    gives ``generated_at``; without it, the first page's time, or the
+    current time if there is no page.
     """
     labels = dict.fromkeys([*CLASS_LABELS, *(l for p in pages for l in p.class_counts)])
     head_cells = "".join(f"<th>{html.escape(l)}</th>" for l in labels)
@@ -258,8 +311,8 @@ def render_index(pages: list[ReportPage]) -> str:
         *rows,
         "</table>",
     ]
-    return _html_page('lang="en"', "analysis index", body,
-                      pages[0].generated_at if pages else "")
+    stamp = pages[0].generated_at if pages and generated_at is None else _timestamp(generated_at)
+    return _html_page('lang="en"', "analysis index", body, stamp)
 
 
 #: characters of rendered pages ``write_reports`` holds before it writes
@@ -306,5 +359,5 @@ def write_reports(
             _write_texts(held)
             held, held_chars = [], 0
         pages.append(page._replace(groups={}))
-    held.append((out_dir / "index.html", render_index(pages)))
+    held.append((out_dir / "index.html", render_index(pages, generated_at=when)))
     _write_texts(held)

@@ -1,10 +1,12 @@
-"""Reference renderer: the earlier ``_render_decorated`` of ``arfuture.report``.
+"""Reference renderer for ``arfuture.report``'s two sentence renderers.
 
-The report module sets each slice's mark, excerpt and field flags in one
-loop over the decorations.  This module keeps the earlier version, which
-collects the active decorations of every slice into a list and then asks
-three questions of it, so tests can hold the two to the same HTML and the
-same errors.
+The report module writes a sentence of marks alone in one pass over its
+sorted spans (``_render_marks``), and any other in one walk over its
+sorted span edges with running counts (``_render_decorated``).  This
+module keeps the direct version: it collects the decorations that cover
+each slice into a list and then asks three questions of it, in time
+that grows with slices times decorations, so tests can hold both
+renderers to the same HTML and the same errors.
 """
 
 from __future__ import annotations

@@ -218,9 +218,13 @@ class TestAnalyze:
     def test_empty_corpus_docs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        code = main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+        code = main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--clock", "2026-01-01T00:00"])
         assert code == 0
         assert "sentences=0 future=0" in capsys.readouterr().out
+        # the index, with no page to take it from, gives the run's time
+        index = (tmp_path / "o" / "reports" / "index.html").read_text(encoding="utf-8")
+        assert "<footer>generated 2026-01-01 00:00 UTC</footer>" in index
 
     def test_missing_corpus_dir_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import html as html_mod
 import re
+from functools import partial
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from arfuture.report import (
     ReportPage,
     _Decoration,
     _render_decorated,
+    _render_marks,
     build_report_page,
     render_index,
     render_page,
@@ -26,6 +28,7 @@ from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
 from arfuture.segment import segment, tokenize
 
 from report_ref import render_decorated
+from timing import assert_linear
 
 GOLDEN = Path(__file__).parent / "golden" / "report_qad.html"
 CLOCK = datetime(2026, 1, 15, 12, 0, tzinfo=timezone.utc)
@@ -286,11 +289,13 @@ _RENDER_ALPHABET = "سوفقدلنيتحسالوضع" + "\u064e\u064f\u0650\u065
 
 
 @st.composite
-def decorated_sentences(draw, bad_span: bool = False):
+def decorated_sentences(draw, bad_span: bool = False, kinds=("mark", "excerpt", "field")):
+    """A sentence and decorations of ``kinds`` on it; with ``bad_span``,
+    one to three of them lie outside it, anywhere in the list."""
     text = draw(st.text(alphabet=_RENDER_ALPHABET, max_size=12))
     size = len(text.encode("utf-8"))
     # spans cut at character edges, drawn from a small pool so that
-    # duplicate and zero-width spans come up often
+    # duplicate, overlapping, adjacent and zero-width spans come up often
     edges = sorted({len(text[:i].encode("utf-8")) for i in range(len(text) + 1)})
     span = st.tuples(st.sampled_from(edges), st.sampled_from(edges)).map(sorted).map(tuple)
     pool = draw(st.lists(span, min_size=1, max_size=3))
@@ -299,15 +304,20 @@ def decorated_sentences(draw, bad_span: bool = False):
         return st.builds(
             _Decoration,
             st.sampled_from(spans),
-            st.sampled_from(["mark", "excerpt", "field"]),
+            st.sampled_from(kinds),
             st.sampled_from(["", "negative marker: قبل", "a&b <\"x\"> 'y'"]),
         )
 
     decorations = draw(st.lists(decoration(pool), max_size=6))
     if bad_span:
-        bad = draw(decoration([(0, size + 1), (-1, 0), (size, size + 3), (2, 1)]))
-        decorations.insert(draw(st.integers(0, len(decorations))), bad)
+        bad_spans = [(0, size + 1), (-1, 0), (size, size + 3), (2, 1)]
+        for bad in draw(st.lists(decoration(bad_spans), min_size=1, max_size=3)):
+            decorations.insert(draw(st.integers(0, len(decorations))), bad)
     return text, decorations
+
+
+#: marks alone, the decorations of every sentence the bundled rules annotate
+marked_sentences = partial(decorated_sentences, kinds=("mark",))
 
 
 class TestRenderDecorated:
@@ -328,3 +338,51 @@ class TestRenderDecorated:
         with pytest.raises(RenderError) as want:
             render_decorated(text, decorations)
         assert str(got.value) == str(want.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(marked_sentences())
+    def test_marks_match_reference_renderer(self, case):
+        text, decorations = case
+        got = _render_marks(text, [deco.span for deco in decorations])
+        assert got == render_decorated(text, decorations)
+
+    @settings(max_examples=100, deadline=None)
+    @given(marked_sentences(bad_span=True))
+    def test_marks_out_of_bounds_span_raises_like_reference(self, case):
+        text, decorations = case
+        with pytest.raises(RenderError) as got:
+            _render_marks(text, [deco.span for deco in decorations])
+        with pytest.raises(RenderError) as want:
+            render_decorated(text, decorations)
+        assert str(got.value) == str(want.value)
+
+
+class TestLinearTime:
+    """A sentence with many annotations renders in time linear in its length."""
+
+    @staticmethod
+    def render(analysis):
+        return render_page(build_report_page(analysis, generated_at=CLOCK))
+
+    def test_marks_only_sentence(self, engine):
+        small, large = (
+            engine.analyze(make_document(url="http://x", title="", body="لن يتغير الدين " * k))
+            for k in (2000, 8000)
+        )
+        assert len(small.sentences) == 1 and len(small.annotations) == 2000
+        assert_linear(self.render, small, large)
+
+    def test_sentence_with_excerpts(self, lexicons):
+        rules = parse_rules("r: لن -> مستقبل [extract=from-marker-to-end]\n", NO_VARS, MAP)
+
+        def analysis(k):
+            doc = make_document(url="http://x", title="", body="لن يتغير الدين " * k)
+            sentences = segment(doc.body, doc_id=doc.id)
+            anns, traces = classify_sentence_results(
+                sentences[0], tokenize(sentences[0].text), rules, lexicons
+            )
+            return analysis_of(doc, sentences, anns, traces)
+
+        small, large = analysis(500), analysis(2000)
+        assert len(small.annotations) == 500 and all(a.excerpt_span for a in small.annotations)
+        assert_linear(self.render, small, large)
