@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from arfuture import resources
 from arfuture.resources import write_file
 
-_TEXTS = ["", "a", "سوف يتحسن\n", "line one\nline two\n" * 50, "x\r\ny\n"]
+_TEXTS = ["", "a", "b", "سوف يتحسن\n", "line one\nline two\n" * 50, "x\r\ny\n"]
 
 
 @pytest.mark.parametrize("old", _TEXTS)
