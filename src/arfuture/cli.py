@@ -171,12 +171,20 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     return docs
 
 
+def _skip(source: object, reason: Exception) -> None:
+    """Say on stderr that a page is skipped and why.  A lone surrogate, as a
+    file name that is not UTF-8 holds, is written as a backslash escape,
+    as Python's own stderr writes it, so that no stream can refuse it."""
+    line = f"skipping {source}: {reason}"
+    print(line.encode("utf-8", "backslashreplace").decode("utf-8"), file=sys.stderr)
+
+
 def _read_local_page(path: Path) -> corpus_mod.RawPage | None:
     """The page at ``path``, or None after saying on stderr why it is skipped."""
     try:
         return corpus_mod.read_local_page(path)
     except (OSError, corpus_mod.CorpusError) as exc:
-        print(f"skipping {path}: {exc}", file=sys.stderr)
+        _skip(path, exc)
         return None
 
 
@@ -206,8 +214,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for page in pages:
         try:
             documents.append(corpus_mod.extract_document(page, cfg.min_run_chars))
-        except corpus_mod.CorpusError:
-            pass
+        except corpus_mod.CorpusError as exc:
+            _skip(page.source_url, exc)
     documents = corpus_mod.dedupe_documents(documents)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -56,6 +56,15 @@ def make_document(url: str, title: str, body: str) -> Document:
 # main-article extraction
 
 
+# Every pattern that searches a whole page or text starts with a literal,
+# a class, or branches that each start with a literal.  Only then does re
+# skip in C over the characters that cannot start a match; otherwise it
+# tries a whole match at each one, which cost 19-28 ns per character of
+# news text against 7-9 (Python 3.11, 2 vCPUs).  A repetition hides the
+# class it repeats, and a group at the head of a branch what it holds, so
+# a run is written "[...][...]*", not "[...]+", and a branch "-(->)", not
+# "(-->)".  tests/test_scanners.py holds each such pattern to this.
+
 # A page is read in one pass, each piece of markup as the WHATWG HTML
 # tokenizer reads it (HTML Living Standard, section 13.2.5), as far as the
 # text needs it:
@@ -113,17 +122,18 @@ _MARKUP = (
 _END_TITLE, _TEXT_NAME, _TEXT_ELEMENT, _TAG = 1, 3, 4, 6
 # the kind of a tag that goes on past its _MAX_ATTRS-th attribute
 _CUT = {2: _END_TITLE, 5: _TEXT_ELEMENT, 7: _TAG}
+# the end tag of an element with text content other than script, by name
+_END_TAG = f"</(?ai:{{}})[{_WS}/>]"
 # Script data and its escape states: per state, the pattern of what ends
 # it, and the state that follows when no group matched, then when each
 # group did (None: the end tag).  From "<!--" on, script data is escaped,
 # and there "<script" starts a part that "</script" only ends; "-->" ends
-# either.  Each pattern starts with a literal "<" or "-", which re skips to
-# fast.
+# either.  Each pattern's branches start with a literal "<" or "-".
 _SCRIPT = f"(?ai:script)[{_WS}/>]"
 _SCRIPT_STATES = {
     "data": (f"<(?:(!)(?=--)|/{_SCRIPT})", (None, "escaped")),
-    "escaped": (f"(-->)|<(?:/{_SCRIPT}|({_SCRIPT}))", (None, "data", "double")),
-    "double": (f"(-->)|</{_SCRIPT}", ("escaped", "data")),
+    "escaped": (f"-(->)|<(?:/{_SCRIPT}|({_SCRIPT}))", (None, "data", "double")),
+    "double": (f"-(->)|</{_SCRIPT}", ("escaped", "data")),
 }
 # stands for removed markup until the text is unescaped, so that the text
 # on its two sides is unescaped apart, as the tokenizer does
@@ -148,7 +158,7 @@ def _content_end(html: str, pos: int, name: str) -> int:
     if name == "plaintext":
         return len(html)
     if name != "script":
-        m = re.compile(f"</(?ai:{name})[{_WS}/>]").search(html, pos)
+        m = re.compile(_END_TAG.format(name)).search(html, pos)
         return m.start() if m else len(html)
     state = "data"
     while state:
@@ -225,9 +235,7 @@ def _is_run_char(ch: str) -> bool:
 # a run _RUN_SPLIT lists, as ranges found with _is_run_char when the module
 # loads.  Both patterns are compiled on first use.
 _RUN_BLOCKS = ((0x0000, 0x00FF), (0x0600, 0x077F), (0x2000, 0x20CF))
-# a run of characters outside the blocks, written as a class and then its
-# repetition, since re skips fast to a match only when the pattern starts
-# with a class ("+" would hide it)
+# a run of characters outside the blocks, as a class and its repetition
 _OUTSIDE_RUN_BLOCKS = "[^{0}][^{0}]*".format(
     "".join(f"\\u{lo:04x}-\\u{hi:04x}" for lo, hi in _RUN_BLOCKS))
 
@@ -243,7 +251,10 @@ def _run_ends() -> str:
     return "".join(ranges)
 
 
-_RUN_SPLIT = f"[{_run_ends()}]+|\n\n"
+# a run of characters that end a run, or a blank line: one class of both
+# kinds of first character, then what follows each (a lone "\n" matches
+# neither branch)
+_RUN_SPLIT = "[{0}\n](?:(?<=[{0}])[{0}]*|(?<=\n)\n)".format(_run_ends())
 
 
 def _nul_for_run_ends(m: re.Match[str]) -> str:

@@ -3,12 +3,16 @@
 ``arfuture.corpus`` finds a page's text runs with one regex split, after
 putting a NUL in place of each character outside its pattern's Unicode
 blocks that ends a run.  This module keeps the earlier loop, which tests
-every character with ``_is_run_char``, so tests can hold the split to it.
+every character with ``_is_run_char``, so tests can hold the split to it,
+and the earlier form of the split's pattern, a repetition first, which
+must match exactly where the split's does.
 """
 
 from __future__ import annotations
 
-from arfuture.corpus import _is_run_char
+from arfuture.corpus import _is_run_char, _run_ends
+
+RUN_SPLIT = f"[{_run_ends()}]+|\n\n"
 
 
 def text_runs(text: str) -> list[str]:

@@ -56,6 +56,7 @@ class TestIngest:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.err == (
+            f"skipping {html_dir / 'c.html'}: no main content\n"
             f"skipping {bad}: page is not valid UTF-8 and declares no usable charset\n"
         )
         assert captured.out == "pages=5 documents=2 rejected=3\n"
@@ -132,13 +133,16 @@ class TestIngest:
         assert "pages=2 documents=1 rejected=1" in captured.out
 
     @staticmethod
-    def _ingest_beside_a_good_page(src, out, capsys):
+    def _ingest_beside_a_good_page(src, out, capsys, refused):
         """Ingest ``src``, which holds one bad page, after adding a good
-        page ``b.html``: the bad page is rejected and the good one written."""
+        page ``b.html``: the bad page is rejected, with ``refused`` as its
+        stderr line, and the good one written."""
         good = src / "b.html"
         good.write_text(page(LONG_PARA), encoding="utf-8")
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
-        assert capsys.readouterr().out == "pages=2 documents=1 rejected=1\n"
+        captured = capsys.readouterr()
+        assert captured.out == "pages=2 documents=1 rejected=1\n"
+        assert captured.err == refused + "\n"
         written = sorted(out.iterdir())
         assert [p.name for p in written] == [f"{make_document(str(good), '', '').id}.corpus.txt"]
         assert written[0].stat().st_size > 0
@@ -152,7 +156,9 @@ class TestIngest:
         if name != "\udcff.html":
             pytest.skip("file names are not decoded as UTF-8 with surrogate escapes")
         (src / name).write_text(page(LONG_PARA + " الاول"), encoding="utf-8")
-        self._ingest_beside_a_good_page(src, tmp_path / "corpus", capsys)
+        self._ingest_beside_a_good_page(
+            src, tmp_path / "corpus", capsys,
+            f"skipping {src}/\\udcff.html: URL holds a lone surrogate, which UTF-8 cannot encode")
 
     def test_title_with_a_lone_surrogate_is_one_rejected_page(self, tmp_path, capsys):
         """A page that is not UTF-8 and names a charset whose decoder turns
@@ -164,7 +170,9 @@ class TestIngest:
             b"<html><head><meta charset=raw_unicode_escape><title>\\ud800 title</title>"
             b"</head><body><!-- \xff --><p>" + body.encode("ascii") + b"</p></body></html>"
         )
-        self._ingest_beside_a_good_page(src, tmp_path / "corpus", capsys)
+        self._ingest_beside_a_good_page(
+            src, tmp_path / "corpus", capsys,
+            f"skipping {src / 'a.html'}: title holds a lone surrogate, which UTF-8 cannot encode")
 
     def test_rerun_into_the_same_out_replaces_every_file(self, html_dir, tmp_path):
         """A rerun into the same ``--out`` after one page's text got shorter

@@ -422,6 +422,8 @@ _RUN_TEXT = st.lists(st.one_of(
         *_OUTSIDE_CHARS,
     ]),
     st.integers(1, 5).map(lambda n: "\n" * n),
+    st.integers(1, 5).map(lambda n: ";" * n),
+    st.integers(1, 3).map(lambda n: " \n" * n),
     st.text(max_size=3),
 )).map("".join)
 
@@ -431,6 +433,7 @@ class TestTextRuns:
     @given(text=_RUN_TEXT)
     def test_runs_equal_the_char_loop(self, text):
         assert _stripped(corpus._text_runs(text)) == _stripped(runs_ref.text_runs(text))
+        assert re.split(corpus._RUN_SPLIT, text) == re.split(runs_ref.RUN_SPLIT, text)
 
     @settings(max_examples=500, deadline=None)
     @given(text=_RUN_TEXT)
@@ -438,6 +441,11 @@ class TestTextRuns:
         text = re.sub(corpus._OUTSIDE_RUN_BLOCKS, "", text)
         assert _stripped(re.split(corpus._RUN_SPLIT, text)) == _stripped(
             runs_ref.text_runs(text))
+
+    @pytest.mark.parametrize("unit", [";", "\n", " \n"])
+    def test_runs_of_one_unit_split_in_linear_time(self, unit):
+        n = 200_000 // len(unit)
+        assert_linear(corpus._text_runs, "x" + unit * n + "x", "x" + unit * 4 * n + "x")
 
     def test_split_class_is_is_run_char(self):
         for lo, hi in corpus._RUN_BLOCKS:

@@ -301,6 +301,16 @@ _TEXT = st.lists(
     ),
     max_size=40,
 ).map("".join)
+# the chars a cut reads: each trigger before whitespace, before another
+# char and alone (so also at the end of the text), newlines alone and in
+# runs, and a letter, a digit and a comma between them
+_CUT_TEXT = st.lists(st.one_of(
+    st.sampled_from([
+        ".", "؟", "!", "\n", " ", "\t", "\u00a0", "\r", "\u2003", "a", "ب", "1", ",",
+        ". ", "؟\n", "!\t", ".x", "؟ب", "!1", "..",
+    ]),
+    st.integers(1, 5).map(lambda n: "\n" * n),
+), max_size=40).map("".join)
 _BOUNDARY_SUBSETS = [
     frozenset(c)
     for r in range(len(DEFAULT_BOUNDARIES) + 1)
@@ -339,13 +349,16 @@ class TestAgainstReference:
         assert [toks[i] for i in range(-len(want), len(want))] == want + want
         assert toks[1::2] == want[1::2]
 
-    @settings(max_examples=300, deadline=None)
-    @given(body=_TEXT)
-    def test_segment_matches_reference_for_every_boundary_subset(self, body):
+    @settings(max_examples=500, deadline=None)
+    @given(body=st.one_of(_TEXT, _CUT_TEXT),
+           end=st.sampled_from(["", ".", "؟", "!", "\n", ".\n", "!!"]))
+    def test_segment_matches_reference_for_every_boundary_subset(self, body, end):
+        body += end
         for boundaries in _BOUNDARY_SUBSETS:
             got = segment(body, doc_id="d", boundaries=boundaries)
-            want = segment_ref.segment(body, doc_id="d", boundaries=boundaries)
-            assert [(s.index, s.span, s.text) for s in got] == [
-                (s.index, s.span, s.text) for s in want
-            ]
+            assert got == segment_ref.segment(body, doc_id="d", boundaries=boundaries)
             assert_tiles(body, [(s.span, s.text) for s in got])
+
+    @pytest.mark.parametrize("unit", [".", "؟", "\n"])
+    def test_body_of_one_cut_char_segments_in_linear_time(self, unit):
+        assert_linear(segment, "x" + unit * 50_000, "x" + unit * 200_000)
