@@ -8,6 +8,8 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -126,15 +128,20 @@ def _analyze_corpus(cfg: Config, corpus_dir: Path) -> Iterator[DocumentAnalysis]
 
 class _Totals:
     """The counts of sentences and of distinct (doc, sentence, class)
-    triples in the analyses added so far: all that ``analyze`` prints.
-    Document ids are unique within a corpus, so no triple is counted twice."""
+    triples in the analyses added so far, all that ``analyze`` prints, and
+    their document ids.  Document ids are unique within a corpus, so no
+    triple is counted twice."""
 
     sentences: int = 0
     triples: int = 0
 
+    def __init__(self):
+        self.doc_ids: set[str] = set()
+
     def add(self, analysis: DocumentAnalysis) -> set[eval_mod.Triple]:
         """Count in one analysis; returns its distinct triples."""
         triples = eval_mod.predictions_to_triples(analysis.annotations)
+        self.doc_ids.add(analysis.doc.id)
         self.sentences += len(analysis.sentences)
         self.triples += len(triples)
         return triples
@@ -171,21 +178,30 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
     return docs
 
 
-def _skip(source: object, reason: Exception) -> None:
-    """Say on stderr that a page is skipped and why.  A lone surrogate, as a
-    file name that is not UTF-8 holds, is written as a backslash escape,
-    as Python's own stderr writes it, so that no stream can refuse it."""
-    line = f"skipping {source}: {reason}"
+def _warn(line: str) -> None:
+    """Print ``line`` on stderr.  A lone surrogate, as a file name that is
+    not UTF-8 holds, is written as a backslash escape, as Python's own
+    stderr writes it, so that no stream can refuse it."""
     print(line.encode("utf-8", "backslashreplace").decode("utf-8"), file=sys.stderr)
 
 
-def _read_local_page(path: Path) -> corpus_mod.RawPage | None:
-    """The page at ``path``, or None after saying on stderr why it is skipped."""
-    try:
-        return corpus_mod.read_local_page(path)
-    except (OSError, corpus_mod.CorpusError) as exc:
-        _skip(path, exc)
-        return None
+def _skip(source: object, reason: object) -> None:
+    """Say on stderr that a page is skipped and why."""
+    _warn(f"skipping {source}: {reason}")
+
+
+def _remove_stale(directory: Path, suffix: str, written: set[str]) -> None:
+    """Remove each ``<12 hex digits><suffix>`` file in ``directory`` whose
+    document id is not in ``written``, naming it on stderr, so that a rerun
+    leaves only what it wrote.  A file of any other name is left alone."""
+    own_name = re.compile("[0-9a-f]{12}" + re.escape(suffix))
+    # os.listdir, not Path.glob: over 200 corpus files glob took 0.9 ms of
+    # an ingest of 50 ms, this a tenth of that
+    for name in sorted(os.listdir(directory)):
+        if name[:12] not in written and own_name.fullmatch(name):
+            path = directory / name
+            _warn(f"removing {path}: not written by this run")
+            path.unlink()
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -197,21 +213,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if source.is_dir():
-        paths = sorted(p for p in source.iterdir() if p.suffix.lower() in (".html", ".htm"))
-        pages_in = len(paths)
-        # read lazily: each page is extracted as soon as it is read, so only
-        # one page's HTML is held at a time
-        pages = (page for page in map(_read_local_page, paths) if page is not None)
+        sources = sorted(p for p in source.iterdir() if p.suffix.lower() in (".html", ".htm"))
     else:
-        urls = parse_file(source, _url_list)
-        fetched = corpus_mod.fetch_pages(urls, politeness_delay=args.delay / 1000.0)
-        for failure in fetched.failures:
-            print(f"fetch failed {failure.url}: {failure.reason}", file=sys.stderr)
-        pages_in = len(fetched.pages) + len(fetched.failures)
-        pages = fetched.pages
-
+        sources = parse_file(source, _url_list)
     documents = []
-    for page in pages:
+    # each page is extracted before the next is read, so only one page's
+    # HTML is held at a time
+    for page in corpus_mod.fetch_pages(sources, politeness_delay=args.delay / 1000.0):
+        if isinstance(page, corpus_mod.FetchFailure):
+            _skip(page.url, page.reason)
+            continue
         try:
             documents.append(corpus_mod.extract_document(page, cfg.min_run_chars))
         except corpus_mod.CorpusError as exc:
@@ -221,9 +232,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc in documents:
         write_file(out_dir / f"{doc.id}.corpus.txt", corpus_mod.compile_corpus_file(doc))
+    _remove_stale(out_dir, ".corpus.txt", {doc.id for doc in documents})
     # a page is unreadable, rejected, a duplicate or a document
-    rejected = pages_in - len(documents)
-    print(f"pages={pages_in} documents={len(documents)} rejected={rejected}")
+    rejected = len(sources) - len(documents)
+    print(f"pages={len(sources)} documents={len(documents)} rejected={rejected}")
     return EXIT_OK if documents else EXIT_EMPTY
 
 
@@ -246,6 +258,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             generated_at=clock,
             show_all_negative_fields=cfg.show_all_negative_fields,
         )
+    _remove_stale(out_dir / "reports", ".html", totals.doc_ids)
     print(f"sentences={totals.sentences} future={totals.triples}")
     return EXIT_OK
 

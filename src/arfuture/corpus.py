@@ -16,7 +16,7 @@ import time
 from html import unescape
 from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import quote, urlparse, urlsplit, urlunsplit
 
 DEFAULT_MIN_RUN_CHARS = 130
@@ -292,7 +292,7 @@ def extract_main_article(
     if min_run_chars < 1:
         raise CorpusError(f"min_run_chars must be >= 1, got {min_run_chars}")
     title, text = _read_page(page.html)
-    title = re.sub(r"\s+", " ", title).strip()
+    title = " ".join(title.split())
     # inline tags leave stray newlines inside a run; flatten them so
     # downstream sentence splitting only sees real line breaks.  A stripped
     # run has no space or tab at either end, so stripping each line drops
@@ -456,41 +456,37 @@ class FetchFailure(NamedTuple):
     reason: str
 
 
-class FetchResult:
-    def __init__(self):
-        self.pages: list[RawPage] = []
-        self.failures: list[FetchFailure] = []
-
-
 def fetch_pages(
-    urls: list[str],
+    sources: Iterable[str | Path],
     politeness_delay: float = 1.0,
     timeout: float = 20.0,
-) -> FetchResult:
-    """Fetch pages for an explicit URL list.
+) -> Iterator[RawPage | FetchFailure]:
+    """Read each source in turn and yield its page, or its failure, before
+    reading the next, so only one page's HTML is held at a time.
 
-    Plain paths and ``file://`` URLs are read locally without touching the
-    network.  A remote fetch starts at least ``politeness_delay`` seconds
-    after the last one from its host ended.  Each carries an identifying
-    user agent and a percent-encoded path and query, and follows
-    redirects; a status of 400 or above fails the URL.
-    Failures are collected per URL instead of aborting the batch.
+    A ``Path``, such as a directory entry, is always read locally.  A
+    string is a URL-list line: a plain path or a ``file://`` URL is read
+    locally without touching the network, and any other URL is fetched.  A
+    remote fetch starts at least ``politeness_delay`` seconds after the
+    last one from its host ended.  Each carries an identifying user agent
+    and a percent-encoded path and query, and follows redirects; a status
+    of 400 or above fails the URL.
     """
-    result = FetchResult()
     last_hit: dict[str, float] = {}
-    for url in urls:
-        parsed = urlparse(url)
-        if parsed.scheme in ("", "file"):
-            path = url
-            if parsed.scheme == "file":
+    for source in sources:
+        parsed = urlparse(source) if isinstance(source, str) else None
+        if parsed is None or parsed.scheme in ("", "file"):
+            path = source
+            if parsed and parsed.scheme == "file":
                 # imported here: urllib.request pulls in http.client and ssl
                 from urllib.request import url2pathname
 
                 path = url2pathname(parsed.path)
             try:
-                result.pages.append(read_local_page(path))
+                page = read_local_page(path)
             except (OSError, ValueError) as exc:  # CorpusError, or a path with a NUL
-                result.failures.append(FetchFailure(url=url, reason=str(exc)))
+                page = FetchFailure(url=str(source), reason=str(exc))
+            yield page
             continue
         from urllib.request import Request, urlopen
 
@@ -499,11 +495,11 @@ def fetch_pages(
         if wait > 0:
             time.sleep(wait)
         try:
-            request = Request(_request_url(url), headers={"User-Agent": USER_AGENT})
+            request = Request(_request_url(source), headers={"User-Agent": USER_AGENT})
             # raises HTTPError unless the final status, after redirects, is 2xx
             with urlopen(request, timeout=timeout) as response:
-                result.pages.append(RawPage(source_url=url, html=_decode_html(response.read())))
+                page = RawPage(source_url=source, html=_decode_html(response.read()))
         except Exception as exc:  # noqa: BLE001 - per-URL failures are data
-            result.failures.append(FetchFailure(url=url, reason=str(exc)))
+            page = FetchFailure(url=source, reason=str(exc))
         last_hit[host] = time.monotonic()
-    return result
+        yield page

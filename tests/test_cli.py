@@ -5,13 +5,16 @@ import http.server
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from arfuture import corpus
 from arfuture.cli import _merge_config, _url_list, build_parser, main
 from arfuture.config import Config, load_config, parse_config
 from arfuture.corpus import compile_corpus_file, make_document
@@ -129,8 +132,69 @@ class TestIngest:
         assert code == 0
         assert len(list(out.glob("*.corpus.txt"))) == 1
         captured = capsys.readouterr()
-        assert "fetch failed bad\x00name.html: embedded null byte" in captured.err
+        assert captured.err == "skipping bad\x00name.html: embedded null byte\n"
         assert "pages=2 documents=1 rejected=1" in captured.out
+
+    def test_url_list_page_is_extracted_before_the_next_is_read(self, html_dir, tmp_path):
+        url_list = tmp_path / "urls.txt"
+        url_list.write_text(f"{html_dir / 'a.html'}\n{html_dir / 'b.html'}\n", encoding="utf-8")
+        calls = []
+        read, extract = corpus.read_local_page, corpus.extract_document
+
+        def read_local_page(path):
+            calls.append(("read", Path(path).name))
+            return read(path)
+
+        def extract_document(page, *args):
+            calls.append(("extract", Path(page.source_url).name))
+            return extract(page, *args)
+
+        with mock.patch.object(corpus, "read_local_page", read_local_page), \
+                mock.patch.object(corpus, "extract_document", extract_document):
+            assert main(["ingest", "--input", str(url_list), "--out", str(tmp_path / "c"),
+                         "--delay", "0"]) == 0
+        assert calls == [("read", "a.html"), ("extract", "a.html"),
+                         ("read", "b.html"), ("extract", "b.html")]
+
+    def test_directory_entry_named_like_a_url_is_read_locally(self, tmp_path, monkeypatch,
+                                                               capsys):
+        src = tmp_path / "html"
+        src.mkdir()
+        (src / "http:x.html").write_text(page(LONG_PARA), encoding="utf-8")
+        monkeypatch.chdir(src)
+        with mock.patch("urllib.request.urlopen", side_effect=AssertionError("fetched")):
+            code = main(["ingest", "--input", ".", "--out", str(tmp_path / "c"),
+                         "--delay", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == "pages=1 documents=1 rejected=0\n"
+        [written] = (tmp_path / "c").iterdir()
+        assert written.read_text(encoding="utf-8").startswith("URL: http:x.html\n")
+
+    def test_rerun_removes_the_corpus_files_it_did_not_write(self, html_dir, tmp_path,
+                                                              capsys):
+        """After a page is deleted, a rerun into the same ``--out`` leaves
+        only the corpus file it wrote, and ``analyze`` reads that one; files
+        of other names are left alone."""
+        out = tmp_path / "corpus"
+        assert main(["ingest", "--input", str(html_dir), "--out", str(out)]) == 0
+        kept = ["notes.txt", "0123.corpus.txt", "0123456789AB.corpus.txt"]
+        for name in kept:
+            (out / name).write_text("x", encoding="utf-8")
+        stale = out / f"{make_document(str(html_dir / 'b.html'), '', '').id}.corpus.txt"
+        assert stale.exists()
+        (html_dir / "b.html").unlink()
+        capsys.readouterr()
+        assert main(["ingest", "--input", str(html_dir), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "pages=2 documents=1 rejected=1\n"
+        assert captured.err == (f"skipping {html_dir / 'c.html'}: no main content\n"
+                                f"removing {stale}: not written by this run\n")
+        written = f"{make_document(str(html_dir / 'a.html'), '', '').id}.corpus.txt"
+        assert sorted(p.name for p in out.iterdir()) == sorted([written, *kept])
+        for name in kept:
+            (out / name).unlink()
+        assert main(["analyze", "--corpus", str(out), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "sentences=1 future=1\n"
 
     @staticmethod
     def _ingest_beside_a_good_page(src, out, capsys, refused):
@@ -255,6 +319,35 @@ class TestAnalyze:
         fresh = run(tmp_path / "fresh", "2020-01-01T00:00")
         assert first.keys() == fresh.keys() and first != fresh
         assert run(tmp_path / "same", "2020-01-01T00:00") == fresh
+
+    def test_rerun_removes_the_report_pages_it_did_not_write(self, mini_gold_dir, tmp_path,
+                                                              capsys):
+        """A rerun on a corpus that lost a document removes that document's
+        page, and no other file: not the index, nor a file of another name."""
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(mini_gold_dir, corpus_dir)
+        out = tmp_path / "o"
+
+        def run(out):
+            return main(["analyze", "--corpus", str(corpus_dir), "--out", str(out),
+                         "--clock", "2020-01-01T00:00"])
+
+        assert run(out) == 0
+        kept = ["notes.html", "0123456789AB.html", "0123456789ab.htm"]
+        for name in kept:
+            (out / "reports" / name).write_text("x", encoding="utf-8")
+        gone = sorted(corpus_dir.glob("*.corpus.txt"))[0]
+        gone.unlink()
+        stale = out / "reports" / f"{gone.name[:12]}.html"
+        assert stale.exists()
+        capsys.readouterr()
+        assert run(out) == 0
+        assert capsys.readouterr().err == f"removing {stale}: not written by this run\n"
+        fresh = tmp_path / "fresh"
+        assert run(fresh) == 0
+        names = sorted(p.name for p in (out / "reports").iterdir())
+        assert names == sorted([*kept, *(p.name for p in (fresh / "reports").iterdir())])
+        assert "index.html" in names
 
     def test_clock_with_offset_is_written_in_utc(self, mini_gold_dir, tmp_path):
         out = tmp_path / "out"

@@ -19,6 +19,7 @@ from timing import assert_linear
 from arfuture import corpus
 from arfuture.corpus import (
     CorpusError,
+    FetchFailure,
     RawPage,
     USER_AGENT,
     compile_corpus_file,
@@ -79,6 +80,18 @@ class TestExtraction:
         html = "<html><head><title>اقتصاد لبنان</title></head><body><p>" + "ت" * 150 + "</p></body></html>"
         title, _ = extract_main_article(RawPage(source_url="x", html=html))
         assert title == "اقتصاد لبنان"
+
+    def test_title_whitespace_is_folded_as_the_regex_folded_it(self):
+        """``" ".join(title.split())`` gives what ``re.sub(r"\\s+", " ",
+        title).strip()`` gave, on every code point either counts as space."""
+        spaces = [chr(cp) for cp in range(0x110000)
+                  if chr(cp).isspace() or re.fullmatch(r"\s", chr(cp))]
+        assert len(spaces) == 29
+        title = "".join(f"{ch}ا{ch}{ch}ب" for ch in spaces) + "".join(spaces)
+        html = f"<title>{title}</title><p>{'ت' * 150}</p>"
+        got, _ = extract_main_article(RawPage(source_url="x", html=html))
+        assert got == re.sub(r"\s+", " ", title).strip()
+        assert got == " ".join(["ا", "ب"] * 29)
 
     def test_boundary_lengths_129_130_131(self):
         html = (
@@ -658,22 +671,19 @@ def _closed_port() -> int:
 
 class TestFetchPages:
     def test_empty_list(self):
-        result = fetch_pages([])
-        assert result.pages == [] and result.failures == []
+        assert list(fetch_pages([])) == []
 
     def test_local_file_mode(self, tmp_path):
         f = tmp_path / "page.html"
         f.write_text("<p>محتوى</p>", encoding="utf-8")
-        result = fetch_pages([str(f)])
-        assert len(result.pages) == 1
-        assert result.pages[0].html == "<p>محتوى</p>"
+        assert list(fetch_pages([str(f)])) == [RawPage(source_url=str(f), html="<p>محتوى</p>")]
 
     def test_file_url_is_percent_decoded(self, tmp_path):
         f = tmp_path / "a b%.html"
         f.write_text("<p>محتوى</p>", encoding="utf-8")
-        by_url = fetch_pages([f.as_uri()])
-        assert by_url.failures == []
-        assert by_url.pages == fetch_pages([str(f)]).pages
+        by_url = list(fetch_pages([f.as_uri()]))
+        assert by_url == list(fetch_pages([str(f)])) == list(fetch_pages([f]))
+        assert isinstance(by_url[0], RawPage)
 
     def test_partial_failure(self, tmp_path):
         good1 = tmp_path / "a.html"
@@ -681,10 +691,11 @@ class TestFetchPages:
         good1.write_text("<p>a</p>", encoding="utf-8")
         good2.write_text("<p>b</p>", encoding="utf-8")
         missing = tmp_path / "missing.html"
-        result = fetch_pages([str(good1), str(missing), str(good2)])
-        assert len(result.pages) == 2
-        assert len(result.failures) == 1
-        assert result.failures[0].url == str(missing)
+        for sources in ([str(good1), str(missing), str(good2)], [good1, missing, good2]):
+            items = list(fetch_pages(sources))
+            assert [type(item) for item in items] == [RawPage, FetchFailure, RawPage]
+            assert [item[0] for item in items] == [str(good1), str(missing), str(good2)]
+            assert "No such file" in items[1].reason
 
     def test_declared_charset_decoded(self, tmp_path):
         f = tmp_path / "cp1256.html"
@@ -695,9 +706,8 @@ class TestFetchPages:
 
     def test_remote_page_in_windows_1256(self, server):
         base, hits = server
-        result = fetch_pages([f"{base}/page"], politeness_delay=0)
-        assert result.failures == []
-        assert result.pages == [RawPage(source_url=f"{base}/page", html=_CP1256_PAGE)]
+        pages = list(fetch_pages([f"{base}/page"], politeness_delay=0))
+        assert pages == [RawPage(source_url=f"{base}/page", html=_CP1256_PAGE)]
         assert [(path, agent) for path, agent, _ in hits] == [("/page", USER_AGENT)]
 
     # each sent as requests 2.34.2 sends it
@@ -710,33 +720,31 @@ class TestFetchPages:
     ])
     def test_path_and_query_are_sent_percent_encoded(self, server, path, sent):
         base, hits = server
-        result = fetch_pages([base + path], politeness_delay=0)
-        assert result.failures == []
-        assert result.pages == [RawPage(source_url=base + path, html=_CP1256_PAGE)]
+        pages = list(fetch_pages([base + path], politeness_delay=0))
+        assert pages == [RawPage(source_url=base + path, html=_CP1256_PAGE)]
         assert [hit_path for hit_path, _, _ in hits] == [sent]
 
     def test_not_found_is_a_failure(self, server):
         base, _ = server
-        result = fetch_pages([f"{base}/missing"], politeness_delay=0)
-        assert result.pages == []
-        assert [f.url for f in result.failures] == [f"{base}/missing"]
-        assert "404" in result.failures[0].reason
+        [failure] = fetch_pages([f"{base}/missing"], politeness_delay=0)
+        assert isinstance(failure, FetchFailure)
+        assert failure.url == f"{base}/missing"
+        assert "404" in failure.reason
 
     def test_redirect_is_followed(self, server):
         base, hits = server
-        result = fetch_pages([f"{base}/moved"], politeness_delay=0)
-        assert result.failures == []
-        assert result.pages == [RawPage(source_url=f"{base}/moved", html=_CP1256_PAGE)]
+        pages = list(fetch_pages([f"{base}/moved"], politeness_delay=0))
+        assert pages == [RawPage(source_url=f"{base}/moved", html=_CP1256_PAGE)]
         assert [path for path, _, _ in hits] == ["/moved", "/page"]
 
     def test_server_slower_than_the_timeout_is_a_failure(self, server):
         base, _ = server
         start = time.monotonic()
         # /slow answers after 10 s; 1 s leaves /page time to answer on a busy machine
-        result = fetch_pages([f"{base}/slow", f"{base}/page"], politeness_delay=0, timeout=1)
+        items = list(fetch_pages([f"{base}/slow", f"{base}/page"], politeness_delay=0, timeout=1))
         assert time.monotonic() - start < 5
-        assert [f.url for f in result.failures] == [f"{base}/slow"]
-        assert [p.source_url for p in result.pages] == [f"{base}/page"]
+        assert [(type(item), item[0]) for item in items] == [
+            (FetchFailure, f"{base}/slow"), (RawPage, f"{base}/page")]
 
     def test_politeness_delay_spaces_the_hits_on_one_host(self, server):
         base, hits = server
@@ -749,9 +757,9 @@ class TestFetchPages:
             real_sleep(seconds)
 
         with mock.patch.object(corpus.time, "sleep", sleep):
-            result = fetch_pages([f"{base}/page", f"{other_host}/page", f"{base}/page"],
-                                 politeness_delay=0.5)
-        assert len(result.pages) == 3
+            items = list(fetch_pages([f"{base}/page", f"{other_host}/page", f"{base}/page"],
+                                     politeness_delay=0.5))
+        assert [type(item) for item in items] == [RawPage] * 3
         (_, _, first), _, (_, _, again) = hits
         # another host is not kept waiting; the same host is, unless the hit on
         # the other took the whole delay
@@ -762,6 +770,7 @@ class TestFetchPages:
         base, _ = server
         refused = f"http://127.0.0.1:{_closed_port()}/page"
         urls = [f"{base}/page", f"{base}/missing", refused, f"{base}/moved"]
-        result = fetch_pages(urls, politeness_delay=0)
-        assert [p.source_url for p in result.pages] == [urls[0], urls[3]]
-        assert [f.url for f in result.failures] == [urls[1], urls[2]]
+        items = list(fetch_pages(urls, politeness_delay=0))
+        assert [(type(item), item[0]) for item in items] == [
+            (RawPage, urls[0]), (FetchFailure, urls[1]), (FetchFailure, urls[2]),
+            (RawPage, urls[3])]

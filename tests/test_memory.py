@@ -15,10 +15,11 @@ UTF-8, 4.2 times the corpus) it peaks at about 2 MB, mostly the 10,000
 triples; decoding the whole dump into one string first, with a copy of
 the names for each triple, peaks at about 9 MB.
 
-``ingest`` holds one page's HTML at a time and the extracted documents.
-Its pages here are 200 chrome-heavy ones of about 31,000 characters
-(40 KB) each; holding every page's HTML until the corpus files are written
-peaks at about 13 MB on them, one page at a time at under 1 MB.
+``ingest`` holds one page's HTML at a time and the extracted documents,
+whether it reads a directory or a URL list of the same pages.  Its pages
+here are 200 chrome-heavy ones of about 31,000 characters (40 KB) each;
+holding every page's HTML until the corpus files are written peaks at
+about 13 MB on them, one page at a time at under 1 MB.
 """
 
 from __future__ import annotations
@@ -112,3 +113,12 @@ def test_ingest_peak_stays_below_limit(pages_dir, tmp_path, capsys):
     peak = _peak_mb(["ingest", "--input", str(pages_dir), "--out", str(tmp_path / "c")])
     assert "pages=200 documents=200 rejected=0" in capsys.readouterr().out
     assert peak < INGEST_PEAK_LIMIT_MB, f"ingest peaked at {peak:.1f} MB"
+
+
+def test_ingest_url_list_peak_stays_below_limit(pages_dir, tmp_path, capsys):
+    url_list = tmp_path / "urls.txt"
+    url_list.write_text("".join(f"{p}\n" for p in sorted(pages_dir.iterdir())), encoding="utf-8")
+    peak = _peak_mb(["ingest", "--input", str(url_list), "--out", str(tmp_path / "c"),
+                     "--delay", "0"])
+    assert "pages=200 documents=200 rejected=0" in capsys.readouterr().out
+    assert peak < INGEST_PEAK_LIMIT_MB, f"ingest of a URL list peaked at {peak:.1f} MB"
