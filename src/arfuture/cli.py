@@ -167,7 +167,9 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
         raise corpus_mod.CorpusError(f"corpus directory not found: {corpus_dir}")
     docs = []
     paths: dict[str, Path] = {}  # document id -> the file that gave it
-    for path in sorted(corpus_dir.glob("*.corpus.txt")):
+    # what Path.glob("*.corpus.txt") gives, dot files and directories too
+    names = sorted(name for name in os.listdir(corpus_dir) if name.endswith(".corpus.txt"))
+    for path in map(corpus_dir.joinpath, names):
         doc = parse_file(path, corpus_mod.parse_corpus_file)
         if doc.id in paths:
             raise corpus_mod.CorpusError(
@@ -176,6 +178,13 @@ def _read_corpus_dir(corpus_dir: Path) -> list[corpus_mod.Document]:
         paths[doc.id] = path
         docs.append(doc)
     return docs
+
+
+def _is_page_name(name: str) -> bool:
+    """Whether ``Path(name).suffix``, lowered, is ".html" or ".htm": the
+    last dot must follow some char, so a file named ".html" is left out."""
+    stem, _, suffix = name.rpartition(".")
+    return bool(stem) and suffix.lower() in ("html", "htm")
 
 
 def _warn(line: str) -> None:
@@ -213,7 +222,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if source.is_dir():
-        sources = sorted(p for p in source.iterdir() if p.suffix.lower() in (".html", ".htm"))
+        sources = [source / name for name in sorted(os.listdir(source)) if _is_page_name(name)]
     else:
         sources = parse_file(source, _url_list)
     documents = []

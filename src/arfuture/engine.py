@@ -27,24 +27,29 @@ over the rule's ``steps``: a tuple per form, built with the rule, of all
 that an attempt reads of it (its index, polarity, ``FormIndex``, whether
 it is the siin form, its ``@N`` cap and the marker text of a negative
 form).  A rule's fields cannot be assigned, so its steps stay those of
-its forms.  Both gates read one verdict function, ``morpho._verdict``,
-which builds no ``MorphVerdict`` record.
+its forms.  ``iter_rule_results`` reads its rule once per call, its
+fields by one unpacking: a derived attribute of a ``NamedTuple``
+subclass, such as ``steps``, is read through the instance dict.  Both
+gates read one verdict function, ``morpho._verdict``.
 
 Every rule result is a record: an ``Annotation`` for a match, a
-``RejectionTrace`` for a rejection.  The bundled rules give about ten
-per sentence, so both are built positionally.  Both are ``NamedTuple``s,
-as the package's other immutable records are, rules and forms among
-them: hashable, equal to the plain tuple of their fields, and read
-through ``_fields``, ``_asdict`` and ``_replace``.  ``import arfuture``
-does not load ``dataclasses``.
+``RejectionTrace`` for a rejection, 7.5 per sentence on the benchmark's
+news-dense corpus.  Both are ``NamedTuple``s, as the package's other
+immutable records are: hashable, equal to the plain tuple of their
+fields, and read through ``_fields``, ``_asdict`` and ``_replace``.  The
+rule walk builds them with ``tuple.__new__`` from all their fields, in
+half the time of the generated ``__new__``, which checks nothing, and
+``classify_sentence_results`` reads a trace's reason by its index.
+``import arfuture`` does not load ``dataclasses``.
 
 Annotations are dumped as JSON Lines, one record per line.  A dump
 given as a text is split at ``"\n"`` only: U+2028, U+2029 and U+0085,
 which are written raw, stay inside their line.  A dump read from a file
 has its line ends read as ``Path.read_text`` reads them, so there a lone
-``"\r"`` ends a line too.  ``annotation_to_json`` writes a record with one
-f-string, quoting its strings with ``json``'s C escaper, and gives what
-``json.dumps(..., ensure_ascii=False, separators=(", ", ": "))`` gives.
+``"\r"`` ends a line too.  ``dump_annotations`` writes each record with
+one f-string, quoting strings with ``json``'s C escaper once per
+(document, rule) of the call, and gives what ``json.dumps(...,
+ensure_ascii=False, separators=(", ", ": "))`` gives.
 ``annotation_from_json`` decodes a line with ``json.loads``; ``doc_id``
 and ``class_label`` must be strings, ``sentence_index`` an integer (not a
 boolean), and each span a list of two integers.
@@ -72,7 +77,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
-from .morpho import PRESENT_VERB, Lexicons, _verdict, is_future_verb_with_siin, strip_clitics
+from .morpho import Lexicons, is_future_verb_with_siin, is_present_verb_after_qad
 from .rules import LinguisticRule
 from .segment import DEFAULT_BOUNDARIES, PUNCT, WORD, Sentence, Tokens, segment, tokenize
 
@@ -110,6 +115,10 @@ class RejectionTrace(NamedTuple):
     reason: RejectReason
     negative_field_span: tuple[int, int] | None = None
     negative_marker: str = ""
+
+
+#: builds a record of the rule walk from the tuple of all its fields
+_record = tuple.__new__
 
 
 class DocumentAnalysis(NamedTuple):
@@ -231,13 +240,16 @@ def iter_rule_results(
     positive form, as ``StartTable.starts`` gives them; by default they
     are found from a table of this rule alone.
     """
-    first = rule.positives[0]
+    rule_id, _, category, label, morph, extract = rule
+    positives = rule.positives
+    first = positives[0]
     if starts is None:
         starts = StartTable([rule]).starts(tokens).get(0, [])
-    doc_id, index, rule_id = sentence.doc_id, sentence.index, rule.id
+    doc_id, index = sentence.doc_id, sentence.index
     if not starts and first == 0:
-        yield RejectionTrace(doc_id, index, rule_id, 0, POSITIVE_NOT_FOUND)
+        yield _record(RejectionTrace, (doc_id, index, rule_id, 0, POSITIVE_NOT_FOUND, None, ""))
         return
+    steps = rule.steps
     shadows = tokens.shadows
     n_tokens = len(shadows)
     scan_from = 0
@@ -246,7 +258,7 @@ def iter_rule_results(
         field_start = 0
         first_end = -1  # the end token of this attempt's first positive match
         marker_tokens: list[int] = []
-        for fi, negative, form, siin, cap, marker in rule.steps:
+        for fi, negative, form, siin, cap, marker in steps:
             field_end = _field_end(tokens, field_start, cap) if cap else n_tokens
             if fi == first:  # the field starts at token 0 here
                 # walked by index after the first attempt: a slice would copy
@@ -261,7 +273,7 @@ def iter_rule_results(
             for t in candidates:
                 if t >= field_end:
                     break
-                covered = form.match_at(tokens, t, prefix=siin, punct_transparent=punct_transparent)
+                covered = form.match_at(tokens, t, siin, punct_transparent)
                 if covered is None or covered[-1] >= field_end:
                     continue
                 if siin and not is_future_verb_with_siin(shadows[covered[-1]], lex):
@@ -272,14 +284,14 @@ def iter_rule_results(
             if negative:
                 if m is None:
                     continue
-                yield RejectionTrace(
+                yield _record(RejectionTrace, (
                     doc_id, index, rule_id, fi, NEGATIVE_FOUND,
                     _tokens_byte_span(tokens, field_start, field_end), marker,
-                )
+                ))
                 return
             if m is None:
                 reason = MORPH_REJECTED if gate_failed else POSITIVE_NOT_FOUND
-                result = RejectionTrace(doc_id, index, rule_id, fi, reason)
+                result = _record(RejectionTrace, (doc_id, index, rule_id, fi, reason, None, ""))
                 break
             marker_tokens += m
             if fi == first:
@@ -287,29 +299,23 @@ def iter_rule_results(
             field_start = m[-1] + 1
         else:
             result = None
-            if rule.morph == "qad":
+            if morph == "qad":
                 # a present verb, not excluded, must follow the last positive
                 # marker, which ends just before ``field_start``
                 t = _next_word_index(tokens, field_start - 1, punct_transparent)
-                verb = None if t is None else shadows[t]
-                if (
-                    verb is None
-                    or _verdict(verb, lex) is not PRESENT_VERB
-                    or verb in lex.qad_exclusions
-                    or strip_clitics(verb)[1] in lex.qad_exclusions
-                ):
-                    result = RejectionTrace(
-                        doc_id, index, rule_id, rule.positives[-1], MORPH_REJECTED
-                    )
+                if t is None or not is_present_verb_after_qad(shadows[t], lex):
+                    result = _record(RejectionTrace, (
+                        doc_id, index, rule_id, positives[-1], MORPH_REJECTED, None, ""
+                    ))
                 else:
                     marker_tokens.append(t)
             if result is None:
                 spans = tuple(map(tokens.span, marker_tokens))
                 excerpt = None
-                if rule.extract == "from-marker-to-end" and spans:
+                if extract == "from-marker-to-end" and spans:
                     excerpt = (spans[0][0], len(sentence.text.encode()))
-                result = Annotation(
-                    doc_id, index, rule_id, rule.category, rule.class_label, spans, excerpt
+                result = _record(
+                    Annotation, (doc_id, index, rule_id, category, label, spans, excerpt)
                 )
         if first_end < 0:
             # the first positive form has no (further) candidate
@@ -352,7 +358,7 @@ def classify_sentence_results(
         ):
             if type(result) is Annotation:
                 annotations.append(result)
-            elif result.reason is NEGATIVE_FOUND:
+            elif result[4] is NEGATIVE_FOUND:  # its reason, read by index
                 traces.append(result)
     return annotations, traces
 
@@ -420,15 +426,7 @@ def annotation_to_json(ann: Annotation) -> str:
     """One record as ``json.dumps(..., ensure_ascii=False,
     separators=(", ", ": "))`` writes it, spans as arrays and an empty
     or missing excerpt as ``null``."""
-    doc_id, index, rule_id, category, label, spans, excerpt = ann
-    spans_json = ", ".join(["[%s, %s]" % span for span in spans])
-    excerpt_json = "[%s, %s]" % excerpt if excerpt else "null"
-    return (
-        f'{{"doc_id": {_quote(doc_id)}, "sentence_index": {index}, '
-        f'"rule_id": {_quote(rule_id)}, "category": {_quote(category)}, '
-        f'"class_label": {_quote(label)}, "positive_marker_spans": [{spans_json}], '
-        f'"excerpt_span": {excerpt_json}}}'
-    )
+    return dump_annotations([ann])[:-1]
 
 
 def _span(value) -> tuple[int, int]:
@@ -460,7 +458,23 @@ def annotation_from_json(line: str) -> Annotation:
 
 
 def dump_annotations(annotations: list[Annotation]) -> str:
-    return "".join([annotation_to_json(a) + "\n" for a in annotations])
+    """The JSON Lines of ``annotations``; a line's text around its sentence
+    index is built once per (document, rule, category, label)."""
+    heads: dict[tuple[str, str, str, str], tuple[str, str]] = {}
+    lines = []
+    for doc_id, index, rule_id, category, label, spans, excerpt in annotations:
+        key = doc_id, rule_id, category, label
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (
+                f'{{"doc_id": {_quote(doc_id)}, "sentence_index": ',
+                f', "rule_id": {_quote(rule_id)}, "category": {_quote(category)}, '
+                f'"class_label": {_quote(label)}, "positive_marker_spans": [',
+            )
+        spans_json = ", ".join(["[%s, %s]" % span for span in spans])
+        excerpt_json = "[%s, %s]" % excerpt if excerpt else "null"
+        lines.append(f'{head[0]}{index}{head[1]}{spans_json}], "excerpt_span": {excerpt_json}}}\n')
+    return "".join(lines)
 
 
 # A line exactly as ``annotation_to_json`` writes it, with strings that the

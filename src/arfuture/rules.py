@@ -560,7 +560,8 @@ class FormIndex:
     lengths of the one-word forms that may begin a longer start token.
     The longest match wins: the one ending at the furthest token.
     ``match_at`` gives the token of each matched written word, in order
-    (the first is the start token, the last ends the match), or None.
+    (the first is the start token, the last ends the match), or None; the
+    rule walk passes its options positionally, which costs less than by keyword.
     """
 
     __slots__ = ("tails", "prefix_lengths")
@@ -578,7 +579,6 @@ class FormIndex:
         self,
         tokens: Tokens,
         start: int,
-        *,
         prefix: bool = False,
         punct_transparent: bool = True,
     ) -> tuple[int, ...] | None:

@@ -1,10 +1,12 @@
-"""Reference verdicts: the earlier ``analyze_token`` and siin gate.
+"""Reference verdicts: the earlier ``analyze_token`` and both gates.
 
 ``arfuture.morpho`` decides a verdict in one function, ``_verdict``, which
-both gates read directly; ``analyze_token`` wraps its result in a
-``MorphVerdict``.  This module keeps the earlier versions, in which the
-siin gate built a full ``MorphVerdict`` for the word's remainder, so tests
-can hold the two to the same verdicts on the same words.
+both gates read directly, each stripping a word's clitic once;
+``analyze_token`` wraps its result in a ``MorphVerdict``.  This module
+keeps the earlier versions, in which the siin gate built a full
+``MorphVerdict`` for the word's remainder and the qad gate was a test of
+the verdict and of the exclusion list, word and stem, so tests can hold
+the two to the same verdicts on the same words.
 """
 
 from __future__ import annotations
@@ -65,3 +67,13 @@ def is_future_verb_with_siin(token: str, lex: Lexicons) -> bool:
     if not remainder:
         return False
     return analyze_token(remainder, lex).verdict is Verdict.PRESENT_VERB
+
+
+def is_present_verb_after_qad(token: str, lex: Lexicons) -> bool:
+    """True when the word after قد is a present verb that neither it nor
+    its post-clitic stem is an entry of ``qad_exclusions``."""
+    return (
+        analyze_token(token, lex).verdict is Verdict.PRESENT_VERB
+        and token not in lex.qad_exclusions
+        and strip_clitics(token)[1] not in lex.qad_exclusions
+    )

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from arfuture import corpus
+from arfuture import cli, corpus
 from arfuture.cli import _merge_config, _url_list, build_parser, main
 from arfuture.config import Config, load_config, parse_config
 from arfuture.corpus import compile_corpus_file, make_document
@@ -169,6 +169,33 @@ class TestIngest:
         assert capsys.readouterr().out == "pages=1 documents=1 rejected=0\n"
         [written] = (tmp_path / "c").iterdir()
         assert written.read_text(encoding="utf-8").startswith("URL: http:x.html\n")
+
+    def test_directory_listing_reads_the_pages_path_suffix_picks(self, tmp_path, capsys):
+        """The pages are the entries whose ``Path.suffix``, lowered, is
+        .html or .htm, in sorted order, as ``Path`` objects: not a file named
+        ".html", and a directory of such a name, which fails as a page."""
+        src = tmp_path / "html"
+        src.mkdir()
+        for name in ["a.html", "B.HTM", "c.Html", ".html", ".htm", "..html", "d.htmlx",
+                     "e.txt", "f.", "g.html.txt", "html", "h.xhtml"]:
+            (src / name).write_text(page(f"{LONG_PARA} {name}"), encoding="utf-8")
+        (src / "dir.html").mkdir()
+        read = []
+        real = corpus.read_local_page
+
+        def read_local_page(path):
+            read.append(path)
+            return real(path)
+
+        with mock.patch.object(corpus, "read_local_page", read_local_page):
+            code = main(["ingest", "--input", str(src), "--out", str(tmp_path / "c"),
+                         "--delay", "0"])
+        assert code == 0
+        assert read == sorted(p for p in src.iterdir() if p.suffix.lower() in (".html", ".htm"))
+        assert [p.name for p in read] == ["..html", "B.HTM", "a.html", "c.Html", "dir.html"]
+        with pytest.raises(OSError) as refused:
+            (src / "dir.html").read_bytes()
+        assert capsys.readouterr().err == f"skipping {src / 'dir.html'}: {refused.value}\n"
 
     def test_rerun_removes_the_corpus_files_it_did_not_write(self, html_dir, tmp_path,
                                                               capsys):
@@ -456,6 +483,40 @@ class TestAnalyze:
         code = main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: {bad}: line 5: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_directory_listing_reads_the_files_path_glob_picks(self, tmp_path, capsys):
+        """The corpus files are those ``Path.glob("*.corpus.txt")`` gives, in
+        sorted order: dot files too, names in no other case, and a
+        directory of such a name, which fails as reading it fails."""
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for i, name in enumerate([".corpus.txt", ".h.corpus.txt", "b.corpus.txt", "A.corpus.txt",
+                                  "a.CORPUS.TXT", "c.corpus.txt.bak", "corpus.txt", "e.corpustxt"]):
+            doc = make_document(f"http://x/{i}", "t", "سوف يرتفع.")
+            (corpus_dir / name).write_text(compile_corpus_file(doc), encoding="utf-8")
+        read = []
+        real = cli.parse_file
+
+        def parse_file(path, parse):
+            read.append(path)
+            return real(path, parse)
+
+        def analyze():
+            read.clear()
+            with mock.patch.object(cli, "parse_file", parse_file):
+                return main(["analyze", "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")])
+
+        assert analyze() == 0
+        assert read == sorted(corpus_dir.glob("*.corpus.txt"))
+        assert [p.name for p in read] == [".corpus.txt", ".h.corpus.txt", "A.corpus.txt",
+                                          "b.corpus.txt"]
+        (corpus_dir / "d.corpus.txt").mkdir()
+        capsys.readouterr()
+        assert analyze() == 2
+        assert read == sorted(corpus_dir.glob("*.corpus.txt"))
+        with pytest.raises(OSError) as refused:
+            (corpus_dir / "d.corpus.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
     @pytest.mark.parametrize("command", ["analyze", "eval"])
     def test_same_url_in_two_files_refused(self, mini_gold_dir, tmp_path, capsys, command):

@@ -519,6 +519,8 @@ _SPAN = st.tuples(st.integers(), st.integers())
 _BREAKING_TEXT = st.text(st.sampled_from("\u2028\u2029\x85\r\n\x0b\x0c\x1c") | st.characters())
 #: text the reference, which splits with str.splitlines, keeps on one line
 _LINE_TEXT = st.text(st.characters(blacklist_characters="\u2028\u2029\x85"))
+#: strings for records that share them, some of which JSON escapes
+_SHARED_TEXT = ["d", "qad", "مستقبل", 'a"b', "c\\d", "t\tab", "\x00", " "]
 _PADDING = st.text(" \t", max_size=2)
 _BLANK_LINE = st.text(" \t\xa0\u3000\x1f", max_size=3)
 
@@ -602,6 +604,27 @@ class TestAnnotationDump:
             json.dumps(_record(ann), ensure_ascii=False, separators=(", ", ": ")) + "\n"
             for ann in anns
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.builds(
+            Annotation,
+            st.sampled_from(_SHARED_TEXT), st.sampled_from([0, 1, 7]),
+            st.sampled_from(_SHARED_TEXT), st.sampled_from(_SHARED_TEXT),
+            st.sampled_from(_SHARED_TEXT), st.lists(_SPAN, max_size=2).map(tuple),
+            st.none() | _SPAN,
+        ),
+        min_size=2, max_size=12,
+    ))
+    def test_dump_of_records_sharing_strings_writes_the_json_dumps_lines(self, anns):
+        """Records whose doc ids, rule ids, categories and labels repeat, in
+        the same and in other combinations, each get their own line."""
+        lines = dump_annotations(anns).split("\n")
+        assert lines.pop() == ""
+        assert lines == [
+            json.dumps(_record(ann), ensure_ascii=False, separators=(", ", ": "))
+            for ann in anns
+        ]
 
     @pytest.mark.parametrize("excerpt", [None, ()])
     def test_missing_or_empty_excerpt_is_null(self, excerpt):

@@ -15,6 +15,7 @@ from arfuture.morpho import (
     Verdict,
     analyze_token,
     is_future_verb_with_siin,
+    is_present_verb_after_qad,
     strip_clitics,
 )
 from arfuture.resources import data_dir, load_lexicons
@@ -117,6 +118,35 @@ class TestSiinFutureVerb:
         assert not is_future_verb_with_siin("", lexicons)
         assert not is_future_verb_with_siin("س", lexicons)
 
+    def test_stoplisted_word_with_its_clitic(self):
+        """The word itself is stoplisted, not its stem."""
+        lex = Lexicons(proper_nouns=frozenset({"وسيكتب"}))
+        assert not is_future_verb_with_siin("وسيكتب", lex)
+        assert is_future_verb_with_siin("سيكتب", lex)
+        assert is_future_verb_with_siin("فسيكتب", lex)
+
+
+class TestQadGate:
+    def test_present_verb_passes(self, lexicons):
+        assert is_present_verb_after_qad("يتحسن", lexicons)
+        assert is_present_verb_after_qad("ويتحسن", lexicons)
+
+    def test_past_verb_and_noun_fail(self, lexicons):
+        assert not is_present_verb_after_qad("درس", lexicons)
+        assert not is_present_verb_after_qad("الوضع", lexicons)
+
+    def test_excluded_stem_fails_with_any_clitic(self):
+        lex = Lexicons(qad_exclusions=frozenset({"يكون"}))
+        assert is_present_verb_after_qad("يكتب", lex)
+        for token in ("يكون", "ويكون", "فيكون"):
+            assert not is_present_verb_after_qad(token, lex), token
+
+    def test_excluded_word_with_its_clitic(self):
+        lex = Lexicons(qad_exclusions=frozenset({"ويكون"}))
+        assert not is_present_verb_after_qad("ويكون", lex)
+        assert is_present_verb_after_qad("يكون", lex)
+        assert is_present_verb_after_qad("فيكون", lex)
+
 
 class TestBundledListCoverage:
     def test_every_siin_verb_passes(self, lexicons):
@@ -181,6 +211,9 @@ class TestAgainstReference:
         assert is_future_verb_with_siin(word, BUNDLED) is morpho_ref.is_future_verb_with_siin(
             word, BUNDLED
         )
+        assert is_present_verb_after_qad(word, BUNDLED) is (
+            morpho_ref.is_present_verb_after_qad(word, BUNDLED)
+        )
 
     @settings(max_examples=500, deadline=None)
     @given(lex=_lexicons(), data=st.data())
@@ -191,6 +224,9 @@ class TestAgainstReference:
             assert analyze_token(word, lex) == morpho_ref.analyze_token(word, lex)
             assert is_future_verb_with_siin(word, lex) is morpho_ref.is_future_verb_with_siin(
                 word, lex
+            )
+            assert is_present_verb_after_qad(word, lex) is (
+                morpho_ref.is_present_verb_after_qad(word, lex)
             )
 
     @pytest.mark.parametrize("word", BUNDLED_WORDS)

@@ -226,6 +226,41 @@ class TestCategoryGrouping:
         assert "الدين" not in strip_markup(growth)
 
 
+class TestLabelLines:
+    def test_blocks_sharing_a_label_line(self):
+        """Sentences with the same label sequence, a rule firing twice in
+        one sentence and a label that needs escaping: each block names its
+        labels once, escaped, in order, and its marks are the reference's."""
+        doc = make_document(
+            url="http://x", title="t",
+            body="سوف يرتفع الدين وسوف يتحسن. سوف يرتفع النمو وسوف يتحسن. قد يتحسن سوف.",
+        )
+        sentences = segment(doc.body, doc_id=doc.id)
+        spans = [tokenize(s.text) for s in sentences]
+
+        def ann(index, token, rule, label):
+            return Annotation(doc.id, index, rule, "مستقبل", label, (spans[index].span(token),))
+
+        anns = [
+            ann(0, 0, "sin", "a&b<c"), ann(0, 3, "sin", "a&b<c"), ann(0, 1, "qad", "qad"),
+            ann(1, 0, "sin", "a&b<c"), ann(1, 3, "sin", "a&b<c"), ann(1, 4, "qad", "qad"),
+            ann(2, 0, "qad", "qad"), ann(2, 1, "qad", "qad"), ann(2, 2, "sin", "a&b<c"),
+        ]
+        page = render_page(build_report_page(analysis_of(doc, sentences, anns, []),
+                                             generated_at=CLOCK))
+        blocks = re.findall(
+            r'<li><p class="sentence" dir="rtl" lang="ar">(.*?)</p>'
+            r'<p class="labels">(.*?)</p></li>', page)
+        assert [labels for _, labels in blocks] == [
+            "a&amp;b&lt;c, qad", "a&amp;b&lt;c, qad", "qad, a&amp;b&lt;c"]
+        assert [body for body, _ in blocks] == [
+            render_decorated(s.text, [_Decoration(span, "mark")
+                                      for a in anns if a.sentence_index == s.index
+                                      for span in a.positive_marker_spans])
+            for s in sentences
+        ]
+
+
 class TestIndex:
     def test_empty_corpus(self):
         page = render_index([])
