@@ -18,19 +18,19 @@ tokens are looked up in it once, which gives every rule its candidate
 starts: the tokens whose shadow (or, for a siin form, a prefix of it) a
 match of that form can begin with.  The first positive form is tried
 only at those starts, and a rule whose first form is positive and has
-none is rejected without a scan.  Negative and later positive forms try
-each token of their field in turn, up to the leftmost match; a token
-that begins no match costs one ``FormIndex`` dict lookup.
+none is rejected without a scan.
 
-One attempt of a rule is one plain loop, inside ``iter_rule_results``,
-over the rule's ``steps``: a tuple per form, built with the rule, of all
-that an attempt reads of it (its index, polarity, ``FormIndex``, whether
-it is the siin form, its ``@N`` cap and the marker text of a negative
-form).  A rule's fields cannot be assigned, so its steps stay those of
-its forms.  ``iter_rule_results`` reads its rule once per call, its
-fields by one unpacking: a derived attribute of a ``NamedTuple``
-subclass, such as ``steps``, is read through the instance dict.  Both
-gates read one verdict function, ``morpho._verdict``.
+A rule's walk over a sentence, ``iter_rule_results``, is one ascending
+pass over its candidate starts.  It reads the rule's ``steps``: a tuple
+per form, built with the rule, of all that the walk reads of it (its
+index, polarity, ``FormIndex``, whether it is the siin form, its ``@N``
+cap and the marker text of a negative form).  Each token is tried a
+bounded number of times per form, so the walk takes time linear in the
+sentence for every rule shape.  A rule's fields cannot be assigned, so
+its steps stay those of its forms.  ``iter_rule_results`` reads its
+rule once per call, its fields by one unpacking: a derived attribute of
+a ``NamedTuple`` subclass, such as ``steps``, is read through the
+instance dict.  Both gates read one verdict function, ``morpho._verdict``.
 
 Every rule result is a record: an ``Annotation`` for a match, a
 ``RejectionTrace`` for a rejection, 7.5 per sentence on the benchmark's
@@ -70,11 +70,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from bisect import bisect_left
 from enum import Enum
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document
 from .morpho import Lexicons, is_future_verb_with_siin, is_present_verb_after_qad
@@ -216,6 +215,62 @@ class StartTable:
         return starts
 
 
+def _later_search(
+    step: tuple, tokens: Tokens, lex: Lexicons, punct_transparent: bool, lowest: int
+) -> Callable[[int], tuple[tuple[int, ...] | None, bool, int]]:
+    """``search(q)``: the leftmost match of a later form in its field from
+    token q on, for any q at or after ``lowest``, as ``(match, refused,
+    field_end)``: the tokens it covers, or None and whether the siin gate
+    refused a match inside the field.
+
+    The form is tried once at each token from ``lowest`` on, last first,
+    which gives for every token t the leftmost token at or after t where
+    it matches and the gate passes (``matched[t]``) or refuses
+    (``refused[t]``).  A match that runs past a capped field's end is
+    passed over for the next one.  A search is kept by its q, which a
+    later attempt may ask again, or ask left of an earlier attempt whose
+    form before made a longer match.
+    """
+    _, _, form, siin, cap, _ = step
+    shadows = tokens.shadows
+    n_tokens = len(shadows)
+    covers: dict[int, tuple[int, ...]] = {}
+    matched = [n_tokens] * (n_tokens + 1)
+    refused = matched.copy()
+    next_match = next_refusal = n_tokens
+    for t in range(n_tokens - 1, lowest - 1, -1):
+        covered = form.match_at(tokens, t, siin, punct_transparent)
+        if covered is not None:
+            covers[t] = covered
+            if siin and not is_future_verb_with_siin(shadows[covered[-1]], lex):
+                next_refusal = t
+            else:
+                next_match = t
+        matched[t] = next_match
+        refused[t] = next_refusal
+    found: dict[int, tuple] = {}
+
+    def leftmost(after: list[int], q: int, field_end: int) -> int:
+        t = after[q]
+        while t < field_end and covers[t][-1] >= field_end:
+            t = after[t + 1]
+        return t
+
+    def search(q: int) -> tuple[tuple[int, ...] | None, bool, int]:
+        result = found.get(q)
+        if result is None:
+            field_end = _field_end(tokens, q, cap) if cap else n_tokens
+            t = leftmost(matched, q, field_end)
+            if t < field_end:
+                result = covers[t], False, field_end
+            else:
+                result = None, leftmost(refused, q, field_end) < field_end, field_end
+            found[q] = result
+        return result
+
+    return search
+
+
 def iter_rule_results(
     rule: LinguisticRule,
     sentence: Sentence,
@@ -227,18 +282,22 @@ def iter_rule_results(
 ) -> Iterator[Annotation | RejectionTrace]:
     """All matches of one rule on one sentence, in left-to-right order.
 
-    Each attempt is one pass over the rule's ``steps``.  A form is tried
-    at each token of its field in turn, up to its leftmost match that ends
-    inside the field (and, for the siin form, whose word passes the siin
-    gate); the first positive form is tried only at its ``starts``, from
-    just past the first positive marker of the attempt before on.  After
-    a full match, or a rejection after the first positive form matched,
-    the next attempt begins, so a rule can fire several times per
-    sentence.  A matched negative form cancels the rule outright.
+    One ascending pass over ``starts``, the candidate starts of the rule's
+    first positive form, as ``StartTable.starts`` gives them (by default
+    from a table of this rule alone).  A form matches at the leftmost
+    token of its field where it matches within the field (and, for the
+    siin form, the siin gate passes the word).
 
-    ``starts`` are the ascending candidate starts of the rule's first
-    positive form, as ``StartTable.starts`` gives them; by default they
-    are found from a table of this rule alone.
+    - The forms before the first positive one are negative and search the
+      same field in every attempt, so each is tried once: a match rejects
+      the rule, and nothing else is yielded.
+    - The first positive form is tried once at each start past the first
+      positive marker of its match before.  Each match begins an attempt,
+      which runs the later forms and yields an annotation or a rejection;
+      with no match, one rejection says why.
+    - A later form searches from just past the match before it, through
+      ``_later_search``, whose searches outlast the attempt.  A matched
+      negative form cancels the rule outright.
     """
     rule_id, _, category, label, morph, extract = rule
     positives = rule.positives
@@ -252,50 +311,57 @@ def iter_rule_results(
     steps = rule.steps
     shadows = tokens.shadows
     n_tokens = len(shadows)
-    scan_from = 0
-    produced_any = False
-    while True:
-        field_start = 0
-        first_end = -1  # the end token of this attempt's first positive match
-        marker_tokens: list[int] = []
-        for fi, negative, form, siin, cap, marker in steps:
-            field_end = _field_end(tokens, field_start, cap) if cap else n_tokens
-            if fi == first:  # the field starts at token 0 here
-                # walked by index after the first attempt: a slice would copy
-                # the rest of the starts on every attempt, in time quadratic
-                # in the sentence
-                left = bisect_left(starts, scan_from)
-                candidates = map(starts.__getitem__, range(left, len(starts))) if left else starts
-            else:
-                candidates = range(field_start, field_end)
-            m = None  # the tokens of the form's leftmost match in the field
-            gate_failed = False
-            for t in candidates:
-                if t >= field_end:
-                    break
-                covered = form.match_at(tokens, t, siin, punct_transparent)
-                if covered is None or covered[-1] >= field_end:
-                    continue
-                if siin and not is_future_verb_with_siin(shadows[covered[-1]], lex):
-                    gate_failed = True
-                    continue
-                m = covered
-                break
+    for fi, _, form, _, cap, marker in steps[:first]:
+        field_end = _field_end(tokens, 0, cap) if cap else n_tokens
+        for t in range(field_end):
+            covered = form.match_at(tokens, t, False, punct_transparent)
+            if covered is not None and covered[-1] < field_end:
+                yield _record(RejectionTrace, (
+                    doc_id, index, rule_id, fi, NEGATIVE_FOUND,
+                    _tokens_byte_span(tokens, 0, field_end), marker,
+                ))
+                return
+    _, _, form, siin, cap, _ = steps[first]
+    field_end = _field_end(tokens, 0, cap) if cap else n_tokens
+    later = steps[first + 1:]
+    searches = {}  # each later form's search, by its index
+    scan_from = 0  # the token past the first positive marker of the last match
+    gate_failed = False
+    for t in starts:
+        if t < scan_from:
+            continue
+        if t >= field_end:
+            break
+        covered = form.match_at(tokens, t, siin, punct_transparent)
+        if covered is None or covered[-1] >= field_end:
+            continue
+        if siin and not is_future_verb_with_siin(shadows[covered[-1]], lex):
+            gate_failed = True
+            continue
+        field_start = scan_from = covered[-1] + 1
+        marker_tokens = covered
+        for step in later:
+            fi, negative, _, _, _, marker = step
+            search = searches.get(fi)
+            if search is None:
+                # no later attempt searches left of this one's first field
+                search = searches[fi] = _later_search(
+                    step, tokens, lex, punct_transparent, scan_from
+                )
+            m, refused, later_end = search(field_start)
             if negative:
                 if m is None:
                     continue
                 yield _record(RejectionTrace, (
                     doc_id, index, rule_id, fi, NEGATIVE_FOUND,
-                    _tokens_byte_span(tokens, field_start, field_end), marker,
+                    _tokens_byte_span(tokens, field_start, later_end), marker,
                 ))
                 return
             if m is None:
-                reason = MORPH_REJECTED if gate_failed else POSITIVE_NOT_FOUND
+                reason = MORPH_REJECTED if refused else POSITIVE_NOT_FOUND
                 result = _record(RejectionTrace, (doc_id, index, rule_id, fi, reason, None, ""))
                 break
             marker_tokens += m
-            if fi == first:
-                first_end = m[-1]
             field_start = m[-1] + 1
         else:
             result = None
@@ -308,28 +374,19 @@ def iter_rule_results(
                         doc_id, index, rule_id, positives[-1], MORPH_REJECTED, None, ""
                     ))
                 else:
-                    marker_tokens.append(t)
+                    marker_tokens += (t,)
             if result is None:
                 spans = tuple(map(tokens.span, marker_tokens))
                 excerpt = None
-                if extract == "from-marker-to-end" and spans:
+                if extract == "from-marker-to-end":
                     excerpt = (spans[0][0], len(sentence.text.encode()))
                 result = _record(
                     Annotation, (doc_id, index, rule_id, category, label, spans, excerpt)
                 )
-        if first_end < 0:
-            # the first positive form has no (further) candidate
-            if not produced_any:
-                yield result
-            return
-        produced_any = True
         yield result
-        scan_from = first_end + 1
-        if starts[-1] < scan_from:
-            # no start left: a further attempt would find no first positive
-            # match (the negative forms before it search the same field as in
-            # this attempt), which after a result ends the rule silently
-            return
+    if not scan_from:  # the first positive form never matched
+        reason = MORPH_REJECTED if gate_failed else POSITIVE_NOT_FOUND
+        yield _record(RejectionTrace, (doc_id, index, rule_id, first, reason, None, ""))
 
 
 def classify_sentence_results(

@@ -146,7 +146,8 @@ class Tokens(Sequence[Token]):
     byte span, and ``tokens[i]`` builds its ``Token``, equal to the one a
     list of tokens would hold.  A span is counted on from the end of the
     one read before it, so reading spans in order takes one pass over
-    the text.
+    the text; one before it is counted back from there, or on from the
+    start of the text if that is nearer.
     """
 
     __slots__ = ("text", "shadows", "kinds", "starts", "ends", "_char", "_byte")
@@ -177,9 +178,13 @@ class Tokens(Sequence[Token]):
     def span(self, i: int) -> tuple[int, int]:
         """Token i's UTF-8 byte span in ``text``."""
         text, start, end = self.text, self.starts[i], self.ends[i]
-        if start < self._char:  # before the last span read: count from the start
-            self._char = self._byte = 0
-        first = self._byte + len(text[self._char:start].encode())
+        char, byte = self._char, self._byte
+        if start >= char:
+            first = byte + len(text[char:start].encode())
+        elif start > char - start:
+            first = byte - len(text[start:char].encode())
+        else:
+            first = len(text[:start].encode())
         self._char, self._byte = end, first + len(text[start:end].encode())
         return first, self._byte
 

@@ -26,6 +26,8 @@ from arfuture.segment import DEFAULT_BOUNDARIES
 
 #: sha256 of each file ``analyze --clock 2020-01-01T00:00`` writes on mini_gold
 MINI_GOLD_DIGESTS = Path(__file__).parent / "golden" / "analyze_mini_gold.sha256"
+#: rules with negative clues before and after their indicator, and with ``@N`` fields
+CE_RULES = Path(__file__).parent / "ce_rules.txt"
 LONG_PARA = ("النمو الاقتصادي في لبنان سوف يتحسن " * 4).strip()  # 139 chars
 
 
@@ -605,6 +607,35 @@ class TestAnalyze:
             )
         # only the annotating rule's field, unless the flag asks for all
         assert shaded == {False: ["قبل"], True: ["قبل", "بعد"]}
+
+    def test_contextual_exploration_rules_shade_negative_fields(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d.corpus.txt").write_text(
+            "URL: http://x\nTITLE: t\n\n"
+            "لن يتغير الوضع الآن لكنه لن يدوم اذا استمر الضغط. ربما لن يتغير شيء. "
+            "سوف يصل الوفد غدا. لن يتغير ما حدث امس.\n",
+            encoding="utf-8",
+        )
+        shaded = {}
+        for flags in ((), ("--show-all-negative-fields",)):
+            out = tmp_path / f"out{len(flags)}"
+            code = main(["analyze", "--corpus", str(corpus), "--out", str(out),
+                         "--rules", str(CE_RULES), *flags])
+            assert code == 0
+            assert capsys.readouterr().out == "sentences=4 future=8\n"
+            [report] = [p for p in (out / "reports").iterdir() if p.name != "index.html"]
+            # a field is shaded piece by piece, between the marks in it
+            shaded[bool(flags)] = list(dict.fromkeys(re.findall(
+                r'class="neg-field" title="negative marker: ([^"]*)"',
+                report.read_text(encoding="utf-8"),
+            )))
+        # lan_unconditional fires on the first لن and finds اذا after the
+        # second; lan_stated finds ربما before لن, and lan_change finds امس
+        # after لن يتغير, in sentences neither annotates
+        assert shaded == {
+            False: ["(اذا|إذا|لو)"], True: ["(اذا|إذا|لو)", "(ربما|هل)", "(امس|سابقا)"],
+        }
 
     def test_bad_rules_file_exits_2(self, mini_gold_dir, tmp_path, capsys):
         bad = tmp_path / "rules.txt"

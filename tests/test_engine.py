@@ -14,6 +14,7 @@ from arfuture.corpus import make_document
 from arfuture.engine import (
     Annotation,
     AnnotationFormatError,
+    Engine,
     RejectionTrace,
     RejectReason,
     StartTable,
@@ -291,6 +292,29 @@ class TestAnalyzeDocument:
         assert len(engine.analyze(small).annotations) == 2000
         assert_linear(engine.analyze, small, large, limit=None)
 
+    @pytest.mark.parametrize("rule, unit, fired", [
+        # a negative form before the positive one
+        ("x: -كتاب > لن -> مستقبل", "لن يتغير الدين ", True),
+        # a later positive form that is missing
+        ("x: لن > كتاب -> مستقبل", "لن يتغير الدين ", False),
+        # a later negative form
+        ("x: لن > -كتاب -> مستقبل", "لن يتغير الدين ", True),
+        # a siin form whose gate refuses every word it matches (سلام)
+        ("x: لن > (و|ف)؟س -> مستقبل [morph=siin]", "لن يتغير سلام ", False),
+        # a capped later form
+        ("x: لن > سلام@2 > -كتاب -> مستقبل", "لن يتغير سلام ", True),
+    ], ids=["negative-first", "later-missing", "later-negative", "siin-refused", "capped"])
+    def test_multi_form_rule_costs_linear_time(self, lexicons, rule, unit, fired):
+        # each repeat is a candidate start of the rule, which makes one
+        # attempt there; the forms after the first positive one search the
+        # rest of the sentence, and a negative form before it all of it
+        engine = Engine(parse_rules(rule + "\n", NO_VARS, MAP), lexicons)
+        small, large = (
+            make_document(url="http://x", title="", body=unit * k) for k in (2000, 8000)
+        )
+        assert len(engine.analyze(small).annotations) == (2000 if fired else 0)
+        assert_linear(engine.analyze, small, large, limit=None)
+
 
 class TestOracleEquivalence:
     def test_engine_matches_bruteforce_on_templates(self, ruleset, lexicons):
@@ -331,10 +355,10 @@ _SIIN_PATTERNS = ["(و|ف)؟س", "س", "سي", "(و)؟س"]
 
 @st.composite
 def _rule_line(draw, rule_id: str) -> str:
-    """A rule of 1-3 forms, each maybe negative and capped with ``@N``,
+    """A rule of 1-4 forms, each maybe negative and capped with ``@N``,
     with at least one positive form, and a qad or siin gate or none."""
     morph = draw(st.sampled_from([None, "qad", "siin"]))
-    n_forms = draw(st.integers(1, 3))
+    n_forms = draw(st.integers(1, 4))
     negative = [n_forms > 1 and draw(st.booleans()) for _ in range(n_forms)]
     if all(negative):
         negative[-1] = False
@@ -370,7 +394,7 @@ class TestCandidateStarts:
     @settings(max_examples=400, deadline=None)
     @given(
         ruleset=_generated_ruleset(),
-        words=st.lists(st.sampled_from(_GEN_WORDS), max_size=14),
+        words=st.lists(st.sampled_from(_GEN_WORDS), max_size=40),
         punct_transparent=st.booleans(),
     )
     def test_matches_reference_scan(self, lexicons, ruleset, words, punct_transparent):
@@ -400,6 +424,22 @@ class TestCandidateStarts:
         assert classify_sentence_results(
             sentence, tokens, ruleset, lexicons, punct_transparent=punct_transparent
         ) == (want_annotations, want_traces)
+
+    @pytest.mark.parametrize("forms", [
+        "لن > (يصل|لن يصل غدا) > غدا", "لن > (يصل|لن يصل غدا)@3 > غدا@1",
+    ], ids=["uncapped", "capped"])
+    def test_later_form_searches_left_of_an_earlier_attempt(self, lexicons, forms):
+        # the first attempt's second form covers the second لن and ends at
+        # غدا, so its third form searches from token 4 and finds nothing;
+        # the second attempt's second form ends at يصل, so its third form
+        # searches from token 3 and matches غدا there
+        [rule] = parse_rules(f"x: {forms} -> مستقبل\n", NO_VARS, MAP)
+        s = one_sentence("لن لن يصل غدا")
+        results = list(iter_rule_results(rule, s, tokenize(s.text), lexicons))
+        assert _typed(results) == _typed(scan_ref.iter_rule_results(
+            rule, s, tokenize(s.text), lexicons
+        ))
+        assert [type(r) for r in results] == [RejectionTrace, Annotation]
 
     def test_rule_without_candidates_yields_one_trace(self, rules_by_id, lexicons):
         s = one_sentence("الوضع مستقر اليوم")

@@ -269,6 +269,25 @@ class TestTokenize:
         ]
         assert [toks.span(i) for i in reversed(range(100))] == spans[99::-1]
 
+    def test_spans_read_back_count_from_the_nearer_end(self):
+        text = _CountedSlices("لن يتغير  الدين، " * 1000)
+        toks = tokenize(text)
+        want = [
+            (len(text[:start].encode()), len(text[:end].encode()))
+            for start, end in zip(toks.starts, toks.ends)
+        ]
+        # each group of ten tokens read last first, as rules read their
+        # spans one after another: a span is counted back from the end of
+        # the one read before it (over both tokens and the gap between
+        # them), not on from the start of the text
+        order = [i for group in range(0, 4000, 10) for i in reversed(range(group, group + 10))]
+        text.sliced = 0
+        assert [toks.span(i) for i in order] == [want[i] for i in order]
+        assert text.sliced <= 5 * len(text)
+        shuffled = list(range(4000))
+        random.Random(5).shuffle(shuffled)
+        assert [toks.span(i) for i in shuffled] == [want[i] for i in shuffled]
+
     def test_diacritized_word_span_covers_written_word(self):
         text = "مُتَوَقَّعاً تقرير"
         toks = tokenize(text)
