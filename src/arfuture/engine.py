@@ -52,7 +52,8 @@ one f-string, quoting strings with ``json``'s C escaper once per
 ensure_ascii=False, separators=(", ", ": "))`` gives.
 ``annotation_from_json`` decodes a line with ``json.loads``; ``doc_id``
 and ``class_label`` must be strings, ``sentence_index`` an integer (not a
-boolean), and each span a list of two integers.
+boolean), and each span a list of two integers.  Those two functions
+import ``json`` when called, so loading an engine does not.
 
 ``load_annotations`` gives only the (document, sentence, class) triples
 that scoring reads.  It takes the dump as one text or, from a file, as
@@ -67,18 +68,18 @@ line were decoded.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from enum import Enum
-from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Document
 from .morpho import Lexicons, is_future_verb_with_siin, is_present_verb_after_qad
 from .rules import LinguisticRule
 from .segment import DEFAULT_BOUNDARIES, PUNCT, WORD, Sentence, Tokens, segment, tokenize
+
+if TYPE_CHECKING:
+    from .corpus import Document
 
 
 class RejectReason(Enum):
@@ -497,6 +498,8 @@ def _span(value) -> tuple[int, int]:
 
 def annotation_from_json(line: str) -> Annotation:
     """Parse one record; a line ``json.loads`` refuses fails with its error."""
+    import json
+
     doc_id, index, rule_id, category, label, spans, excerpt = _record_fields(json.loads(line))
     # scoring sorts (doc_id, sentence_index, class_label) triples with the gold ones
     if not (type(doc_id) is str and type(index) is int and type(label) is str):
@@ -517,6 +520,8 @@ def annotation_from_json(line: str) -> Annotation:
 def dump_annotations(annotations: list[Annotation]) -> str:
     """The JSON Lines of ``annotations``; a line's text around its sentence
     index is built once per (document, rule, category, label)."""
+    from json.encoder import encode_basestring as quote  # the C escaper of ensure_ascii=False
+
     heads: dict[tuple[str, str, str, str], tuple[str, str]] = {}
     lines = []
     for doc_id, index, rule_id, category, label, spans, excerpt in annotations:
@@ -524,9 +529,9 @@ def dump_annotations(annotations: list[Annotation]) -> str:
         head = heads.get(key)
         if head is None:
             head = heads[key] = (
-                f'{{"doc_id": {_quote(doc_id)}, "sentence_index": ',
-                f', "rule_id": {_quote(rule_id)}, "category": {_quote(category)}, '
-                f'"class_label": {_quote(label)}, "positive_marker_spans": [',
+                f'{{"doc_id": {quote(doc_id)}, "sentence_index": ',
+                f', "rule_id": {quote(rule_id)}, "category": {quote(category)}, '
+                f'"class_label": {quote(label)}, "positive_marker_spans": [',
             )
         spans_json = ", ".join(["[%s, %s]" % span for span in spans])
         excerpt_json = "[%s, %s]" % excerpt if excerpt else "null"

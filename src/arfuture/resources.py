@@ -2,8 +2,9 @@
 
 ``parse_file`` is the one place a file is read: every input (corpus files,
 URL lists, config, rules, variables, semantic map and lexicon word lists)
-is decoded as UTF-8 there, and each error it lets through names the file,
-plus the line when the fault has one.  ``parse_lines`` reads the inputs
+is decoded as UTF-8 there, a byte-order mark at its start dropped, and
+each error it lets through names the file, plus the line when the fault
+has one.  ``parse_lines`` reads the inputs
 that grow with the corpus (gold and annotation dumps) a line at a time,
 and fails as ``parse_file`` does.  ``write_file`` is the one place a whole
 output file is written: corpus files, report pages and the ``eval``
@@ -11,18 +12,24 @@ report.
 
 The ``SLCSAS_DATA_DIR`` environment variable points the whole toolchain at
 an alternative data directory (same file names) without code changes.
+
+``load_engine`` joins paths with ``os.path``: ``pathlib`` imports
+``urllib.parse``, which loading an engine does not need, so only
+``data_dir`` imports it.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
-from typing import Callable, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, TextIO, TypeVar
 
 from .engine import Engine
 from .morpho import Lexicons
 from .rules import parse_rules, parse_semantic_map, parse_variable_defs
 from .segment import DEFAULT_BOUNDARIES
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 DATA_DIR_ENV = "SLCSAS_DATA_DIR"
 
@@ -34,14 +41,16 @@ T = TypeVar("T")
 
 
 def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to the text of a UTF-8 file.
+    """``parse`` applied to the text of a UTF-8 file, without the
+    byte-order mark it may start with (one elsewhere stays text).
 
     A byte that is not UTF-8 fails as ``ValueError("<path>: line N: ...")``;
     a ``ValueError`` from ``parse`` is raised again as the same type, its
     message prefixed with ``<path>: ``.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         head = exc.object[:exc.start]  # "\r\n", "\r" and "\n" each end a line
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -53,16 +62,17 @@ def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
 
 
 def parse_lines(path: str | Path, parse: Callable[[TextIO], T]) -> T:
-    """``parse`` applied to a UTF-8 file opened in text mode, whose lines
-    end as ``Path.read_text`` ends them ("\\n", "\\r\\n" or a lone "\\r",
-    each read as "\\n"), so that it can hold one line at a time.
+    """``parse`` applied to a UTF-8 file opened in text mode, a leading
+    byte-order mark dropped, whose lines end as ``parse_file`` reads them
+    ("\\n", "\\r\\n" or a lone "\\r", each read as "\\n"), so that it can
+    hold one line at a time.
 
     The errors are those of ``parse_file``: on any ``ValueError`` the file
     is decoded whole once more, so that a byte that is not UTF-8, anywhere
     in it, fails first and names its line.
     """
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return parse(file)
     except ValueError as exc:
         parse_file(path, len)
@@ -102,10 +112,13 @@ def write_file(path: str | Path, text: str) -> None:
 
 
 def data_dir() -> Path:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    from pathlib import Path
+
+    return Path(_data_dir())
+
+
+def _data_dir() -> str:
+    return os.environ.get(DATA_DIR_ENV) or os.path.join(os.path.dirname(__file__), "data")
 
 
 def _word_list(text: str) -> set[str]:
@@ -125,8 +138,8 @@ def load_lexicons(*directories: str | Path) -> Lexicons:
     words: dict[str, set[str]] = {name: set() for name in Lexicons._fields}
     for directory in directories:
         for name, found in words.items():
-            path = Path(directory) / f"{name}.txt"
-            if path.exists():
+            path = os.path.join(directory, f"{name}.txt")
+            if os.path.exists(path):
                 found |= parse_file(path, _word_list)
     try:
         return Lexicons(**{name: frozenset(found) for name, found in words.items()})
@@ -147,11 +160,15 @@ def load_engine(
 
     An explicit ``lexicon_dir`` extends (not replaces) the bundled lexicons.
     """
-    base = data_dir()
-    variables = parse_file(variables_path or base / VARIABLES_FILE, parse_variable_defs)
-    semantic_map = parse_file(semantic_map_path or base / SEMANTIC_MAP_FILE, parse_semantic_map)
+    base = _data_dir()
+    variables = parse_file(
+        variables_path or os.path.join(base, VARIABLES_FILE), parse_variable_defs
+    )
+    semantic_map = parse_file(
+        semantic_map_path or os.path.join(base, SEMANTIC_MAP_FILE), parse_semantic_map
+    )
     ruleset = parse_file(
-        rules_path or base / RULES_FILE,
+        rules_path or os.path.join(base, RULES_FILE),
         lambda text: parse_rules(text, variables, semantic_map),
     )
     lexicons = load_lexicons(base) if lexicon_dir is None else load_lexicons(base, lexicon_dir)

@@ -710,6 +710,20 @@ class TestEval:
         data = json.loads(report_path.read_text(encoding="utf-8"))
         assert data["per_class"]["qad"]["recall"] == "50.00"
 
+    def test_byte_order_mark_of_the_gold_file_is_dropped(self, tmp_path, capsys):
+        # the mark once stuck to the first doc id, so its row never matched
+        dump = tmp_path / "ann.jsonl"
+        dump.write_text(dump_annotations([
+            Annotation("d1", 0, "qad", "مستقبل", "qad", ((0, 4),)),
+            Annotation("d1", 1, "sin", "مستقبل", "sin", ((0, 4),)),
+        ]), encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes("\ufeffd1\t0\tqad\nd1\t1\tsin\n".encode("utf-8"))
+        assert main(["eval", "--annotations", str(dump), "--gold", str(gold)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^qad +100\.00 +100\.00$", out, re.M)
+        assert re.search(r"^Overall +100\.00 +100\.00$", out, re.M)
+
     def test_annotations_input_mode(self, mini_gold_dir, tmp_path):
         out = tmp_path / "out"
         assert main(["analyze", "--corpus", str(mini_gold_dir), "--out", str(out)]) == 0

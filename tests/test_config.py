@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from arfuture.config import Config, ConfigError, load_config, parse_boundaries
-from arfuture.corpus import CorpusError, read_local_page
+from arfuture.corpus import CorpusError, make_document, read_local_page
 from arfuture.resources import data_dir, load_engine, load_lexicons
 from arfuture.segment import BOUNDARY_DOT, BOUNDARY_NEWLINE
 
@@ -144,3 +144,23 @@ class TestLexiconExtensions:
             "and proper_noun: يفرض"
         )):
             load_engine(lexicon_dir=user)
+
+
+class TestByteOrderMark:
+    """A data file that starts with a UTF-8 byte-order mark reads as it
+    would without one."""
+
+    def test_rules_file(self, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes("\ufeffsawfa: (و|ف)؟سوف -> مستقبل\n".encode("utf-8"))
+        assert [r.id for r in load_engine(rules).ruleset] == ["sawfa"]
+
+    def test_lexicon_file(self, tmp_path):
+        user = tmp_path / "lex"
+        user.mkdir()
+        (user / "proper_nouns.txt").write_bytes("\ufeffسيدني\nسيمون\n".encode("utf-8"))
+        assert {"سيدني", "سيمون"} <= load_lexicons(user).proper_nouns
+        # its first word is matched: سيدني is stoplisted, not read as a siin verb
+        doc = make_document(url="http://t/x", title="", body="وصل الوفد الى سيدني مساء")
+        annotations = load_engine(lexicon_dir=user).analyze(doc).annotations
+        assert "sin" not in {a.class_label for a in annotations}

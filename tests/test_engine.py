@@ -29,7 +29,9 @@ from arfuture.evaluate import GoldAnnotation
 from arfuture.morpho import MorphVerdict, Verdict
 from arfuture.report import _Decoration
 from arfuture.resources import parse_lines
-from arfuture.rules import parse_rules, parse_semantic_map, parse_variable_defs
+from arfuture.rules import (
+    expansions, parse_pattern, parse_rules, parse_semantic_map, parse_variable_defs,
+)
 from arfuture.segment import Sentence, Token, TokenKind, segment, tokenize
 
 from oracle import generate_sentence, oracle_marker_spans
@@ -339,12 +341,12 @@ class TestOracleEquivalence:
         assert checked > 200
 
 
-# Words the generated rules and sentences share: particles, verbs that pass
-# the qad and siin gates, siin-words that fail them (a stoplisted proper
-# noun, a noun), punctuation and digits.
-_GEN_WORDS = [
-    "قد", "وقد", "سوف", "لن", "قبل", "غدا", "يصل", "يتحسن", "تترتب", "سيتحسن",
-    "وسيتحسن", "فسيصل", "سيمون", "سلام", "س", "درس", "،", '"', "12",
+# Words a generated sentence holds besides its rules' surface forms: verbs
+# that pass the qad and siin gates, siin-words that fail them (a stoplisted
+# proper noun, a noun), punctuation and digits.
+_FILLERS = [
+    "يصل", "يتحسن", "تترتب", "سيتحسن", "وسيتحسن", "فسيصل", "سيمون", "سلام", "درس",
+    "،", '"', "12",
 ]
 _GEN_PATTERNS = [
     "قد", "(و|ف)؟قد", "سوف", "لن", "قبل", "غدا", "سوف يتحسن", "قبل (غدا|يصل)",
@@ -353,22 +355,41 @@ _GEN_PATTERNS = [
 _SIIN_PATTERNS = ["(و|ف)؟س", "س", "سي", "(و)؟س"]
 
 
+def _surfaces(pattern) -> list[tuple[str, ...]]:
+    return sorted(expansions(pattern))
+
+
 @st.composite
 def _rule_line(draw, rule_id: str) -> str:
-    """A rule of 1-4 forms, each maybe negative and capped with ``@N``,
-    with at least one positive form, and a qad or siin gate or none."""
+    """A rule of 1-4 forms (3 or 4 two times in three), each negative
+    one time in four and maybe capped with ``@N``, with at least one
+    positive form, and a qad or siin gate or none.
+
+    A form after the first may take a longer alternative: a surface form
+    of the form before it, its own pattern, and a surface form of the
+    form after it (or غدا).  On the words of a walk through the rule, one
+    attempt's match of it covers the next start of the form before it,
+    and the next attempt's match ends earlier, so that the form after it
+    is asked left of where the first attempt asked it.
+    """
     morph = draw(st.sampled_from([None, "qad", "siin"]))
-    n_forms = draw(st.integers(1, 4))
-    negative = [n_forms > 1 and draw(st.booleans()) for _ in range(n_forms)]
+    n_forms = draw(st.sampled_from([1, 2, 3, 3, 4, 4]))
+    negative = [n_forms > 1 and not draw(st.integers(0, 3)) for _ in range(n_forms)]
     if all(negative):
         negative[-1] = False
     last_positive = max(i for i, neg in enumerate(negative) if not neg)
+    siin = [morph == "siin" and i == last_positive for i in range(n_forms)]
+    patterns = [draw(st.sampled_from(_SIIN_PATTERNS if s else _GEN_PATTERNS)) for s in siin]
     forms = []
-    for i, neg in enumerate(negative):
-        siin = morph == "siin" and i == last_positive
-        pattern = draw(st.sampled_from(_SIIN_PATTERNS if siin else _GEN_PATTERNS))
+    for i, pattern in enumerate(patterns):
+        if i and not siin[i] and draw(st.integers(0, 3)):  # three times in four
+            before = draw(st.sampled_from(_surfaces(parse_pattern(patterns[i - 1]))))
+            after = ("غدا",)
+            if i + 1 < n_forms:
+                after = draw(st.sampled_from(_surfaces(parse_pattern(patterns[i + 1]))))
+            pattern = f"({pattern}|{' '.join(before + (pattern,) + after)})"
         cap = draw(st.sampled_from(["", "", "@1", "@2", "@4"]))
-        forms.append(("-" if neg else "") + pattern + cap)
+        forms.append(("-" if negative[i] else "") + pattern + cap)
     directives = [f"morph={morph}"] if morph else []
     if draw(st.booleans()):
         directives.append("extract=from-marker-to-end")
@@ -383,6 +404,23 @@ def _generated_ruleset(draw):
     return parse_rules(text, NO_VARS, MAP)
 
 
+@st.composite
+def _ruleset_and_sentence(draw):
+    """A generated ruleset and the words of a sentence drawn from the
+    rules' own surface forms: up to 8 fillers or walks through a rule, each
+    a surface form of each of its forms in order, some left out."""
+    ruleset = draw(_generated_ruleset())
+    words = []
+    for rule in draw(st.lists(st.none() | st.sampled_from(ruleset), max_size=8)):
+        if rule is None:
+            words.append(draw(st.sampled_from(_FILLERS)))
+            continue
+        for form in rule.forms:
+            if draw(st.integers(0, 9)):  # nine times in ten
+                words += draw(st.sampled_from(_surfaces(form.pattern)))
+    return ruleset, words
+
+
 def _typed(results) -> list:
     return [(type(r), r) for r in results]
 
@@ -392,12 +430,9 @@ class TestCandidateStarts:
     ``scan_ref`` gives, with and without the ruleset table's starts."""
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        ruleset=_generated_ruleset(),
-        words=st.lists(st.sampled_from(_GEN_WORDS), max_size=40),
-        punct_transparent=st.booleans(),
-    )
-    def test_matches_reference_scan(self, lexicons, ruleset, words, punct_transparent):
+    @given(case=_ruleset_and_sentence(), punct_transparent=st.booleans())
+    def test_matches_reference_scan(self, lexicons, case, punct_transparent):
+        ruleset, words = case
         text = " ".join(words)
         sentence = Sentence("d", 0, (0, len(text.encode())), text)
         tokens = tokenize(text)

@@ -206,3 +206,20 @@ def test_last_line_without_a_line_end(tmp_path, read, newline):
     assert got == want and len(got) == 3
     got, want = _gold_both(gold, read)
     assert got == want and len(got) == 2
+
+
+def test_byte_order_mark_at_the_start_is_dropped(tmp_path, read):
+    """A leading UTF-8 byte-order mark is not part of the first line."""
+    dump, gold = tmp_path / "a.jsonl", tmp_path / "gold.tsv"
+    dump.write_bytes(b"\xef\xbb\xbf" + "\n".join(_record(i, doc="d") for i in range(2)).encode())
+    gold.write_bytes(b"\xef\xbb\xbfd0\t0\tqad\nd1\t1\tsin\n")
+    assert read(dump, load_annotations) == {("d0", 0, "sin"), ("d1", 1, "sin")}
+    assert read(gold, load_gold) == [("d0", 0, "qad"), ("d1", 1, "sin")]
+
+
+def test_byte_order_mark_elsewhere_stays_text(tmp_path, read):
+    """Only one mark, at the very start, is dropped: a second one, or one
+    that starts a later line, stays in the doc id it begins."""
+    gold = tmp_path / "gold.tsv"
+    gold.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfd\t0\tqad\n\xef\xbb\xbfd\t1\tsin\n")
+    assert read(gold, load_gold) == [("\ufeffd", 0, "qad"), ("\ufeffd", 1, "sin")]

@@ -35,26 +35,39 @@ from arfuture.rules import (
 )
 
 
-def test_import_and_load_engine_load_no_dataclasses_inspect_hashlib_or_resources():
-    """A fresh interpreter (without ``site``, whose path hooks may import
-    anything) that imports the package, loads the engine and imports the
-    command line has not loaded ``dataclasses``, ``inspect``, the OpenSSL
-    binding ``_hashlib`` or ``importlib.resources``."""
-    unloaded = {"dataclasses", "inspect", "_hashlib", "importlib.resources"}
-    code = (
-        "import sys\n"
-        "import arfuture\n"
-        "from arfuture.resources import load_engine\n"
-        "load_engine()\n"
-        "import arfuture.cli\n"
-        f"print(sorted({unloaded!r} & sys.modules.keys()))\n"
-    )
+def _loaded_after(code: str, modules: set[str]) -> str:
+    """Those of ``modules`` that a fresh interpreter (without ``site``,
+    whose path hooks may import anything) has loaded after ``code``, as
+    the text of a sorted list."""
+    code += f"\nimport sys\nprint(sorted({modules!r} & sys.modules.keys()))\n"
     src = str(Path(arfuture.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+_LOAD_ENGINE = "import arfuture\nfrom arfuture.resources import load_engine\nload_engine()\n"
+
+
+def test_import_and_load_engine_load_no_dataclasses_inspect_hashlib_or_resources():
+    """The package, the engine and the command line load neither
+    ``dataclasses``, ``inspect``, the OpenSSL binding ``_hashlib`` nor
+    ``importlib.resources``."""
+    unloaded = {"dataclasses", "inspect", "_hashlib", "importlib.resources"}
+    assert _loaded_after(_LOAD_ENGINE + "import arfuture.cli\n", unloaded) == "[]"
+
+
+def test_import_and_load_engine_load_only_what_the_engine_needs():
+    """Importing the package and loading the engine load none of the
+    modules only the other commands use, nor ``html``, ``pathlib``,
+    ``urllib.parse`` (which ``pathlib`` imports), ``datetime`` or ``json``."""
+    unloaded = {
+        "arfuture.corpus", "arfuture.evaluate", "arfuture.report", "arfuture.cli",
+        "arfuture.config", "html", "pathlib", "urllib.parse", "datetime", "json",
+    }
+    assert _loaded_after(_LOAD_ENGINE, unloaded) == "[]"
 
 
 class TestPatternElements:
