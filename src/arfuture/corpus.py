@@ -42,10 +42,26 @@ class Document(NamedTuple):
     body: str
 
 
-def doc_id_for_url(url: str) -> str:
-    import hashlib  # imported here: it loads the OpenSSL binding, `_hashlib`
+# SHA-256 from CPython's own module (_sha2 from 3.12, _sha256 before), not
+# from hashlib, which imports the OpenSSL binding _hashlib: that maps
+# libcrypto, some 3.5 MB of resident memory and 2-3 ms a process, for 12
+# hex digits a URL.  Only an interpreter built without the module falls
+# back to hashlib, imported on first use so that importing this module
+# never loads it.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        def _sha256(data: bytes):
+            import hashlib
 
-    return hashlib.sha256(url.encode("utf-8")).hexdigest()[:12]
+            return hashlib.sha256(data)
+
+
+def doc_id_for_url(url: str) -> str:
+    return _sha256(url.encode("utf-8")).hexdigest()[:12]
 
 
 def make_document(url: str, title: str, body: str) -> Document:
@@ -329,18 +345,18 @@ def extract_document(
 def dedupe_documents(docs: list[Document]) -> list[Document]:
     """Drop later documents whose whitespace-normalized body already occurred.
 
-    A body is keyed by the sha256 digest of its words joined by single
-    spaces, so no second copy of it is kept."""
-    import hashlib
-
-    seen: set[bytes] = set()
+    Two bodies are the same when their words joined by single spaces are
+    equal.  The kept documents are bucketed by the ``hash`` of that text;
+    a body whose bucket is not empty is compared with each document in it,
+    normalized again, so no second copy of any body is kept."""
+    buckets: dict[int, list[Document]] = {}
     unique: list[Document] = []
     for doc in docs:
         words = " ".join(doc.body.split())
-        key = hashlib.sha256(words.encode("utf-8", "surrogatepass")).digest()
-        if key in seen:
+        bucket = buckets.setdefault(hash(words), [])
+        if any(" ".join(kept.body.split()) == words for kept in bucket):
             continue
-        seen.add(key)
+        bucket.append(doc)
         unique.append(doc)
     return unique
 

@@ -31,13 +31,15 @@ import html
 import re
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .corpus import Document
 from .engine import Annotation, DocumentAnalysis, RejectionTrace
 from .evaluate import CLASS_LABELS
 from .resources import write_file
 from .segment import Sentence
+
+if TYPE_CHECKING:
+    from .corpus import Document
 
 
 class RenderError(ValueError):

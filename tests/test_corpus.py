@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import http.server
 import random
 import re
@@ -12,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dedupe_ref
 import html_ref
 import runs_ref
 import tokenizer_ref
@@ -24,6 +26,7 @@ from arfuture.corpus import (
     USER_AGENT,
     compile_corpus_file,
     dedupe_documents,
+    doc_id_for_url,
     extract_main_article,
     fetch_pages,
     make_document,
@@ -571,16 +574,39 @@ class TestCorpusFileFormat:
         assert a.id == b.id
 
 
+class TestDocId:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(
+        st.characters() | st.sampled_from("ابتث/:.?=%") | st.characters(min_codepoint=0x10000)
+    ))
+    def test_is_the_head_of_the_urls_sha256(self, url):
+        expected = hashlib.sha256(url.encode("utf-8")).hexdigest()[:12]
+        assert doc_id_for_url(url) == make_document(url, "", "b").id == expected
+
+    def test_url_with_a_lone_surrogate_fails_to_encode(self):
+        with pytest.raises(UnicodeEncodeError):
+            doc_id_for_url("http://x/\ud800")
+
+
+#: every whitespace code point; the last is U+3000
+_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
 #: text mostly of whitespace, every kind of it, and of look-alikes that are
 #: not, with a lone surrogate, which a body decoded from a page may hold
 _SPACED_TEXT = st.text(
-    st.sampled_from(
-        [c for c in map(chr, range(0x3001)) if c.isspace()]
-        + ["\u200b", "\ufeff", "\ud800", "ن", "a"]
-    )
-    | st.characters(),
+    st.sampled_from(_SPACES + ["\u200b", "\ufeff", "\ud800", "ن", "a"]) | st.characters(),
     max_size=10,
 )
+
+
+@st.composite
+def _bodies_with_repeats(draw):
+    """Bodies of a few words, lone surrogates among them, joined by any
+    whitespace, each drawn from a small pool so that repeats are common."""
+    words = st.sampled_from(["نص", "واحد", "a", "\ud800", "نص\udfff"])
+    spaces = st.text(st.sampled_from(_SPACES), min_size=1, max_size=3)
+    body = st.lists(words | spaces, max_size=5).map("".join)
+    pool = draw(st.lists(body, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=10))
 
 
 class TestDedupe:
@@ -608,6 +634,24 @@ class TestDedupe:
                 seen.add(key)
                 expected.append(doc)
         assert dedupe_documents(docs) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bodies_with_repeats())
+    def test_keeps_the_documents_the_digest_key_kept(self, bodies):
+        docs = [make_document(url=f"http://{i}", title="", body=b) for i, b in enumerate(bodies)]
+        expected = dedupe_ref.dedupe_documents(docs)
+        assert dedupe_documents(docs) == expected
+        # and with every body in one bucket, where only equality decides
+        with mock.patch.object(corpus, "hash", lambda text: 0, create=True):
+            assert dedupe_documents(docs) == expected
+
+    def test_colliding_hashes_are_told_apart_by_the_text(self, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(corpus, "hash", lambda text: hashed.append(text) or 0, raising=False)
+        bodies = ["نص  واحد", "نص اخر", "نص\u3000واحد\n", "\ud800 a", "نص اخر ", "\ud800\ta"]
+        docs = [make_document(url=f"http://{i}", title="", body=b) for i, b in enumerate(bodies)]
+        assert dedupe_documents(docs) == [docs[0], docs[1], docs[3]]
+        assert hashed == [" ".join(b.split()) for b in bodies]
 
 
 _CP1256_PAGE = '<html><head><meta charset="windows-1256"></head><body>اقتصاد</body></html>'

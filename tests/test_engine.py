@@ -311,11 +311,14 @@ class TestAnalyzeDocument:
         # attempt there; the forms after the first positive one search the
         # rest of the sentence, and a negative form before it all of it
         engine = Engine(parse_rules(rule + "\n", NO_VARS, MAP), lexicons)
+        # timed against the one-form rule on the same text, which is linear
+        reference = Engine(parse_rules("x: لن -> مستقبل\n", NO_VARS, MAP), lexicons)
         small, large = (
             make_document(url="http://x", title="", body=unit * k) for k in (2000, 8000)
         )
         assert len(engine.analyze(small).annotations) == (2000 if fired else 0)
-        assert_linear(engine.analyze, small, large, limit=None)
+        assert len(reference.analyze(small).annotations) == 2000
+        assert_linear(engine.analyze, small, large, limit=None, reference=reference.analyze)
 
 
 class TestOracleEquivalence:

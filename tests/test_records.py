@@ -8,6 +8,8 @@ between instances, and the checks a constructor makes.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,14 +40,14 @@ from arfuture.rules import (
 def _loaded_after(code: str, modules: set[str]) -> str:
     """Those of ``modules`` that a fresh interpreter (without ``site``,
     whose path hooks may import anything) has loaded after ``code``, as
-    the text of a sorted list."""
+    the text of a sorted list, which is the last line ``code`` prints."""
     code += f"\nimport sys\nprint(sorted({modules!r} & sys.modules.keys()))\n"
     src = str(Path(arfuture.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    return done.stdout.strip()
+    return done.stdout.splitlines()[-1]
 
 
 _LOAD_ENGINE = "import arfuture\nfrom arfuture.resources import load_engine\nload_engine()\n"
@@ -57,6 +59,52 @@ def test_import_and_load_engine_load_no_dataclasses_inspect_hashlib_or_resources
     ``importlib.resources``."""
     unloaded = {"dataclasses", "inspect", "_hashlib", "importlib.resources"}
     assert _loaded_after(_LOAD_ENGINE + "import arfuture.cli\n", unloaded) == "[]"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256, so doc ids go through hashlib",
+)
+def test_offline_commands_load_no_hashlib(tmp_path):
+    """An offline ``ingest`` of pages with a duplicate among them, then
+    ``analyze`` and ``eval --annotations`` in the same process, leave the
+    OpenSSL binding ``_hashlib`` unloaded."""
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    body = "سوف يرتفع النمو الاقتصادي في لبنان خلال العام المقبل بحسب التقديرات " * 3
+    for name, text in (("a", body), ("b", body + " "), ("c", "لن " + body)):
+        (pages / f"{name}.html").write_text(f"<title>{name}</title><p>{text}</p>", "utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(f"{make_document(str(pages / 'a.html'), '', 'b').id}\t0\tsawfa\n", "utf-8")
+    commands = [
+        ["ingest", "--input", str(pages), "--out", str(tmp_path / "c"), "--delay", "0"],
+        ["analyze", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")],
+        ["eval", "--annotations", str(tmp_path / "o" / "annotations.jsonl"),
+         "--gold", str(gold)],
+    ]
+    code = f"from arfuture.cli import main\nassert [main(a) for a in {commands!r}] == [0, 0, 0]\n"
+    assert _loaded_after(code, {"_hashlib"}) == "[]"
+    assert len(list((tmp_path / "c").iterdir())) == 2  # the duplicate was dropped
+
+
+def test_without_a_built_in_sha256_doc_ids_go_through_hashlib():
+    """On an interpreter built without ``_sha2`` and ``_sha256``, importing
+    ``corpus`` loads no ``_hashlib``, and the first id loads it and is the
+    same."""
+    url = "http://x/\u0646"
+    code = (
+        "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from arfuture.corpus import doc_id_for_url\nassert '_hashlib' not in sys.modules\n"
+        f"assert doc_id_for_url({url!r}) == {hashlib.sha256(url.encode()).hexdigest()[:12]!r}\n"
+    )
+    assert _loaded_after(code, {"_hashlib"}) == "['_hashlib']"
+
+
+def test_write_reports_after_load_engine_loads_no_corpus():
+    """``report`` takes ``Document`` for annotations only, so a library
+    user's first ``write_reports`` does not load ``corpus``."""
+    code = _LOAD_ENGINE + "from arfuture import write_reports\n"
+    assert _loaded_after(code, {"arfuture.corpus"}) == "[]"
 
 
 def test_import_and_load_engine_load_only_what_the_engine_needs():
